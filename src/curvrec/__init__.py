@@ -15,7 +15,7 @@ from .metrics import (MetricReport, chamfer, evaluate, f1_score, normal_consiste
                       sample_mesh)
 from .model import (NormalizationTransform, PointCloud, TriangleMesh, denormalize_mesh,
                     normalize_cloud)
-from .patch import Patch, ResamplePolicy, build_patch, extract_patch, resample
+from .patch import Patch, ResamplePolicy, build_patch, extract_patch, pad_block, resample
 from .pipeline import (BenchResult, PipelineConfig, PipelineResult, TimingReport,
                        bench, reconstruct, run_pipeline)
 from .schedule import RadiusSchedule, radius, scale_factor

@@ -116,12 +116,14 @@ class CurvatureField:
 
 
 def curvature_field(cloud, index, query_positions, r0, query_ids=None,
-                    workers=1) -> CurvatureField:
+                    workers=1, nn=None) -> CurvatureField:
     """Surface variation of the r0-ball around each query position.
 
     query_ids, when given, labels the sigma entries (defaults to the
-    positional index). Regions with fewer than 3 points are skipped;
-    raises NoCurvatureSamples when that leaves nothing.
+    positional index). nn, when given, is each position's nearest-point
+    distance, exact at least up to r0 (see nearest_distance_many's bound).
+    Regions with fewer than 3 points are skipped; raises
+    NoCurvatureSamples when that leaves nothing.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
@@ -132,22 +134,21 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
         query_ids = np.asarray(query_ids, dtype=np.int64)
 
     # Cheap prefilter: only positions with any point inside r0 need a ball query.
-    nn = index.nearest_distance_many(positions, workers=workers)
+    if nn is None:
+        nn = index.nearest_distance_many(positions, workers=workers, bound=r0)
     candidates = np.flatnonzero(nn <= r0)
     if candidates.size == 0:
         raise NoCurvatureSamples("no query region contains any points")
 
-    neighborhoods = index.radius_query_many(positions[candidates], r0, workers=workers)
-    counts = np.fromiter((len(nb) for nb in neighborhoods), dtype=np.int64,
-                         count=len(neighborhoods))
+    flat, offsets = index.radius_query_flat(positions[candidates], r0, workers=workers)
+    counts = np.diff(offsets)
     keep = counts >= 3
     if not keep.any():
         raise NoCurvatureSamples("every query region has fewer than 3 points")
 
     kept_rows = np.flatnonzero(keep)
-    kept_counts = counts[kept_rows]
-    flat = np.concatenate([neighborhoods[i] for i in kept_rows])
-    sigma = _segmented_variation(cloud.points[flat], kept_counts)
+    sigma = _segmented_variation(cloud.points[flat[np.repeat(keep, counts)]],
+                                 counts[kept_rows])
 
     ids = query_ids[candidates[kept_rows]]
     order = np.argsort(ids, kind="stable")

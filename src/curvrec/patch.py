@@ -77,6 +77,31 @@ def resample(points, sigma, policy: ResamplePolicy, query_id=0):
     return np.concatenate([pts, fill], axis=0)
 
 
+def pad_block(points, flat, offsets, sigma, policy: ResamplePolicy):
+    """resample over many non-empty patches at once: (m, target, 3).
+
+    Patch i is points[flat[offsets[i]:offsets[i + 1]]] with variation
+    sigma[i]. Rows of at most target points equal resample's bit for bit;
+    larger rows hold their first target points and are left to resample's
+    seeded subsample.
+    """
+    n = np.diff(offsets)[:, None]
+    slot = np.arange(policy.target_count)
+    block = points[flat[offsets[:-1, None] + np.where(slot < n, slot, (slot - n) % n)]]
+    short = (n[:, 0] < policy.target_count) & (sigma < policy.curvature_threshold)
+    if short.any():
+        rows, counts = block[short], n[short]
+        # Row-by-row sum, the order pts.mean(axis=0) adds in, so the
+        # centroid matches resample's to the last bit.
+        total = rows[:, 0]
+        for j in range(1, counts.max()):
+            total = np.where(j < counts, total + rows[:, j], total)
+        rows[slot >= counts] = np.repeat(total / counts, policy.target_count - counts[:, 0],
+                                         axis=0)
+        block[short] = rows
+    return block
+
+
 def build_patch(index, cloud, q, r, sigma, policy: ResamplePolicy, query_id=0) -> Patch:
     raw = extract_patch(index, cloud, q, r)
     return Patch(query=q, radius_used=float(r),

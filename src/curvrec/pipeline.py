@@ -27,7 +27,7 @@ from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queri
                    hierarchical_fill, refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
-from .patch import ResamplePolicy, resample
+from .patch import ResamplePolicy, pad_block, resample
 from .schedule import (ALPHA_DEFAULT, BETA_DEFAULT, R0_DEFAULT, S_MAX_DEFAULT,
                        S_MIN_DEFAULT, RadiusSchedule, radius as schedule_radius)
 from .spatial import build_index
@@ -135,36 +135,39 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 
 def _evaluate_queries(index, cloud, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, watch, workers):
+                      policy, estimator, far_cap, nn, watch, workers):
     """UDF value per query: patch pipeline inside the radius, capped
-    nearest distance outside. Returns (values, near_count)."""
-    n = positions.shape[0]
-    values = np.empty(n)
-
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
-    with watch.section("patch"):
-        nn = index.nearest_distance_many(positions, workers=workers)
-        near = nn <= radii
-        near_rows = np.flatnonzero(near)
-        neighborhoods = index.radius_query_many(
-            positions[near_rows], radii[near_rows],
-            workers=workers) if near_rows.size else []
-
+    nearest distance outside. nn must be exact up to max(far_cap, radii)."""
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
     with watch.section("udf"):
-        values[~near] = np.minimum(nn[~near], far_cap)
+        values = np.minimum(nn, far_cap)  # near rows are overwritten below
+    near_rows = np.flatnonzero(nn <= radii)
 
     target = policy.target_count
     for start in range(0, near_rows.size, _CHUNK):
         rows = near_rows[start:start + _CHUNK]
-        block = np.empty((rows.size, target, 3))
         with watch.section("patch"):
-            for j, row in enumerate(rows):
-                raw = cloud.points[neighborhoods[start + j]]
-                block[j] = resample(raw, sigmas[row], policy,
-                                    query_id=int(query_ids[row]))
+            flat, offsets = index.radius_query_flat(positions[rows], radii[rows],
+                                                    workers=workers)
+            # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
+            # a query whose ball came back empty keeps its far value.
+            hit = np.diff(offsets) > 0
+            rows, offsets = rows[hit], offsets[np.r_[True, hit]]
+            block = pad_block(cloud.points, flat, offsets, sigmas[rows], policy)
+            for j in np.flatnonzero(np.diff(offsets) > target):
+                raw = cloud.points[flat[offsets[j]:offsets[j + 1]]]
+                block[j] = resample(raw, sigmas[rows[j]], policy,
+                                    query_id=int(query_ids[rows[j]]))
         with watch.section("udf"):
             values[rows] = estimator.estimate_batch(positions[rows], block)
-    return values, int(near_rows.size)
+    return values
+
+
+def _nearest(index, positions, radii, far_cap, workers):
+    """Nearest distance, exact up to max(far_cap, radii): what
+    _evaluate_queries reads of it."""
+    return index.nearest_distance_many(positions, workers=workers,
+                                       bound=np.max(radii, initial=far_cap))
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
@@ -189,10 +192,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             # fixed radius, no curvature conditioning: always centroid-pad
             policy = ResamplePolicy(target_count=config.target_count,
                                     curvature_threshold=np.inf, rng_seed=config.seed)
-            values, _ = _evaluate_queries(
-                index, norm_cloud, positions, np.full(ids.size, config.r0),
-                np.zeros(ids.size), ids, policy, estimator, config.far_cap,
-                watch, config.workers)
+            radii = np.full(ids.size, config.r0)
+            with watch.section("patch"):
+                nn = _nearest(index, positions, radii, config.far_cap, config.workers)
+            values = _evaluate_queries(
+                index, norm_cloud, positions, radii, np.zeros(ids.size), ids, policy,
+                estimator, config.far_cap, nn, watch, config.workers)
             dense = values.reshape(n, n, n)
         evaluated = spec.total_fine_vertices
         filled = 0
@@ -202,8 +207,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             with watch.section("patch"):
                 ids, positions = coarse_queries(spec)
                 grid.mark_coarse(ids)
+                # One prefilter serves both the curvature candidates (nn <= r0)
+                # and the coarse rows of evaluate (radius <= r0 * s_max).
+                coarse_nn = _nearest(index, positions, config.r0 * max(config.s_max, 1.0),
+                                     config.far_cap, config.workers)
                 cf = curvature_field(norm_cloud, index, positions, config.r0,
-                                     query_ids=ids, workers=config.workers)
+                                     query_ids=ids, workers=config.workers, nn=coarse_nn)
                 sched = RadiusSchedule.from_field(
                     cf, s_max=config.s_max, s_min=config.s_min,
                     alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -216,7 +225,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             sig_refined, _ = _sigma_lookup(cf, parents)  # hot parents always have entries
             sigmas = np.concatenate([sig_coarse, sig_refined])
             eval_ids = np.concatenate([ids, new_ids])
-            eval_pos = np.vstack([positions, spec.position_of_id(new_ids)])
+            new_pos = spec.position_of_id(new_ids)
+            eval_pos = np.vstack([positions, new_pos])
             with watch.section("patch"):
                 radii = schedule_radius(sched, sigmas)
                 # Queries whose initial region was empty carry no curvature
@@ -225,13 +235,15 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
                 # close layers), so they keep the nominal radius.
                 radii[:ids.size][~has_sigma] = np.minimum(
                     radii[:ids.size][~has_sigma], config.r0)
+                nn = np.concatenate([coarse_nn, _nearest(
+                    index, new_pos, radii[ids.size:], config.far_cap, config.workers)])
             policy = ResamplePolicy(
                 target_count=config.target_count,
                 curvature_threshold=cf.percentile_value(config.resample_threshold),
                 rng_seed=config.seed)
-            values, _ = _evaluate_queries(
+            values = _evaluate_queries(
                 index, norm_cloud, eval_pos, radii, sigmas, eval_ids,
-                policy, estimator, config.far_cap, watch, config.workers)
+                policy, estimator, config.far_cap, nn, watch, config.workers)
             grid.set_values(eval_ids, values)
         with _stage("fill"):
             with watch.section("udf"):

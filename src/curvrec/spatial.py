@@ -6,11 +6,18 @@ results are interchangeable with brute force. All query methods are
 read-only and safe to call from concurrent workers.
 """
 
+import itertools
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud
 from .model import PointCloud
+
+# cKDTree drops a neighbour unless its squared distance is strictly below
+# the squared upper bound, so bounded queries search a slightly larger
+# ball and trim it back to the closed one.
+_BOUND_PAD = 1.0 + 1e-9
 
 
 class SpatialIndex:
@@ -31,26 +38,43 @@ class SpatialIndex:
                                           float(radius), return_sorted=True)
         return np.asarray(idx, dtype=np.int64)
 
-    def radius_query_many(self, centers, radii, workers=1):
+    def radius_query_flat(self, centers, radii, workers=1):
         """Batched radius query; radii may be scalar or per-center.
 
-        Returns a list of ascending index arrays, one per center.
+        Returns (flat, offsets): the ascending indices of center i are
+        flat[offsets[i]:offsets[i + 1]].
         """
-        out = self._tree.query_ball_point(np.asarray(centers, dtype=np.float64),
-                                          radii, return_sorted=True, workers=workers)
-        return [np.asarray(ix, dtype=np.int64) for ix in out]
+        lists = self._tree.query_ball_point(np.asarray(centers, dtype=np.float64),
+                                            radii, return_sorted=True, workers=workers)
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)),
+                  out=offsets[1:])
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                           count=offsets[-1])
+        return flat, offsets
+
+    def radius_query_many(self, centers, radii, workers=1):
+        """radius_query_flat as a list of ascending index arrays, one per center."""
+        flat, offsets = self.radius_query_flat(centers, radii, workers=workers)
+        return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
     def nearest_distance(self, q):
         d, _ = self._tree.query(np.asarray(q, dtype=np.float64))
         return float(d)
 
-    def nearest_distance_many(self, queries, workers=1):
-        d, _ = self._tree.query(np.asarray(queries, dtype=np.float64), workers=workers)
-        return np.asarray(d, dtype=np.float64)
+    def nearest_distance_many(self, queries, workers=1, bound=np.inf):
+        """Nearest-point distance per query, inf where it exceeds bound.
 
-    def nearest_index_many(self, queries, workers=1):
-        d, i = self._tree.query(np.asarray(queries, dtype=np.float64), workers=workers)
-        return np.asarray(d, dtype=np.float64), np.asarray(i, dtype=np.int64)
+        Equal to the unbounded distance wherever that is <= bound (closed
+        ball); a finite bound prunes the kd-tree search.
+        """
+        if not bound > 0:
+            raise ValueError("bound must be positive")
+        d, _ = self._tree.query(np.asarray(queries, dtype=np.float64), workers=workers,
+                                distance_upper_bound=bound * _BOUND_PAD)
+        d = np.asarray(d, dtype=np.float64)
+        d[d > bound] = np.inf
+        return d
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from curvrec.model import PointCloud
-from curvrec.patch import Patch, ResamplePolicy, build_patch, extract_patch, resample
+from curvrec.patch import (Patch, ResamplePolicy, build_patch, extract_patch, pad_block,
+                           resample)
 from curvrec.spatial import build_index
 
 
@@ -114,6 +115,33 @@ def test_output_size_exact(indexed_cloud):
             # everything stays inside the closed ball
             d = np.linalg.norm(p.points - q, axis=1)
             assert d.max() <= r + 1e-12
+
+
+def test_pad_block_matches_scalar_resample():
+    # Bit equality, not closeness: a centroid summed in another order than
+    # pts.mean(axis=0) drifts in the last ulp and moves the mesh.
+    rng = np.random.default_rng(6)
+    policy = ResamplePolicy(target_count=64, curvature_threshold=0.1, rng_seed=3)
+    m = 2000
+    counts = rng.integers(1, policy.target_count + 1, size=m)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    points = rng.normal(size=(5000, 3)) * rng.uniform(1e-3, 10, size=(5000, 1)) + 0.3
+    flat = rng.integers(0, points.shape[0], size=offsets[-1])
+    sigma = rng.uniform(0.0, 0.2, size=m)
+    assert (sigma < policy.curvature_threshold).any() and (sigma >= 0.1).any()
+    block = pad_block(points, flat, offsets, sigma, policy)
+    expect = np.stack([resample(points[flat[offsets[i]:offsets[i + 1]]], sigma[i], policy)
+                       for i in range(m)])
+    assert np.array_equal(block, expect)
+
+
+def test_pad_block_leaves_oversized_rows_to_resample():
+    policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
+    points = np.arange(30, dtype=float).reshape(10, 3)
+    offsets = np.array([0, 7, 9])
+    block = pad_block(points, np.arange(9), offsets, np.array([0.0, 0.0]), policy)
+    assert np.array_equal(block[0], points[:4])
+    assert np.array_equal(block[1], resample(points[7:9], 0.0, policy))
 
 
 def test_patch_fields():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from curvrec import cli, fixtures, io
+from curvrec import cli, fixtures, io, pipeline
 from curvrec.metrics import chamfer, sample_mesh
+from curvrec.estimator import make_estimator
 from curvrec.model import PointCloud
+from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
                               run_pipeline)
+from curvrec.spatial import build_index
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,66 @@ def test_determinism_across_runs_and_workers(sphere_cloud, tmp_path):
         reconstruct(cfg, sphere_cloud)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _edge_uses(faces):
+    edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
+                    axis=1)
+    return np.unique(edges, axis=0, return_counts=True)[1]
+
+
+@pytest.mark.parametrize("shape, coarse, extra", [
+    ("sphere", 20, {}), ("cube", 20, {}), ("sheets", 32, {"gap": 0.045, "noise": 0.002})])
+def test_output_is_closed_edge_manifold(shape, coarse, extra):
+    cloud = fixtures.make_fixture(shape, count=12000, seed=0, **extra)
+    mesh = run_pipeline(small_config(coarse_cells=coarse), cloud).mesh
+    assert mesh.num_faces > 0
+    assert np.all(_edge_uses(mesh.faces) == 2)
+
+
+def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
+    # a wide r0 and target_count 16 send ~1000 patches through the seeded
+    # subsample, so chunk edges cut between padded and subsampled rows
+    cfg = small_config(coarse_cells=20, r0=0.04, target_count=16)
+    meshes = []
+    for chunk in (8192, 97):
+        monkeypatch.setattr(pipeline, "_CHUNK", chunk)
+        mesh = run_pipeline(cfg, sphere_cloud).mesh
+        meshes.append(mesh.vertices.tobytes() + mesh.faces.tobytes())
+    assert meshes[0] == meshes[1]
+
+
+def test_point_exactly_at_query_radius_is_near():
+    # 0.25 and 0.0625 are exact; far_cap < radius makes the nn bound the radius
+    cloud = PointCloud(np.array([[0.25, 0.0, 0.0]]))
+    index = build_index(cloud)
+    positions, radii = np.zeros((1, 3)), np.array([0.25])
+    nn = pipeline._nearest(index, positions, radii, 0.1, workers=1)
+    assert nn.tolist() == [0.25]
+    policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
+    values = pipeline._evaluate_queries(
+        index, cloud, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
+        make_estimator("nearest", far_cap=0.1), 0.1, nn, pipeline._Stopwatch(), 1)
+    assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
+
+
+def test_empty_ball_at_nn_radius_keeps_far_value():
+    # At r == nn the kd-tree's ball test (d2 <= r*r) often excludes the
+    # point that sqrt(d2) <= r counted as near.
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(rng.random((2000, 3)))
+    index = build_index(cloud)
+    positions = rng.random((2000, 3))
+    nn = index.nearest_distance_many(positions)
+    empty = np.diff(index.radius_query_flat(positions, nn)[1]) == 0
+    assert empty.any()
+    policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
+    m = positions.shape[0]
+    values = pipeline._evaluate_queries(
+        index, cloud, positions, nn, np.zeros(m), np.arange(m), policy,
+        make_estimator("nearest", far_cap=1.0), 1.0, nn, pipeline._Stopwatch(), 1)
+    assert np.array_equal(values[empty], nn[empty])
+    assert np.allclose(values, nn, rtol=0, atol=1e-15)
 
 
 def test_refinement_increases_near_surface_resolution(sphere_cloud):

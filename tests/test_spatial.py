@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvrec.errors import EmptyCloud
 from curvrec.model import PointCloud
@@ -84,3 +86,45 @@ def test_batched_queries_match_scalar():
     nn = idx.nearest_distance_many(centers, workers=2)
     for c, d in zip(centers, nn):
         assert d == pytest.approx(idx.nearest_distance(c), abs=1e-15)
+
+
+def test_batched_flat_matches_many():
+    rng = np.random.default_rng(4)
+    idx = build_index(PointCloud(rng.random((800, 3))))
+    centers = rng.random((60, 3))
+    radii = rng.uniform(0.0, 0.15, size=60)
+    flat, offsets = idx.radius_query_flat(centers, radii)
+    assert offsets[0] == 0 and offsets[-1] == flat.size
+    for i, got in enumerate(idx.radius_query_many(centers, radii)):
+        assert np.array_equal(flat[offsets[i]:offsets[i + 1]], got)
+    flat, offsets = idx.radius_query_flat(np.empty((0, 3)), 0.1)
+    assert flat.size == 0 and offsets.tolist() == [0]
+    assert idx.radius_query_many(np.empty((0, 3)), 0.1) == []
+
+
+def test_bounded_nearest_closed_ball():
+    # 0.25 and 0.0625 are exact: the point sits exactly on the bound
+    idx = build_index(PointCloud(np.array([[0.25, 0.0, 0.0]])))
+    q = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    assert idx.nearest_distance_many(q, bound=0.25)[0] == 0.25
+    assert idx.nearest_distance_many(q, bound=0.25)[1] == np.inf
+    assert idx.nearest_distance_many(q[:1], bound=np.nextafter(0.25, 0)).tolist() == [np.inf]
+    with pytest.raises(ValueError):
+        idx.nearest_distance_many(q, bound=0.0)
+
+
+_coords = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                 elements=st.floats(-1, 1, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_coords, queries=_coords, bound=st.floats(1e-6, 2.0))
+def test_bounded_nearest_equals_trimmed_unbounded(points, queries, bound):
+    idx = build_index(PointCloud(points))
+    unbounded = idx.nearest_distance_many(queries)
+    got = idx.nearest_distance_many(queries, bound=bound)
+    assert np.array_equal(got, np.where(unbounded <= bound, unbounded, np.inf))
+    # a bound set to a distance the tree returned keeps that distance
+    b = unbounded[0]
+    if b > 0:
+        assert idx.nearest_distance_many(queries[:1], bound=b)[0] == b
