@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NoCurvatureSamples, NotSymmetric
+from .errors import EmptyInput, NoCurvatureSamples
 
 # Regions whose covariance trace falls below this are treated as flat
 # (coincident/collinear samples): the variation ratio would be 0/0.
@@ -19,49 +19,11 @@ DEGENERATE_TRACE = 1e-15
 MAX_VARIATION = 1.0 / 3.0
 
 
-def covariance3(points):
-    """Population covariance (1/m) * sum (p - mean)(p - mean)^T."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise EmptyInput("covariance of zero points")
-    centered = pts - pts.mean(axis=0)
-    return centered.T @ centered / pts.shape[0]
-
-
-@dataclass
-class SymmetricEigen3:
-    """Sorted spectrum of a symmetric 3x3 matrix (eigenvectors in columns)."""
-
-    eigenvalues: np.ndarray   # ascending, shape (3,)
-    eigenvectors: np.ndarray  # shape (3, 3), column k pairs with eigenvalue k
-
-
-def eigen_sym3(m) -> SymmetricEigen3:
-    """Eigendecomposition with ascending eigenvalues and orthonormal vectors."""
-    mat = np.asarray(m, dtype=np.float64).reshape(3, 3)
-    if np.abs(mat - mat.T).max() > 1e-12:
-        raise NotSymmetric(f"asymmetry {np.abs(mat - mat.T).max():g} exceeds 1e-12")
-    w, v = np.linalg.eigh(mat)
-    return SymmetricEigen3(eigenvalues=w, eigenvectors=v)
-
-
-def _variation_from_eigenvalues(w):
-    # Round-off can push tiny eigenvalues below zero; clamp before the ratio.
-    w = np.maximum(w, 0.0)
-    total = w.sum()
-    if total < DEGENERATE_TRACE:
-        return 0.0
-    return float(w[0] / total)
-
-
-def surface_variation(points) -> float:
-    """Variation ratio l0/(l0+l1+l2) of the covariance; in [0, 1/3]."""
-    w = np.linalg.eigvalsh(covariance3(points))
-    return _variation_from_eigenvalues(w)
-
-
 def percentile(values, p) -> float:
     """Linear-interpolation percentile of a non-empty list, p in [0, 100]."""
+    # Not np.percentile: for fractions t >= 0.5 numpy's lerp computes
+    # b - (b - a) * (1 - t), which can differ from a + t * (b - a) in the last
+    # bit and would move the radius schedule's breakpoints.
     vals = np.sort(np.asarray(values, dtype=np.float64).ravel())
     if vals.size == 0:
         raise EmptyInput("percentile of empty list")
@@ -101,9 +63,6 @@ class CurvatureField:
     def __len__(self):
         return self.ids.size
 
-    def as_dict(self):
-        return dict(zip(self.ids.tolist(), self.sigma.tolist()))
-
     def percentile_value(self, selector):
         """Resolve 'p10'/'p40'/'p60'/'p90' or a numeric threshold."""
         if isinstance(selector, str):
@@ -138,13 +97,13 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
         nn = index.nearest_distance_many(positions, workers=workers, bound=r0)
     candidates = np.flatnonzero(nn <= r0)
     if candidates.size == 0:
-        raise NoCurvatureSamples("no query region contains any points")
+        raise NoCurvatureSamples(f"no query position lies within r0={r0:g} of a point")
 
     flat, offsets = index.radius_query_flat(positions[candidates], r0, workers=workers)
     counts = np.diff(offsets)
     keep = counts >= 3
     if not keep.any():
-        raise NoCurvatureSamples("every query region has fewer than 3 points")
+        raise NoCurvatureSamples(f"no query position has 3 or more points within r0={r0:g}")
 
     kept_rows = np.flatnonzero(keep)
     sigma = _segmented_variation(cloud.points[flat[np.repeat(keep, counts)]],

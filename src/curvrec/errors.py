@@ -21,24 +21,12 @@ class UnsupportedFormat(ReconstructionError):
     """File format or variant outside the supported set."""
 
 
-class NotSymmetric(ReconstructionError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
 class EmptyInput(ReconstructionError):
     """Operation requires a non-empty collection."""
 
 
 class NoCurvatureSamples(ReconstructionError):
     """Every query region had fewer than 3 points; no curvature statistics."""
-
-
-class EmptyPatch(ReconstructionError):
-    """Estimator invoked on a patch with no points."""
-
-
-class DegeneratePatch(ReconstructionError):
-    """Patch is collinear/coincident; no plane can be fit."""
 
 
 class NotCoarseVertex(ReconstructionError):
@@ -59,12 +47,3 @@ class NoArea(ReconstructionError):
 
 class MissingNormals(ReconstructionError):
     """Normal consistency requires normals on both point sets."""
-
-
-class StageError(ReconstructionError):
-    """Wraps a module error with the pipeline stage where it occurred."""
-
-    def __init__(self, stage, cause):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause

@@ -1,92 +1,32 @@
 """Per-patch unsigned distance estimation.
 
-Estimators consume a (query, fixed-size patch) pair and return a
-nonnegative distance, so a learned model can be swapped in behind the
-same interface. Two analytic estimators are provided: nearest patch
-point, and point-to-fitted-plane clamped by the nearest-point value.
-Queries whose patch is empty fall back to the capped global nearest
-distance so the field stays smooth far from the surface.
+Estimators consume stacked queries and fixed-size patches and return a
+nonnegative distance per query, so a learned model can be swapped in
+behind the same interface. Two analytic estimators are provided: nearest
+patch point, and point-to-fitted-plane clamped by the nearest-point value.
 """
 
 import numpy as np
-
-from .errors import EmptyPatch
-
-FAR_CAP_DEFAULT = 0.10
 
 # Plane fitting needs a genuinely 2D neighborhood; below this ratio of the
 # covariance trace the two smallest eigenvalues are treated as collapsed.
 _PLANE_DEGENERACY = 1e-12
 
 
-def estimate_nearest_point(q, patch) -> float:
-    """Minimum Euclidean distance from the query to the patch points."""
-    pts = _patch_points(patch)
-    if pts.shape[0] == 0:
-        raise EmptyPatch("nearest-point estimate of an empty patch")
-    d = pts - np.asarray(q, dtype=np.float64)
-    return float(np.sqrt((d * d).sum(axis=1).min()))
-
-
-def estimate_plane_fit(q, patch) -> float:
-    """Distance to the best-fit patch plane, clamped by the nearest point.
-
-    The plane passes through the patch centroid with the smallest
-    covariance eigenvector as normal. Collinear or coincident patches
-    (no unique plane) fall back to the nearest-point value.
-    """
-    pts = _patch_points(patch)
-    if pts.shape[0] == 0:
-        raise EmptyPatch("plane-fit estimate of an empty patch")
-    nearest = estimate_nearest_point(q, patch)
-    if pts.shape[0] < 3:
-        return nearest
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered / pts.shape[0]
-    w, v = np.linalg.eigh(cov)
-    trace = w.sum()
-    if trace < _PLANE_DEGENERACY or w[1] < _PLANE_DEGENERACY * trace:
-        return nearest
-    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ v[:, 0]))
-    return min(plane, nearest)
-
-
-def estimate_far(q, global_index, far_cap=FAR_CAP_DEFAULT) -> float:
-    """Capped distance to the whole cloud, for queries with empty patches."""
-    if far_cap <= 0:
-        raise ValueError("far_cap must be positive")
-    return min(global_index.nearest_distance(q), float(far_cap))
-
-
-def _patch_points(patch):
-    pts = getattr(patch, "points", patch)
-    return np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-
-
 class UdfEstimator:
-    """Deterministic estimate(query, patch) capability with a far-field cap."""
+    """Deterministic distance per (query, patch) row."""
 
     name = "abstract"
 
-    def __init__(self, far_cap=FAR_CAP_DEFAULT):
-        if far_cap <= 0:
-            raise ValueError("far_cap must be positive")
-        self.far_cap = float(far_cap)
-
-    def estimate(self, q, patch) -> float:
-        raise NotImplementedError
-
     def estimate_batch(self, queries, patches):
-        """Vectorized estimates for stacked (n,3) queries and (n,k,3) patches."""
-        return np.array([self.estimate(q, p) for q, p in zip(queries, patches)])
+        """Estimates for stacked (n,3) queries and (n,k,3) patches."""
+        raise NotImplementedError
 
 
 class NearestPointEstimator(UdfEstimator):
-    name = "nearest"
+    """Minimum Euclidean distance from the query to its patch points."""
 
-    def estimate(self, q, patch) -> float:
-        return estimate_nearest_point(q, patch)
+    name = "nearest"
 
     def estimate_batch(self, queries, patches):
         return _batch_nearest(np.asarray(queries, dtype=np.float64),
@@ -94,10 +34,14 @@ class NearestPointEstimator(UdfEstimator):
 
 
 class PlaneFitEstimator(UdfEstimator):
-    name = "plane"
+    """Distance to the best-fit patch plane, clamped by the nearest point.
 
-    def estimate(self, q, patch) -> float:
-        return estimate_plane_fit(q, patch)
+    The plane passes through the patch centroid with the smallest
+    covariance eigenvector as normal. Collinear or coincident patches
+    (no unique plane) fall back to the nearest-point value.
+    """
+
+    name = "plane"
 
     def estimate_batch(self, queries, patches):
         queries = np.asarray(queries, dtype=np.float64)
@@ -120,9 +64,9 @@ def _batch_nearest(queries, patches):
     return np.sqrt((d * d).sum(axis=2).min(axis=1))
 
 
-def make_estimator(name, far_cap=FAR_CAP_DEFAULT) -> UdfEstimator:
+def make_estimator(name) -> UdfEstimator:
     if name == "nearest":
-        return NearestPointEstimator(far_cap)
+        return NearestPointEstimator()
     if name == "plane":
-        return PlaneFitEstimator(far_cap)
+        return PlaneFitEstimator()
     raise ValueError(f"unknown estimator {name!r} (expected 'nearest' or 'plane')")

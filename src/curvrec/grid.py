@@ -30,13 +30,6 @@ class SiteStatus(IntEnum):
     CELL = 5      # filled from 6 face centers
 
 
-class FineClass(IntEnum):
-    VERTEX = 0
-    EDGE_MID = 1
-    FACE_CENTER = 2
-    CELL_CENTER = 3
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Cube lattice over [-0.5 - m, 0.5 + m]^3 with margin m of whole coarse cells.
@@ -107,12 +100,6 @@ class LatticeSpec:
 
     def position_of_id(self, ids):
         return self.fine_position(self.unflatten(ids))
-
-
-def classify_fine(ijk) -> FineClass:
-    """Site class from index parity (0..3 odd components)."""
-    odd = int(np.sum(np.asarray(ijk, dtype=np.int64) % 2))
-    return FineClass(odd)
 
 
 def coarse_queries(spec: LatticeSpec):
@@ -188,26 +175,14 @@ def _refine_candidates(spec: LatticeSpec, hot_ids):
     return flat[first], parent[first]
 
 
-def refine(grid: AdaptiveGrid, hot_ids):
+def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     """Mark the 3x3x3 fine neighborhoods of hot coarse vertices for evaluation.
 
     Every hot id must be an evaluated coarse vertex. Returns the newly
-    added fine ids (ascending, deduplicated across overlapping blocks);
-    sites already evaluated are left untouched, so a repeat call with the
-    same hot set adds nothing.
+    added fine ids (ascending, deduplicated across overlapping blocks) and,
+    for each, the first hot vertex that claimed it. Sites already evaluated
+    are left untouched, so a repeat call with the same hot set adds nothing.
     """
-    hot_ids = np.asarray(hot_ids, dtype=np.int64)
-    if hot_ids.size and not np.all(grid.status[hot_ids] == SiteStatus.COARSE):
-        bad = hot_ids[grid.status[hot_ids] != SiteStatus.COARSE][0]
-        raise NotCoarseVertex(f"id {bad} is not an evaluated coarse vertex")
-    cand, _ = _refine_candidates(grid.spec, hot_ids)
-    new = cand[grid.status[cand] == SiteStatus.UNSET]
-    grid.status[new] = SiteStatus.REFINED
-    return new
-
-
-def refine_with_parents(grid: AdaptiveGrid, hot_ids):
-    """refine() plus, for each new id, the first hot vertex that claimed it."""
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
     if hot_ids.size and not np.all(grid.status[hot_ids] == SiteStatus.COARSE):
         bad = hot_ids[grid.status[hot_ids] != SiteStatus.COARSE][0]
@@ -272,12 +247,11 @@ def hierarchical_fill(grid: AdaptiveGrid):
          SiteStatus.CELL)
 
 
-def save_field(grid_or_values, spec: LatticeSpec, path):
-    """Dump the dense field as little-endian float32, z fastest, plus a
-    text sidecar `<path>.hdr` of 4 integers: fine vertices per axis,
+def save_field(values, spec: LatticeSpec, path):
+    """Dump the dense (n, n, n) field as little-endian float32, z fastest,
+    plus a text sidecar `<path>.hdr` of 4 integers: fine vertices per axis,
     coarse cells, fine cells, margin cells."""
-    values = grid_or_values.dense_values() if isinstance(grid_or_values, AdaptiveGrid) \
-        else np.asarray(grid_or_values)
+    values = np.asarray(values)
     n = spec.fine_n
     if values.shape != (n, n, n):
         raise ValueError(f"field shape {values.shape} does not match lattice {n}^3")

@@ -71,10 +71,6 @@ class NormalizationTransform:
     def invert(self, pts):
         return as_points(pts) / self.scale - self.translation
 
-    @property
-    def is_identity(self):
-        return self.scale == 1.0 and not self.translation.any()
-
 
 @dataclass
 class TriangleMesh:

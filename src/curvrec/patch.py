@@ -1,7 +1,7 @@
-"""Local patch extraction and count normalization.
+"""Patch count normalization.
 
-Each query gets the cloud points inside its (curvature-modulated) radius,
-then the patch is brought to a fixed sample count: oversized patches are
+A query's patch (the cloud points inside its curvature-modulated radius)
+is brought to a fixed sample count: oversized patches are
 subsampled, undersized ones padded with centroid copies in smooth regions
 or round-robin duplicates in curved ones, so downstream estimators always
 see the same cardinality.
@@ -21,36 +21,6 @@ class ResamplePolicy:
     def __post_init__(self):
         if self.target_count <= 0:
             raise ValueError("target_count must be positive")
-
-
-@dataclass
-class Patch:
-    """Resampled local neighborhood assigned to one query point."""
-
-    query: np.ndarray
-    radius_used: float
-    points: np.ndarray          # (target, 3) after resampling, or (0, 3)
-    source_count: int           # points inside the ball before resampling
-    sigma: float = 0.0          # variation used for the resampling branch
-
-    def __post_init__(self):
-        self.query = np.asarray(self.query, dtype=np.float64).reshape(3)
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    @property
-    def is_empty(self):
-        return self.points.shape[0] == 0
-
-
-def extract_patch(index, cloud, q, r):
-    """Points of cloud within distance r of q, ascending source index."""
-    if r <= 0:
-        raise ValueError("extraction radius must be positive")
-    idx = index.radius_query(q, r)
-    return cloud.points[idx]
 
 
 def resample(points, sigma, policy: ResamplePolicy, query_id=0):
@@ -100,10 +70,3 @@ def pad_block(points, flat, offsets, sigma, policy: ResamplePolicy):
                                          axis=0)
         block[short] = rows
     return block
-
-
-def build_patch(index, cloud, q, r, sigma, policy: ResamplePolicy, query_id=0) -> Patch:
-    raw = extract_patch(index, cloud, q, r)
-    return Patch(query=q, radius_used=float(r),
-                 points=resample(raw, sigma, policy, query_id=query_id),
-                 source_count=raw.shape[0], sigma=float(sigma))

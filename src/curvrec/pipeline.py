@@ -20,7 +20,7 @@ import numpy as np
 from . import io
 from .curvature import CurvatureField, curvature_field
 from .errors import ReconstructionError
-from .estimator import FAR_CAP_DEFAULT, make_estimator
+from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
 from .fixtures import make_fixture
 from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queries,
@@ -35,6 +35,9 @@ from .spatial import build_index
 # Queries are streamed through fixed-size blocks; constant so that results
 # never depend on the worker count.
 _CHUNK = 8192
+
+# Queries farther than this from every point read this UDF value.
+FAR_CAP_DEFAULT = 0.10
 
 
 @dataclass
@@ -171,6 +174,8 @@ def _nearest(index, positions, radii, far_cap, workers):
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
+    if config.far_cap <= 0:
+        raise ValueError("far_cap must be positive")
     cloud = _load_cloud(config, cloud)
     with _stage("normalize"):
         norm_cloud, transform = normalize_cloud(cloud)
@@ -178,7 +183,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         index = build_index(norm_cloud)
 
     spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
-    estimator = make_estimator(config.estimator, far_cap=config.far_cap)
+    estimator = make_estimator(config.estimator)
     watch = _Stopwatch()
     cf = None
 

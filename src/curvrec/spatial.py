@@ -18,6 +18,9 @@ from .model import PointCloud
 # the squared upper bound, so bounded queries search a slightly larger
 # ball and trim it back to the closed one.
 _BOUND_PAD = 1.0 + 1e-9
+# Below about 1e-154 the squared bound is subnormal, too coarse to hold the
+# relative pad, so the searched radius never drops below this floor.
+_MIN_SEARCH = 1e-150
 
 
 class SpatialIndex:
@@ -31,12 +34,6 @@ class SpatialIndex:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def radius_query(self, center, radius):
-        """Indices with distance <= radius from center, ascending."""
-        idx = self._tree.query_ball_point(np.asarray(center, dtype=np.float64),
-                                          float(radius), return_sorted=True)
-        return np.asarray(idx, dtype=np.int64)
 
     def radius_query_flat(self, centers, radii, workers=1):
         """Batched radius query; radii may be scalar or per-center.
@@ -58,10 +55,6 @@ class SpatialIndex:
         flat, offsets = self.radius_query_flat(centers, radii, workers=workers)
         return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
-    def nearest_distance(self, q):
-        d, _ = self._tree.query(np.asarray(q, dtype=np.float64))
-        return float(d)
-
     def nearest_distance_many(self, queries, workers=1, bound=np.inf):
         """Nearest-point distance per query, inf where it exceeds bound.
 
@@ -71,7 +64,7 @@ class SpatialIndex:
         if not bound > 0:
             raise ValueError("bound must be positive")
         d, _ = self._tree.query(np.asarray(queries, dtype=np.float64), workers=workers,
-                                distance_upper_bound=bound * _BOUND_PAD)
+                                distance_upper_bound=max(bound * _BOUND_PAD, _MIN_SEARCH))
         d = np.asarray(d, dtype=np.float64)
         d[d > bound] = np.inf
         return d
@@ -80,11 +73,3 @@ class SpatialIndex:
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Index all points of the cloud; duplicates are retained."""
     return SpatialIndex(cloud.points)
-
-
-def radius_query(index: SpatialIndex, center, radius):
-    return index.radius_query(center, radius)
-
-
-def nearest_distance(index: SpatialIndex, q) -> float:
-    return index.nearest_distance(q)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from curvrec import fixtures
-from curvrec.curvature import curvature_field, surface_variation
+from curvrec.curvature import _segmented_variation, curvature_field
 from curvrec.grid import (AdaptiveGrid, LatticeSpec, coarse_queries, hierarchical_fill,
-                          refine)
+                          refine_with_parents)
 from curvrec.metrics import chamfer, f1_score, normal_consistency, sample_mesh
 from curvrec.model import PointCloud, normalize_cloud
 from curvrec.pipeline import PipelineConfig, bench, run_pipeline
@@ -61,6 +61,15 @@ def test_criterion_1_radius_schedule():
     plateau = np.linspace(s.p40, s.p60, 64, endpoint=False)
     checks.append(("plateau-exactly-1", bool(np.all(scale_factor(s, plateau) == 1.0))))
     _verdict(1, "radius schedule", checks, time.perf_counter() - t0, 1.0)
+
+
+def surface_variation(points):
+    """The batched variation curvature_field uses, over one segment."""
+    return float(_segmented_variation(points, np.array([len(points)]))[0])
+
+
+def refine(grid, hot_ids):
+    return refine_with_parents(grid, hot_ids)[0]
 
 
 def test_criterion_2_curvature():
@@ -233,9 +242,10 @@ def test_criterion_8_layer_separation():
     hot_ids = cf.ids[hot_mask]
     radii = sched_radius(sched, cf.sigma[hot_mask])
     half = len(cloud) // 2
+    flat, offsets = index.radius_query_flat(spec.position_of_id(hot_ids), radii)
     mixed = 0
-    for p, r in zip(spec.position_of_id(hot_ids), radii):
-        members = index.radius_query(p, r)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        members = flat[a:b]
         if members.size and members.min() < half <= members.max():
             mixed += 1
     checks = [

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from curvrec.curvature import (CurvatureField, covariance3, curvature_field, eigen_sym3,
-                               percentile, surface_variation)
-from curvrec.errors import EmptyInput, NoCurvatureSamples, NotSymmetric
+from curvrec.curvature import (CurvatureField, _segmented_variation, curvature_field,
+                               percentile)
+from curvrec.errors import EmptyInput, NoCurvatureSamples
 from curvrec.model import PointCloud
 from curvrec.spatial import build_index
+from oracles import covariance3, surface_variation as variation_oracle
+
+
+def surface_variation(points):
+    """The batched variation curvature_field uses, over one segment."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return float(_segmented_variation(pts, np.array([pts.shape[0]]))[0])
 
 
 def trig_eigenvalues(a):
@@ -61,29 +68,6 @@ def test_covariance_matches_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(73, 3))
     assert np.abs(covariance3(pts) - brute_covariance(pts)).max() < 1e-12
-
-
-def test_eigen_examples():
-    e = eigen_sym3(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(e.eigenvalues, [1, 2, 3])
-    z = eigen_sym3(np.zeros((3, 3)))
-    assert np.array_equal(z.eigenvalues, np.zeros(3))
-    with pytest.raises(NotSymmetric):
-        eigen_sym3(np.array([[0, 1e-6, 0], [0, 0, 0], [0, 0, 0.0]]))
-
-
-def test_eigen_random_against_trig_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        m = rng.normal(size=(3, 3))
-        m = m + m.T
-        e = eigen_sym3(m)
-        w, v = e.eigenvalues, e.eigenvectors
-        assert np.all(np.diff(w) >= 0)
-        recon = v @ np.diag(w) @ v.T
-        assert np.abs(recon - m).max() < 1e-9 * max(np.linalg.norm(m), 1.0)
-        assert np.abs(v.T @ v - np.eye(3)).max() < 1e-9
-        assert np.abs(w - trig_eigenvalues(m)).max() < 1e-9
 
 
 def test_surface_variation_planar_and_isotropic():
@@ -160,7 +144,7 @@ def test_curvature_field_far_queries_raise():
     cloud = PointCloud(np.array([[0.0, 0, 0], [0.01, 0, 0], [0, 0.01, 0]]))
     index = build_index(cloud)
     far = np.array([[5.0, 5, 5], [6.0, 6, 6]])
-    with pytest.raises(NoCurvatureSamples):
+    with pytest.raises(NoCurvatureSamples, match="within r0=0.018"):
         curvature_field(cloud, index, far, r0=0.018)
 
 
@@ -187,15 +171,16 @@ def test_curvature_field_matches_standalone():
     for r0 in (0.03, 0.06):
         cf = curvature_field(cloud, index, queries, r0=r0)
         assert len(cf) > 0
-        lut = cf.as_dict()
-        for qid, sig in lut.items():
-            members = index.radius_query(queries[qid], r0)
-            assert len(members) >= 3
-            assert sig == pytest.approx(surface_variation(cloud.points[members]),
-                                        abs=1e-12)
+        def members(qid):
+            return np.flatnonzero(np.linalg.norm(cloud.points - queries[qid], axis=1) <= r0)
+
+        for qid, sig in zip(cf.ids.tolist(), cf.sigma.tolist()):
+            ball = members(qid)
+            assert len(ball) >= 3
+            assert sig == pytest.approx(variation_oracle(cloud.points[ball]), abs=1e-12)
         # skipped queries really had fewer than 3 points
-        for qid in set(range(len(queries))) - set(lut):
-            assert len(index.radius_query(queries[qid], r0)) < 3
+        for qid in set(range(len(queries))) - set(cf.ids.tolist()):
+            assert len(members(qid)) < 3
 
 
 def test_curvature_field_custom_ids():

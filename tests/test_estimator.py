@@ -1,27 +1,36 @@
 import numpy as np
 import pytest
 
-from curvrec.errors import EmptyPatch
-from curvrec.estimator import (NearestPointEstimator, PlaneFitEstimator, estimate_far,
-                               estimate_nearest_point, estimate_plane_fit,
-                               make_estimator)
+from curvrec import pipeline
+from curvrec.estimator import NearestPointEstimator, PlaneFitEstimator, make_estimator
 from curvrec.model import PointCloud
-from curvrec.patch import Patch
+from curvrec.patch import ResamplePolicy
+from curvrec.pipeline import PipelineConfig, run_pipeline
 from curvrec.spatial import build_index
+from oracles import estimate_nearest_point as nearest_oracle
+from oracles import estimate_plane_fit as plane_oracle
 
 
-def mkpatch(points, sigma=0.0):
-    pts = np.asarray(points, dtype=float)
-    return Patch(query=np.zeros(3), radius_used=1.0, points=pts,
-                 source_count=len(pts), sigma=sigma)
+def _one_row(estimator):
+    """The estimator applied to a single (query, patch) row."""
+    def estimate(q, patch):
+        q = np.asarray(q, dtype=float).reshape(1, 3)
+        return float(estimator.estimate_batch(q, np.asarray(patch, dtype=float)[None])[0])
+    return estimate
+
+
+estimate_nearest_point = _one_row(NearestPointEstimator())
+estimate_plane_fit = _one_row(PlaneFitEstimator())
+
+
+def mkpatch(points):
+    return np.asarray(points, dtype=float).reshape(-1, 3)
 
 
 def test_nearest_examples():
     assert estimate_nearest_point([1.0, 0, 0], mkpatch([[1.0, 0, 0], [5, 5, 5]])) == 0.0
     assert estimate_nearest_point([0.0, 0, 0],
                                   mkpatch([[1.0, 0, 0], [0, 2.0, 0]])) == 1.0
-    with pytest.raises(EmptyPatch):
-        estimate_nearest_point([0, 0, 0], mkpatch(np.empty((0, 3))))
 
 
 def test_nearest_matches_brute_force():
@@ -87,17 +96,30 @@ def test_planar_patch_exactness():
 
 
 def test_far_examples():
+    # Queries with no point inside their radius read the capped global
+    # nearest distance, which the pipeline computes without an estimator.
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     index = build_index(cloud)
-    assert estimate_far([0.0, 0, 0], index, far_cap=0.1) == 0.0
-    assert estimate_far([10.0, 0, 0], index, far_cap=0.1) == pytest.approx(0.1)
+    policy = ResamplePolicy(target_count=4)
+
+    def estimate_far(queries, far_cap):
+        positions = np.asarray(queries, dtype=float).reshape(-1, 3)
+        m = positions.shape[0]
+        radii = np.full(m, 1e-9)
+        nn = pipeline._nearest(index, positions, radii, far_cap, workers=1)
+        return pipeline._evaluate_queries(
+            index, cloud, positions, radii, np.zeros(m), np.arange(m), policy,
+            make_estimator("nearest"), far_cap, nn, pipeline._Stopwatch(), 1)
+
+    assert estimate_far([0.0, 0, 0], far_cap=0.1).tolist() == [0.0]
+    assert estimate_far([10.0, 0, 0], far_cap=0.1)[0] == pytest.approx(0.1)
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        q = rng.normal(size=3) * 2
-        brute = min(np.linalg.norm(cloud.points - q, axis=1))
-        assert estimate_far(q, index, 0.7) == pytest.approx(min(brute, 0.7), abs=1e-12)
-    with pytest.raises(ValueError):
-        estimate_far([0, 0, 0], index, far_cap=0.0)
+    queries = rng.normal(size=(50, 3)) * 2
+    brute = np.array([min(np.linalg.norm(cloud.points - q, axis=1)) for q in queries])
+    assert np.abs(estimate_far(queries, 0.7) - np.minimum(brute, 0.7)).max() < 1e-12
+    for far_cap in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            run_pipeline(PipelineConfig(far_cap=far_cap), cloud)
 
 
 def test_estimates_nonnegative_finite():
@@ -117,7 +139,8 @@ def test_batch_matches_scalar():
     for name in ("nearest", "plane"):
         est = make_estimator(name)
         batch = est.estimate_batch(queries, patches)
-        scalar = np.array([est.estimate(q, p) for q, p in zip(queries, patches)])
+        oracle = nearest_oracle if name == "nearest" else plane_oracle
+        scalar = np.array([oracle(q, p) for q, p in zip(queries, patches)])
         assert np.abs(batch - scalar).max() < 1e-12
 
 
@@ -128,15 +151,12 @@ def test_batch_handles_degenerate_rows():
     planar = np.column_stack([np.linspace(0, 1, 8), np.linspace(1, 0, 8) ** 2,
                               np.zeros(8)])
     batch = est.estimate_batch(queries, np.stack([line, planar]))
-    assert batch[0] == pytest.approx(est.estimate(queries[0], line), abs=1e-15)
+    assert batch[0] == pytest.approx(plane_oracle(queries[0], line), abs=1e-15)
     assert batch[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_make_estimator():
     assert isinstance(make_estimator("nearest"), NearestPointEstimator)
     assert isinstance(make_estimator("plane"), PlaneFitEstimator)
-    assert make_estimator("plane", far_cap=0.2).far_cap == 0.2
     with pytest.raises(ValueError):
         make_estimator("neural")
-    with pytest.raises(ValueError):
-        make_estimator("plane", far_cap=-1.0)

@@ -3,9 +3,9 @@ import pytest
 
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
-from curvrec.grid import (AdaptiveGrid, FineClass, LatticeSpec, SiteStatus,
-                          classify_fine, coarse_queries, hierarchical_fill, load_field,
-                          refine, refine_with_parents, save_field, select_hot)
+from curvrec.grid import (AdaptiveGrid, LatticeSpec, SiteStatus, coarse_queries,
+                          hierarchical_fill, load_field, refine_with_parents, save_field,
+                          select_hot)
 
 
 def fresh_grid(coarse_cells=8, margin_cells=2):
@@ -90,39 +90,21 @@ def test_coarse_queries_alignment():
     assert np.allclose(pos, spec.fine_position(ijk))
 
 
-def test_classify_fine_examples():
-    assert classify_fine([4, 6, 8]) == FineClass.VERTEX
-    assert classify_fine([3, 6, 8]) == FineClass.EDGE_MID
-    assert classify_fine([3, 5, 8]) == FineClass.FACE_CENTER
-    assert classify_fine([3, 5, 7]) == FineClass.CELL_CENTER
-
-
-def test_classify_fine_exhaustive_small_lattice():
-    # direct geometric classification on a 5^3 fine lattice (2 coarse cells)
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                on_coarse = [t % 2 == 0 for t in (i, j, k)]
-                expect = {3: FineClass.VERTEX, 2: FineClass.EDGE_MID,
-                          1: FineClass.FACE_CENTER, 0: FineClass.CELL_CENTER}[sum(on_coarse)]
-                assert classify_fine([i, j, k]) == expect
-
-
 def test_refine_isolated_interior():
     spec, grid, ids, _ = fresh_grid()
     center = spec.flat_id(np.array([8, 8, 8]))
-    new = refine(grid, [center])
+    new = refine_with_parents(grid, [center])[0]
     assert new.size == 26
     assert np.all(grid.status[new] == SiteStatus.REFINED)
     # idempotent
-    assert refine(grid, [center]).size == 0
+    assert refine_with_parents(grid, [center])[0].size == 0
 
 
 def test_refine_adjacent_pair():
     spec, grid, ids, _ = fresh_grid()
     a = spec.flat_id(np.array([8, 8, 8]))
     b = spec.flat_id(np.array([10, 8, 8]))
-    new = refine(grid, [a, b])
+    new = refine_with_parents(grid, [a, b])[0]
     # enumeration oracle: union of both 27-blocks minus evaluated centers
     blocks = set()
     for base in ([8, 8, 8], [10, 8, 8]):
@@ -138,7 +120,7 @@ def test_refine_adjacent_pair():
 def test_refine_corner_clipped():
     spec, grid, ids, _ = fresh_grid()
     corner = spec.flat_id(np.array([0, 0, 0]))
-    new = refine(grid, [corner])
+    new = refine_with_parents(grid, [corner])[0]
     assert new.size == 7
 
 
@@ -146,7 +128,7 @@ def test_refine_rejects_non_coarse():
     spec, grid, ids, _ = fresh_grid()
     odd = spec.flat_id(np.array([1, 0, 0]))
     with pytest.raises(NotCoarseVertex):
-        refine(grid, [odd])
+        refine_with_parents(grid, [odd])
     with pytest.raises(NotCoarseVertex):
         grid.mark_coarse([odd])
 
@@ -198,7 +180,7 @@ def test_fill_matches_slow_oracle_with_refined_sites():
     vals = rng.normal(size=ids.size)
     grid.set_values(ids, vals)
     # refine one corner so some odd sites carry evaluated values
-    new = refine(grid, [spec.flat_id(np.array([2, 2, 2]))])
+    new = refine_with_parents(grid, [spec.flat_id(np.array([2, 2, 2]))])[0]
     new_vals = rng.normal(size=new.size)
     grid.set_values(new, new_vals)
 
@@ -214,7 +196,7 @@ def test_fill_matches_slow_oracle_with_refined_sites():
 def test_fill_never_overwrites_evaluated():
     spec, grid, ids, _ = fresh_grid(coarse_cells=4, margin_cells=0)
     grid.set_values(ids, np.zeros(ids.size))
-    new = refine(grid, [spec.flat_id(np.array([4, 4, 4]))])
+    new = refine_with_parents(grid, [spec.flat_id(np.array([4, 4, 4]))])[0]
     grid.set_values(new, np.full(new.size, 7.0))
     hierarchical_fill(grid)
     assert np.all(grid.values[new] == 7.0)
@@ -228,7 +210,7 @@ def test_fill_requires_values():
     with pytest.raises(MissingCoarseValue):
         hierarchical_fill(grid)
     grid.set_values(ids, np.zeros(ids.size))
-    refine(grid, [spec.flat_id(np.array([4, 4, 4]))])  # refined sites left NaN
+    refine_with_parents(grid, [spec.flat_id(np.array([4, 4, 4]))])  # refined sites left NaN
     with pytest.raises(MissingCoarseValue):
         hierarchical_fill(grid)
 
@@ -245,7 +227,7 @@ def test_field_dump_roundtrip(tmp_path):
     grid.set_values(ids, np.linspace(0, 1, ids.size))
     hierarchical_fill(grid)
     path = tmp_path / "field.bin"
-    save_field(grid, spec, path)
+    save_field(grid.dense_values(), spec, path)
     header = (tmp_path / "field.bin.hdr").read_text().split()
     assert [int(t) for t in header] == [spec.fine_n, 4, 8, 1]
     values, spec2 = load_field(path)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from curvrec.model import PointCloud
-from curvrec.patch import (Patch, ResamplePolicy, build_patch, extract_patch, pad_block,
-                           resample)
+from curvrec.patch import ResamplePolicy, pad_block, resample
 from curvrec.spatial import build_index
 
 
@@ -14,15 +13,19 @@ def indexed_cloud():
     return cloud, build_index(cloud)
 
 
+def extract(index, cloud, queries, radii):
+    """Raw patch per query, gathered from the ball query as the pipeline does."""
+    flat, offsets = index.radius_query_flat(np.reshape(queries, (-1, 3)), radii)
+    return [cloud.points[flat[a:b]] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def test_extract_far_and_tiny(indexed_cloud):
     cloud, index = indexed_cloud
-    assert extract_patch(index, cloud, np.array([10.0, 10, 10]), 0.05).shape == (0, 3)
+    assert extract(index, cloud, [10.0, 10, 10], 0.05)[0].shape == (0, 3)
     q = cloud.points[42]
-    got = extract_patch(index, cloud, q, 1e-9)
+    got = extract(index, cloud, q, 1e-9)[0]
     assert got.shape[0] >= 1
     assert np.any(np.all(got == q, axis=1))
-    with pytest.raises(ValueError):
-        extract_patch(index, cloud, q, 0.0)
 
 
 def test_extract_matches_brute_force(indexed_cloud):
@@ -31,7 +34,7 @@ def test_extract_matches_brute_force(indexed_cloud):
     for _ in range(50):
         q = rng.random(3) - 0.5
         r = rng.uniform(0.02, 0.2)
-        got = extract_patch(index, cloud, q, r)
+        got = extract(index, cloud, q, r)[0]
         d = np.linalg.norm(cloud.points - q, axis=1)
         expect = cloud.points[d <= r]
         assert np.array_equal(got, expect)  # ascending source order both sides
@@ -60,6 +63,8 @@ def test_resample_identity_and_empty():
     pts = np.arange(9, dtype=float).reshape(3, 3)
     assert np.array_equal(resample(pts, 0.0, policy), pts)
     assert resample(np.empty((0, 3)), 0.0, policy).shape == (0, 3)
+    with pytest.raises(ValueError):
+        ResamplePolicy(target_count=0)
 
 
 def test_resample_subsample():
@@ -101,20 +106,25 @@ def test_output_size_exact(indexed_cloud):
     cloud, index = indexed_cloud
     rng = np.random.default_rng(5)
     policy = ResamplePolicy(target_count=64, curvature_threshold=0.05, rng_seed=1)
-    for qid in range(30):
-        q = rng.random(3) - 0.5
-        r = rng.uniform(0.03, 0.3)
-        p = build_patch(index, cloud, q, r, sigma=rng.uniform(0, 0.3),
-                        policy=policy, query_id=qid)
-        raw = extract_patch(index, cloud, q, r)
-        assert p.source_count == raw.shape[0]
-        if raw.shape[0] == 0:
-            assert p.is_empty
-        else:
-            assert len(p) == 64
-            # everything stays inside the closed ball
-            d = np.linalg.norm(p.points - q, axis=1)
-            assert d.max() <= r + 1e-12
+    queries = rng.random((30, 3)) - 0.5
+    radii = rng.uniform(0.03, 0.3, size=30)
+    sigma = rng.uniform(0, 0.3, size=30)
+    flat, offsets = index.radius_query_flat(queries, radii)
+    counts = np.diff(offsets)
+    brute = [np.count_nonzero(np.linalg.norm(cloud.points - q, axis=1) <= r)
+             for q, r in zip(queries, radii)]
+    assert counts.tolist() == brute
+    # empty patches stay out of the block, as in the pipeline
+    hit = counts > 0
+    rows, offsets = np.flatnonzero(hit), offsets[np.r_[True, hit]]
+    block = pad_block(cloud.points, flat, offsets, sigma[rows], policy)
+    for j in np.flatnonzero(np.diff(offsets) > policy.target_count):
+        raw = cloud.points[flat[offsets[j]:offsets[j + 1]]]
+        block[j] = resample(raw, sigma[rows[j]], policy, query_id=rows[j])
+    assert block.shape == (rows.size, 64, 3)
+    # everything stays inside the closed ball
+    d = np.linalg.norm(block - queries[rows, None, :], axis=2)
+    assert (d.max(axis=1) <= radii[rows] + 1e-12).all()
 
 
 def test_pad_block_matches_scalar_resample():
@@ -142,11 +152,3 @@ def test_pad_block_leaves_oversized_rows_to_resample():
     block = pad_block(points, np.arange(9), offsets, np.array([0.0, 0.0]), policy)
     assert np.array_equal(block[0], points[:4])
     assert np.array_equal(block[1], resample(points[7:9], 0.0, policy))
-
-
-def test_patch_fields():
-    p = Patch(query=[0, 0, 0], radius_used=0.1,
-              points=np.zeros((4, 3)), source_count=2, sigma=0.2)
-    assert len(p) == 4 and not p.is_empty
-    with pytest.raises(ValueError):
-        ResamplePolicy(target_count=0)

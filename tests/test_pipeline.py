@@ -3,6 +3,7 @@ import pytest
 
 from curvrec import cli, fixtures, io, pipeline
 from curvrec.metrics import chamfer, sample_mesh
+from curvrec.errors import NoCurvatureSamples
 from curvrec.estimator import make_estimator
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
@@ -116,7 +117,7 @@ def test_point_exactly_at_query_radius_is_near():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values = pipeline._evaluate_queries(
         index, cloud, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
-        make_estimator("nearest", far_cap=0.1), 0.1, nn, pipeline._Stopwatch(), 1)
+        make_estimator("nearest"), 0.1, nn, pipeline._Stopwatch(), 1)
     assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
 
 
@@ -134,7 +135,7 @@ def test_empty_ball_at_nn_radius_keeps_far_value():
     m = positions.shape[0]
     values = pipeline._evaluate_queries(
         index, cloud, positions, nn, np.zeros(m), np.arange(m), policy,
-        make_estimator("nearest", far_cap=1.0), 1.0, nn, pipeline._Stopwatch(), 1)
+        make_estimator("nearest"), 1.0, nn, pipeline._Stopwatch(), 1)
     assert np.array_equal(values[empty], nn[empty])
     assert np.allclose(values, nn, rtol=0, atol=1e-15)
 
@@ -193,6 +194,18 @@ def test_stage_tagged_errors(tmp_path):
     with pytest.raises(Exception) as exc_info:
         run_pipeline(PipelineConfig(coarse_cells=10, margin_cells=1), sparse)
     assert getattr(exc_info.value, "stage", None) == "curvature"
+
+
+@pytest.mark.parametrize("coarse", [20, 24])
+def test_no_curvature_samples_names_r0(coarse):
+    # The sheets (z = +-0.022 once normalized) lie farther than r0 = 0.018
+    # from every coarse layer: at 20 cells no site has a point within r0,
+    # at 24 (noise reaches a few sites) none has 3.
+    cloud = fixtures.make_fixture("sheets", count=12000, gap=0.045, noise=0.002)
+    with pytest.raises(NoCurvatureSamples) as exc_info:
+        run_pipeline(small_config(coarse_cells=coarse), cloud)
+    assert exc_info.value.stage == "curvature"
+    assert "r0=" in str(exc_info.value)
 
 
 # --- CLI surface ---------------------------------------------------------

@@ -1,16 +1,31 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from curvrec.errors import EmptyCloud
 from curvrec.model import PointCloud
-from curvrec.spatial import build_index, nearest_distance, radius_query
+from curvrec.spatial import build_index
 
 
 def brute_ball(points, center, r):
     d = np.linalg.norm(points - np.asarray(center), axis=1)
     return set(np.flatnonzero(d <= r).tolist())
+
+
+def brute_nearest(points, q):
+    return float(np.linalg.norm(points - np.asarray(q), axis=1).min())
+
+
+def radius_query(idx, center, r):
+    """Ball of one center through the batched query."""
+    flat, offsets = idx.radius_query_flat(np.reshape(center, (1, 3)), r)
+    assert offsets.tolist() == [0, flat.size]
+    return flat
+
+
+def nearest_distance(idx, q):
+    return float(idx.nearest_distance_many(np.reshape(q, (1, 3)))[0])
 
 
 def test_single_point_and_duplicates():
@@ -82,10 +97,10 @@ def test_batched_queries_match_scalar():
     radii = rng.uniform(0.05, 0.2, size=50)
     batched = idx.radius_query_many(centers, radii, workers=2)
     for c, r, got in zip(centers, radii, batched):
-        assert np.array_equal(got, radius_query(idx, c, r))
+        assert np.array_equal(got, sorted(brute_ball(pts, c, r)))
     nn = idx.nearest_distance_many(centers, workers=2)
     for c, d in zip(centers, nn):
-        assert d == pytest.approx(idx.nearest_distance(c), abs=1e-15)
+        assert d == pytest.approx(brute_nearest(pts, c), abs=1e-15)
 
 
 def test_batched_flat_matches_many():
@@ -119,6 +134,8 @@ _coords = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
 
 @settings(max_examples=200, deadline=None)
 @given(points=_coords, queries=_coords, bound=st.floats(1e-6, 2.0))
+# a nearest distance whose square is subnormal
+@example(points=np.zeros((1, 3)), queries=np.full((1, 3), 1.28058713e-158), bound=1.0)
 def test_bounded_nearest_equals_trimmed_unbounded(points, queries, bound):
     idx = build_index(PointCloud(points))
     unbounded = idx.nearest_distance_many(queries)
