@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyField
 from .grid import LatticeSpec
-from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, EDGE_TABLE, TRI_TABLE
+from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .model import TriangleMesh
 
 # Crossing parameter kept strictly inside the edge so crossings on edges
@@ -58,7 +58,8 @@ def marching_cubes(field, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
     for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
         cube_idx |= inside[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1].astype(np.int32) << c
 
-    active = np.flatnonzero(EDGE_TABLE[cube_idx.ravel()] != 0)
+    # a cube is crossed unless all its corners lie on one side
+    active = np.flatnonzero((cube_idx != 0) & (cube_idx != 255))
     if active.size == 0:
         return TriangleMesh()
 

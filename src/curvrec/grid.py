@@ -12,22 +12,12 @@ fastest; all public operations speak flat ids.
 """
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import EmptyField, MissingCoarseValue, NotCoarseVertex
 
 MARGIN_CELLS_DEFAULT = 3
-
-
-class SiteStatus(IntEnum):
-    UNSET = 0
-    COARSE = 1    # evaluated, coarse pass
-    REFINED = 2   # evaluated, added by local refinement
-    EDGE = 3      # filled from 2 edge endpoints
-    FACE = 4      # filled from 4 edge midpoints
-    CELL = 5      # filled from 6 face centers
 
 
 @dataclass(frozen=True)
@@ -56,10 +46,6 @@ class LatticeSpec:
     def fine_n(self):
         """Fine vertices per axis."""
         return self.fine_cells + 1
-
-    @property
-    def coarse_n(self):
-        return self.coarse_cells + 1
 
     @property
     def coarse_spacing(self):
@@ -111,11 +97,12 @@ def coarse_queries(spec: LatticeSpec):
 
 
 class AdaptiveGrid:
-    """Evaluation status and field values over the fine lattice."""
+    """Field values over the fine lattice, and which sites were evaluated
+    directly (coarse or refined) rather than filled."""
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        self.status = np.zeros(spec.total_fine_vertices, dtype=np.uint8)
+        self.evaluated = np.zeros(spec.total_fine_vertices, dtype=bool)
         self.values = np.full(spec.total_fine_vertices, np.nan)
 
     def mark_coarse(self, ids):
@@ -123,23 +110,21 @@ class AdaptiveGrid:
         ijk = self.spec.unflatten(ids)
         if np.any(ijk % 2):
             raise NotCoarseVertex("coarse sites must have all-even fine indices")
-        self.status[ids] = SiteStatus.COARSE
+        self.evaluated[ids] = True
         return ids
 
     def set_values(self, ids, values):
         self.values[np.asarray(ids, dtype=np.int64)] = values
 
     @property
-    def evaluated_mask(self):
-        return (self.status == SiteStatus.COARSE) | (self.status == SiteStatus.REFINED)
-
-    @property
     def evaluated_count(self):
-        return int(np.count_nonzero(self.evaluated_mask))
+        return int(np.count_nonzero(self.evaluated))
 
     @property
     def filled_count(self):
-        return int(np.count_nonzero(self.status >= SiteStatus.EDGE))
+        """Sites holding a value without being evaluated: those
+        hierarchical_fill wrote."""
+        return int(np.count_nonzero(~self.evaluated & ~np.isnan(self.values)))
 
     def dense_values(self):
         """Field as an (n, n, n) array; EmptyField if any site lacks a value."""
@@ -178,19 +163,20 @@ def _refine_candidates(spec: LatticeSpec, hot_ids):
 def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     """Mark the 3x3x3 fine neighborhoods of hot coarse vertices for evaluation.
 
-    Every hot id must be an evaluated coarse vertex. Returns the newly
-    added fine ids (ascending, deduplicated across overlapping blocks) and,
-    for each, the first hot vertex that claimed it. Sites already evaluated
-    are left untouched, so a repeat call with the same hot set adds nothing.
+    Every hot id must be an evaluated coarse vertex (evaluated, all fine
+    indices even). Returns the newly added fine ids (ascending,
+    deduplicated across overlapping blocks) and, for each, the first hot
+    vertex that claimed it. Sites already evaluated are left untouched, so
+    a repeat call with the same hot set adds nothing.
     """
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
-    if hot_ids.size and not np.all(grid.status[hot_ids] == SiteStatus.COARSE):
-        bad = hot_ids[grid.status[hot_ids] != SiteStatus.COARSE][0]
-        raise NotCoarseVertex(f"id {bad} is not an evaluated coarse vertex")
+    coarse = grid.evaluated[hot_ids] & ~np.any(grid.spec.unflatten(hot_ids) % 2, axis=-1)
+    if not coarse.all():
+        raise NotCoarseVertex(f"id {hot_ids[~coarse][0]} is not an evaluated coarse vertex")
     cand, parent_pos = _refine_candidates(grid.spec, hot_ids)
-    fresh = grid.status[cand] == SiteStatus.UNSET
+    fresh = ~grid.evaluated[cand]
     new, parents = cand[fresh], hot_ids[parent_pos[fresh]]
-    grid.status[new] = SiteStatus.REFINED
+    grid.evaluated[new] = True
     return new, parents
 
 
@@ -208,13 +194,13 @@ def hierarchical_fill(grid: AdaptiveGrid):
     mean of its 6 face centers. Evaluated sites are never overwritten.
     """
     n = grid.spec.fine_n
-    status = grid.status.reshape(n, n, n)
+    evaluated = grid.evaluated.reshape(n, n, n)
     values = grid.values.reshape(n, n, n)
 
     coarse_vals = values[::2, ::2, ::2]
     if np.isnan(coarse_vals).any():
         raise MissingCoarseValue("a coarse vertex has no value")
-    if np.isnan(grid.values[grid.evaluated_mask]).any():
+    if np.isnan(grid.values[grid.evaluated]).any():
         raise MissingCoarseValue("an evaluated (refined) vertex has no value")
 
     ev = slice(0, n, 2)        # even indices
@@ -222,29 +208,26 @@ def hierarchical_fill(grid: AdaptiveGrid):
     lo = slice(0, n - 2, 2)    # even neighbor below an odd index
     hi = slice(2, n, 2)        # even neighbor above an odd index
 
-    def fill(target_idx, neighbor_slices, tag):
+    def fill(target_idx, neighbor_slices):
         acc = values[neighbor_slices[0]].copy()
         for sl in neighbor_slices[1:]:
             acc += values[sl]
         acc /= len(neighbor_slices)
-        tgt_vals = values[target_idx]   # views: writes land in the grid
-        tgt_stat = status[target_idx]
-        open_sites = tgt_stat == SiteStatus.UNSET
+        tgt_vals = values[target_idx]   # a view: writes land in the grid
+        open_sites = ~evaluated[target_idx]
         tgt_vals[open_sites] = acc[open_sites]
-        tgt_stat[open_sites] = tag
 
     # pass 1: edge midpoints (one odd axis)
-    fill((od, ev, ev), [(lo, ev, ev), (hi, ev, ev)], SiteStatus.EDGE)
-    fill((ev, od, ev), [(ev, lo, ev), (ev, hi, ev)], SiteStatus.EDGE)
-    fill((ev, ev, od), [(ev, ev, lo), (ev, ev, hi)], SiteStatus.EDGE)
+    fill((od, ev, ev), [(lo, ev, ev), (hi, ev, ev)])
+    fill((ev, od, ev), [(ev, lo, ev), (ev, hi, ev)])
+    fill((ev, ev, od), [(ev, ev, lo), (ev, ev, hi)])
     # pass 2: face centers (two odd axes), from the surrounding edge midpoints
-    fill((od, od, ev), [(lo, od, ev), (hi, od, ev), (od, lo, ev), (od, hi, ev)], SiteStatus.FACE)
-    fill((od, ev, od), [(lo, ev, od), (hi, ev, od), (od, ev, lo), (od, ev, hi)], SiteStatus.FACE)
-    fill((ev, od, od), [(ev, lo, od), (ev, hi, od), (ev, od, lo), (ev, od, hi)], SiteStatus.FACE)
+    fill((od, od, ev), [(lo, od, ev), (hi, od, ev), (od, lo, ev), (od, hi, ev)])
+    fill((od, ev, od), [(lo, ev, od), (hi, ev, od), (od, ev, lo), (od, ev, hi)])
+    fill((ev, od, od), [(ev, lo, od), (ev, hi, od), (ev, od, lo), (ev, od, hi)])
     # pass 3: cell centers (all axes odd), from the six face centers
     fill((od, od, od),
-         [(lo, od, od), (hi, od, od), (od, lo, od), (od, hi, od), (od, od, lo), (od, od, hi)],
-         SiteStatus.CELL)
+         [(lo, od, od), (hi, od, od), (od, lo, od), (od, hi, od), (od, od, lo), (od, od, hi)])
 
 
 def save_field(values, spec: LatticeSpec, path):

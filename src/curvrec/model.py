@@ -101,15 +101,6 @@ class TriangleMesh:
     def num_faces(self):
         return self.faces.shape[0]
 
-    def face_normals(self):
-        """Unit normals per face; zero vector for zero-area faces."""
-        v = self.vertices
-        f = self.faces
-        n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-        lengths = np.linalg.norm(n, axis=1)
-        safe = np.where(lengths > 0, lengths, 1.0)
-        return n / safe[:, None]
-
 
 def normalize_cloud(cloud: PointCloud):
     """Fit a cloud into [-0.5, 0.5]^3, longest bounding-box side mapped to 1.
@@ -131,6 +122,4 @@ def normalize_cloud(cloud: PointCloud):
 
 def denormalize_mesh(mesh: TriangleMesh, transform: NormalizationTransform) -> TriangleMesh:
     """Map mesh vertices back through the inverse transform; faces unchanged."""
-    if mesh.num_vertices == 0:
-        return TriangleMesh(mesh.vertices.copy(), mesh.faces.copy())
     return TriangleMesh(transform.invert(mesh.vertices), mesh.faces.copy())

@@ -24,36 +24,26 @@ class ResamplePolicy:
 
 
 def resample(points, sigma, policy: ResamplePolicy, query_id=0):
-    """Bring a raw neighborhood to exactly policy.target_count points.
+    """Seeded uniform subsample, without replacement, of a patch holding
+    more than policy.target_count points.
 
-    count > target: seeded uniform subsample without replacement.
-    count < target, sigma below threshold: append centroid copies.
-    count < target, sigma at/above threshold: duplicate existing points
-    round-robin in ascending index order. Empty input stays empty.
+    The seed is rng_seed ^ query_id, so a query draws the same sample in
+    any block. Smaller patches go to pad_block; sigma is not read here.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = pts.shape[0]
-    target = policy.target_count
-    if n == 0 or n == target:
-        return pts
-    if n > target:
-        rng = np.random.default_rng(np.uint64(policy.rng_seed) ^ np.uint64(query_id))
-        pick = rng.choice(n, size=target, replace=False)
-        return pts[pick]
-    if sigma < policy.curvature_threshold:
-        fill = np.broadcast_to(pts.mean(axis=0), (target - n, 3))
-    else:
-        fill = pts[np.arange(target - n) % n]
-    return np.concatenate([pts, fill], axis=0)
+    rng = np.random.default_rng(np.uint64(policy.rng_seed) ^ np.uint64(query_id))
+    return pts[rng.choice(pts.shape[0], size=policy.target_count, replace=False)]
 
 
 def pad_block(points, flat, offsets, sigma, policy: ResamplePolicy):
-    """resample over many non-empty patches at once: (m, target, 3).
+    """Pad many non-empty patches at once to policy.target_count: (m, target, 3).
 
     Patch i is points[flat[offsets[i]:offsets[i + 1]]] with variation
-    sigma[i]. Rows of at most target points equal resample's bit for bit;
-    larger rows hold their first target points and are left to resample's
-    seeded subsample.
+    sigma[i]. A patch under the target keeps its points in order and is
+    padded with copies of its centroid when sigma is below the curvature
+    threshold, else with its own points repeated round-robin. Larger rows
+    hold their first target points and are left to resample's seeded
+    subsample.
     """
     n = np.diff(offsets)[:, None]
     slot = np.arange(policy.target_count)
@@ -62,7 +52,8 @@ def pad_block(points, flat, offsets, sigma, policy: ResamplePolicy):
     if short.any():
         rows, counts = block[short], n[short]
         # Row-by-row sum, the order pts.mean(axis=0) adds in, so the
-        # centroid matches resample's to the last bit.
+        # centroid equals each patch's own mean to the last bit; a sum in
+        # another order moves the mesh bytes.
         total = rows[:, 0]
         for j in range(1, counts.max()):
             total = np.where(j < counts, total + rows[:, j], total)

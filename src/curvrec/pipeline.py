@@ -127,8 +127,6 @@ def _load_cloud(config, cloud):
 def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
     """(sigma, found) per query id; queries without an entry get the default."""
     ids = np.asarray(query_ids, dtype=np.int64)
-    if cf is None or len(cf) == 0:
-        return np.full(ids.shape, default), np.zeros(ids.shape, dtype=bool)
     pos = np.searchsorted(cf.ids, ids)
     pos = np.minimum(pos, cf.ids.size - 1)
     hit = cf.ids[pos] == ids
@@ -262,7 +260,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             save_field(dense, spec, config.dump_field)
 
     with _stage("extract"):
-        iso = IsoSpec(config.iso_eps) if config.iso_eps else IsoSpec.half_cell(spec)
+        iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
         norm_mesh = marching_cubes(dense, spec, iso)
     with _stage("denormalize"):
         mesh = denormalize_mesh(norm_mesh, transform)

@@ -62,3 +62,27 @@ def estimate_plane_fit(q, patch) -> float:
         return nearest
     plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ v[:, 0]))
     return min(plane, nearest)
+
+
+def resample(points, sigma, policy, query_id=0):
+    """Bring a raw neighborhood to exactly policy.target_count points.
+
+    count > target: seeded uniform subsample without replacement.
+    count < target, sigma below threshold: append centroid copies.
+    count < target, sigma at/above threshold: duplicate existing points
+    round-robin in ascending index order. Empty input stays empty.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = pts.shape[0]
+    target = policy.target_count
+    if n == 0 or n == target:
+        return pts
+    if n > target:
+        rng = np.random.default_rng(np.uint64(policy.rng_seed) ^ np.uint64(query_id))
+        pick = rng.choice(n, size=target, replace=False)
+        return pts[pick]
+    if sigma < policy.curvature_threshold:
+        fill = np.broadcast_to(pts.mean(axis=0), (target - n, 3))
+    else:
+        fill = pts[np.arange(target - n) % n]
+    return np.concatenate([pts, fill], axis=0)

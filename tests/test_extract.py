@@ -4,6 +4,7 @@ import pytest
 from curvrec.errors import EmptyField
 from curvrec.extract import IsoSpec, marching_cubes
 from curvrec.grid import LatticeSpec
+from curvrec.mc_tables import TRI_TABLE
 
 
 def lattice_positions(spec):
@@ -18,6 +19,11 @@ def test_iso_spec():
     assert IsoSpec.half_cell(spec).eps == pytest.approx(spec.fine_spacing / 2)
     with pytest.raises(ValueError):
         IsoSpec(eps=0.0)
+
+
+def test_only_all_in_and_all_out_cases_have_no_triangles():
+    # marching_cubes picks the crossed cubes by case value alone
+    assert [c for c in range(256) if TRI_TABLE[c, 0] < 0] == [0, 255]
 
 
 def test_field_above_level_gives_empty_mesh():

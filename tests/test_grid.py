@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
-from curvrec.grid import (AdaptiveGrid, LatticeSpec, SiteStatus, coarse_queries,
-                          hierarchical_fill, load_field, refine_with_parents, save_field,
-                          select_hot)
+from curvrec.grid import (AdaptiveGrid, LatticeSpec, coarse_queries, hierarchical_fill,
+                          load_field, refine_with_parents, save_field, select_hot)
 
 
 def fresh_grid(coarse_cells=8, margin_cells=2):
@@ -60,7 +60,7 @@ def slow_fill(spec, values_by_id):
 def test_lattice_spec_geometry():
     spec = LatticeSpec(coarse_cells=128, margin_cells=3)
     assert spec.fine_cells == 256
-    assert spec.coarse_n ** 3 == 2146689
+    assert (spec.coarse_cells + 1) ** 3 == 2146689
     assert spec.coarse_spacing == pytest.approx(1.0 / 122.0)
     assert spec.domain_min == pytest.approx(-0.5 - 3.0 / 122.0)
     # the margin leaves the unit cube fully inside the lattice
@@ -83,7 +83,7 @@ def test_coarse_queries_alignment():
     spec, grid, ids, pos = fresh_grid(coarse_cells=8)
     ijk = spec.unflatten(ids)
     assert not np.any(ijk % 2)
-    assert ids.size == spec.coarse_n ** 3
+    assert ids.size == (spec.coarse_cells + 1) ** 3
     # lexicographic order of (i, j, k)
     assert np.all(np.diff(ids) > 0)
     # coarse vertex (i,j,k) coincides with fine vertex (2i,2j,2k)
@@ -95,7 +95,7 @@ def test_refine_isolated_interior():
     center = spec.flat_id(np.array([8, 8, 8]))
     new = refine_with_parents(grid, [center])[0]
     assert new.size == 26
-    assert np.all(grid.status[new] == SiteStatus.REFINED)
+    assert np.all(grid.evaluated[new])
     # idempotent
     assert refine_with_parents(grid, [center])[0].size == 0
 
@@ -161,6 +161,29 @@ def test_fill_affine_exact():
     all_ijk = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     expect = spec.fine_position(all_ijk) @ np.array([a, b, c]) + d
     assert np.abs(grid.values - expect).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse=st.integers(2, 8), data=st.data())
+def test_fill_exact_for_affine_fields_after_refinement(coarse, data):
+    margin = data.draw(st.integers(0, min(2, (coarse - 1) // 2)), label="margin")
+    spec, grid, ids, pos = fresh_grid(coarse_cells=coarse, margin_cells=margin)
+    hot = data.draw(st.lists(st.sampled_from(ids.tolist()), max_size=12, unique=True),
+                    label="hot")
+    new = refine_with_parents(grid, hot)[0]
+    coef = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+                              label="coef"))
+
+    def affine(p):
+        return p @ coef[:3] + coef[3]
+
+    grid.set_values(ids, affine(pos))
+    grid.set_values(new, affine(spec.position_of_id(new)))
+    hierarchical_fill(grid)
+    expect = affine(spec.position_of_id(np.arange(spec.total_fine_vertices)))
+    assert np.abs(grid.values - expect).max() < 1e-12
+    assert grid.evaluated_count == ids.size + new.size
+    assert grid.evaluated_count + grid.filled_count == spec.total_fine_vertices
 
 
 def test_fill_constant():

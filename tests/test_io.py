@@ -2,10 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvrec.errors import ParseError, UnsupportedFormat
-from curvrec.io import (CloudFileFormat, read_mesh, read_point_cloud, write_mesh,
-                        write_point_cloud)
+from curvrec import cli
+from curvrec.errors import ParseError, ReconstructionError, UnsupportedFormat
+from curvrec.io import read_mesh, read_point_cloud, write_mesh, write_point_cloud
 from curvrec.model import PointCloud, TriangleMesh
 
 
@@ -105,9 +106,9 @@ def test_obj_points(tmp_path):
 def test_format_detection(tmp_path):
     with pytest.raises(UnsupportedFormat):
         read_point_cloud(tmp_path / "x.unknown")
-    p = tmp_path / "f.xyz"
+    p = tmp_path / "f.XYZ"
     p.write_text("0 0 0\n")
-    assert len(read_point_cloud(p, CloudFileFormat.XYZ_ASCII)) == 1
+    assert len(read_point_cloud(p)) == 1
 
 
 def test_write_mesh_single_triangle(tmp_path):
@@ -152,3 +153,104 @@ def test_cloud_roundtrip(tmp_path):
     back = read_point_cloud(p)
     assert np.array_equal(back.points, cloud.points)
     assert np.abs(back.normals - cloud.normals).max() < 1e-12
+
+
+_XYZ_PROPS = b"property float x\nproperty float y\nproperty float z\n"
+
+
+def ply_bytes(fmt, vertex, props=_XYZ_PROPS, body=b"0 0 0\n"):
+    """A PLY file from its format and vertex element lines."""
+    return b"ply\n" + fmt + b"\n" + vertex + b"\n" + props + b"end_header\n" + body
+
+
+_ASCII, _BINARY = b"format ascii 1.0", b"format binary_little_endian 1.0"
+
+# name -> (file name, bytes, message the ParseError must carry)
+_HOSTILE = {
+    "ply-format-without-value": ("h.ply", ply_bytes(b"format", b"element vertex 1"),
+                                 r"h\.ply:2: incomplete format"),
+    "ply-element-without-count": ("h.ply", ply_bytes(_ASCII, b"element vertex"),
+                                  r"h\.ply:3: incomplete element"),
+    "ply-non-integer-count": ("h.ply", ply_bytes(_ASCII, b"element vertex abc"),
+                              r"h\.ply:3: .*'abc'"),
+    "ply-bare-property": ("h.ply", ply_bytes(_ASCII, b"element vertex 1",
+                                             props=_XYZ_PROPS + b"property\n"),
+                          r"h\.ply:7: incomplete property"),
+    "ply-binary-negative-count": ("h.ply", ply_bytes(_BINARY, b"element vertex -2", body=b""),
+                                  r"h\.ply:3: negative element count"),
+    "ply-binary-huge-count": ("h.ply", ply_bytes(_BINARY, b"element vertex 1000000000000",
+                                                 body=bytes(12)),
+                              r"h\.ply: vertex data truncated"),
+    "ply-ascii-negative-count": ("h.ply", ply_bytes(_ASCII, b"element vertex -2"),
+                                 r"h\.ply:3: negative element count"),
+    "xyz-not-utf8": ("h.xyz", b"0 0 0\n1 \xff\xfe 2\n", r"h\.xyz:2: "),
+    "obj-not-utf8": ("h.obj", b"v 0 0 0\nv 1 \xe9 2\n", r"h\.obj:2: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_hostile_cloud_files_raise_parse_error(tmp_path, case):
+    name, raw, message = _HOSTILE[case]
+    p = tmp_path / name
+    p.write_bytes(raw)
+    with pytest.raises(ParseError, match=message):
+        read_point_cloud(p)
+    if name.endswith(".obj"):
+        with pytest.raises(ParseError, match=message):
+            read_mesh(p)
+
+
+def test_read_mesh_rejects_non_numeric_records(tmp_path):
+    p = tmp_path / "m.obj"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 1 2 x\n")
+    with pytest.raises(ParseError, match=r"m\.obj:3: "):
+        read_mesh(p)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n")
+    with pytest.raises(ParseError, match=r"m\.obj:4: "):
+        read_mesh(p)
+
+
+def test_records_skip_undecodable_comments_and_unknown_keywords(tmp_path):
+    # Bytes are only parsed where a reader takes a value from them.
+    p = tmp_path / "c.xyz"
+    p.write_bytes(b"# caf\xe9\n0 0 0\n")
+    assert len(read_point_cloud(p)) == 1
+    p = tmp_path / "c.ply"
+    p.write_bytes(ply_bytes(_ASCII, b"obj_info scanner \xff\nelement vertex 1"))
+    assert np.array_equal(read_point_cloud(p).points, [[0, 0, 0]])
+
+
+def test_cli_bad_ply_header_exits_with_read_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ply"
+    bad.write_bytes(ply_bytes(b"format", b"element vertex 1"))
+    code = cli.main(["reconstruct", "--input", str(bad), "--output", str(tmp_path / "o.obj")])
+    assert code == 2
+    assert "error[read]: " in capsys.readouterr().err
+
+
+_VALID = {
+    "v.xyz": b"0 0 0 0 0 1\n1.5 -2 3e-3 1 0 0\n",
+    "v.obj": b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "ascii.ply": ply_bytes(_ASCII, b"element vertex 2", body=b"0 0 0\n1 2 3\n"),
+    "binary.ply": ply_bytes(_BINARY, b"element vertex 2",
+                            body=np.arange(6, dtype="<f4").tobytes()),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_VALID)), data=st.data())
+def test_damaged_files_parse_or_raise_typed_errors(tmp_path_factory, name, data):
+    raw = bytearray(_VALID[name])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for at, byte in data.draw(st.lists(edits, min_size=1, max_size=4), label="edits"):
+            raw[at] = byte
+    p = tmp_path_factory.getbasetemp() / name
+    p.write_bytes(bytes(raw))
+    for read in (read_point_cloud, read_mesh) if name.endswith(".obj") else (read_point_cloud,):
+        try:
+            read(p)
+        except ReconstructionError:
+            pass

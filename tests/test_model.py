@@ -105,9 +105,3 @@ def test_mesh_validation():
         TriangleMesh(v, np.array([[1, 1, 1]]))
     with pytest.raises(ValueError):
         TriangleMesh(np.array([[np.inf, 0, 0]]), np.empty((0, 3), dtype=int))
-
-
-def test_face_normals():
-    mesh = TriangleMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
-                        np.array([[0, 1, 2]]))
-    assert np.allclose(mesh.face_normals(), [[0, 0, 1]])

@@ -4,6 +4,7 @@ import pytest
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy, pad_block, resample
 from curvrec.spatial import build_index
+from oracles import resample as resample_oracle
 
 
 @pytest.fixture
@@ -40,29 +41,38 @@ def test_extract_matches_brute_force(indexed_cloud):
         assert np.array_equal(got, expect)  # ascending source order both sides
 
 
+def pad_one(pts, sigma, policy):
+    """pad_block over a single patch."""
+    pts = np.asarray(pts, dtype=float)
+    one = pad_block(pts, np.arange(len(pts)), np.array([0, len(pts)]), np.array([sigma]),
+                    policy)[0]
+    assert np.array_equal(one, resample_oracle(pts, sigma, policy))
+    return one
+
+
 def test_resample_centroid_fill():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5, rng_seed=0)
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    out = resample(pts, sigma=0.1, policy=policy)
+    out = pad_one(pts, sigma=0.1, policy=policy)
     assert np.array_equal(out, [[0, 0, 0], [1, 0, 0], [0.5, 0, 0], [0.5, 0, 0]])
 
 
 def test_resample_duplication_fill():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5, rng_seed=0)
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    out = resample(pts, sigma=0.5, policy=policy)
+    out = pad_one(pts, sigma=0.5, policy=policy)
     assert np.array_equal(out, [[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0]])
     # round-robin wraps in ascending index order
-    out5 = resample(pts, sigma=0.9, policy=ResamplePolicy(target_count=5,
-                                                          curvature_threshold=0.5))
+    out5 = pad_one(pts, sigma=0.9, policy=ResamplePolicy(target_count=5,
+                                                         curvature_threshold=0.5))
     assert np.array_equal(out5[2:], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
 
 
 def test_resample_identity_and_empty():
     policy = ResamplePolicy(target_count=3, curvature_threshold=0.5)
     pts = np.arange(9, dtype=float).reshape(3, 3)
-    assert np.array_equal(resample(pts, 0.0, policy), pts)
-    assert resample(np.empty((0, 3)), 0.0, policy).shape == (0, 3)
+    for sigma in (0.0, 0.9):
+        assert np.array_equal(pad_one(pts, sigma, policy), pts)
     with pytest.raises(ValueError):
         ResamplePolicy(target_count=0)
 
@@ -81,6 +91,7 @@ def test_resample_subsample():
     # deterministic given (seed, query_id); different query ids decorrelate
     again = resample(pts, 0.0, policy, query_id=11)
     assert np.array_equal(out, again)
+    assert np.array_equal(out, resample_oracle(pts, 0.0, policy, query_id=11))
     other = resample(pts, 0.0, policy, query_id=12)
     assert not np.array_equal(out, other)
 
@@ -89,7 +100,7 @@ def test_centroid_fill_preserves_mean():
     rng = np.random.default_rng(3)
     pts = rng.random((5, 3))
     policy = ResamplePolicy(target_count=12, curvature_threshold=1.0)
-    out = resample(pts, 0.0, policy)
+    out = pad_one(pts, 0.0, policy)
     assert np.abs(out.mean(axis=0) - pts.mean(axis=0)).max() < 1e-12
 
 
@@ -97,7 +108,7 @@ def test_duplication_introduces_no_new_coordinates():
     rng = np.random.default_rng(4)
     pts = rng.random((5, 3))
     policy = ResamplePolicy(target_count=13, curvature_threshold=0.0)
-    out = resample(pts, 0.3, policy)
+    out = pad_one(pts, 0.3, policy)
     rows = {tuple(r) for r in pts}
     assert all(tuple(r) in rows for r in out)
 
@@ -140,7 +151,7 @@ def test_pad_block_matches_scalar_resample():
     sigma = rng.uniform(0.0, 0.2, size=m)
     assert (sigma < policy.curvature_threshold).any() and (sigma >= 0.1).any()
     block = pad_block(points, flat, offsets, sigma, policy)
-    expect = np.stack([resample(points[flat[offsets[i]:offsets[i + 1]]], sigma[i], policy)
+    expect = np.stack([resample_oracle(points[flat[offsets[i]:offsets[i + 1]]], sigma[i], policy)
                        for i in range(m)])
     assert np.array_equal(block, expect)
 
@@ -151,4 +162,4 @@ def test_pad_block_leaves_oversized_rows_to_resample():
     offsets = np.array([0, 7, 9])
     block = pad_block(points, np.arange(9), offsets, np.array([0.0, 0.0]), policy)
     assert np.array_equal(block[0], points[:4])
-    assert np.array_equal(block[1], resample(points[7:9], 0.0, policy))
+    assert np.array_equal(block[1], resample_oracle(points[7:9], 0.0, policy))

@@ -196,6 +196,12 @@ def test_stage_tagged_errors(tmp_path):
     assert getattr(exc_info.value, "stage", None) == "curvature"
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.01])
+def test_iso_eps_must_be_positive(sphere_cloud, eps):
+    with pytest.raises(ValueError, match="offset level must be positive"):
+        run_pipeline(small_config(coarse_cells=12, iso_eps=eps), sphere_cloud)
+
+
 @pytest.mark.parametrize("coarse", [20, 24])
 def test_no_curvature_samples_names_r0(coarse):
     # The sheets (z = +-0.022 once normalized) lie farther than r0 = 0.018
