@@ -13,6 +13,7 @@ from dataclasses import fields
 
 from . import io, pipeline
 from .errors import ReconstructionError
+from .fixtures import make_fixture
 from .metrics import evaluate, sample_mesh
 from .pipeline import PipelineConfig
 
@@ -23,27 +24,26 @@ def _threshold(text):
     return float(text)
 
 
+# The value parser of each PipelineConfig setting: one table drives both
+# the --kebab-case flags and the config-file keys.
+SETTINGS = {
+    "coarse_cells": int, "margin_cells": int,
+    "r0": float, "s_max": float, "s_min": float, "alpha": float, "beta": float,
+    "refine_threshold": _threshold, "resample_threshold": _threshold,
+    "target_count": int, "estimator": str, "far_cap": float, "iso_eps": float,
+    "sample_count": int, "seed": int, "workers": int,
+    "baseline_mode": lambda v: v.lower() in ("1", "true", "yes"),
+    "dump_field": str,
+}
+
+
 def _add_pipeline_flags(p):
     p.add_argument("--config", help="key=value file providing defaults for any flag")
-    p.add_argument("--coarse-cells", type=int)
-    p.add_argument("--margin-cells", type=int)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--s-max", type=float)
-    p.add_argument("--s-min", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--refine-threshold", type=_threshold,
-                   help="p10/p40/p60/p90 or an absolute value")
-    p.add_argument("--resample-threshold", type=_threshold)
-    p.add_argument("--target-count", type=int)
-    p.add_argument("--estimator", choices=("plane", "nearest"))
-    p.add_argument("--far-cap", type=float)
-    p.add_argument("--iso-eps", type=float)
-    p.add_argument("--sample-count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--baseline", action="store_const", const=True, dest="baseline_mode")
-    p.add_argument("--dump-field")
+    for name, parse in SETTINGS.items():
+        if name == "baseline_mode":  # a switch, named --baseline
+            p.add_argument("--baseline", action="store_const", const=True, dest=name)
+        else:
+            p.add_argument("--" + name.replace("_", "-"), type=parse, dest=name)
 
 
 def _read_config_file(path):
@@ -60,25 +60,14 @@ def _read_config_file(path):
     return out
 
 
-_CONFIG_PARSERS = {
-    "coarse_cells": int, "margin_cells": int, "target_count": int,
-    "sample_count": int, "seed": int, "workers": int,
-    "r0": float, "s_max": float, "s_min": float, "alpha": float, "beta": float,
-    "far_cap": float, "iso_eps": float,
-    "refine_threshold": _threshold, "resample_threshold": _threshold,
-    "baseline_mode": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
 def build_config(args) -> PipelineConfig:
     """Dataclass defaults, overridden by config file, overridden by flags."""
     values = {}
     if getattr(args, "config", None):
-        known = {f.name for f in fields(PipelineConfig)}
         for key, raw in _read_config_file(args.config).items():
-            if key not in known:
+            if key not in SETTINGS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_PARSERS.get(key, str)(raw)
+            values[key] = SETTINGS[key](raw)
     for f in fields(PipelineConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -87,8 +76,6 @@ def build_config(args) -> PipelineConfig:
 
 
 def _cmd_reconstruct(args):
-    args.input_path = args.input
-    args.output_path = args.output
     config = build_config(args)
     mesh, timing = pipeline.reconstruct(config)
     for line in timing.lines():
@@ -100,7 +87,6 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_curvature(args):
-    args.input_path = args.input
     config = build_config(args)
     cf, spec = pipeline.curvature_summary(config)
     print("# id ix iy iz x y z sigma")
@@ -128,7 +114,6 @@ def _cmd_metrics(args):
 
 
 def _cmd_bench(args):
-    args.input_path = args.input
     config = build_config(args)
     reference = io.read_point_cloud(args.reference) if args.reference else None
     result = pipeline.bench(config, reference=reference)
@@ -138,9 +123,9 @@ def _cmd_bench(args):
 
 
 def _cmd_make_fixture(args):
-    cloud = pipeline.generate_fixture(
-        args.shape, args.output, count=args.count, seed=args.seed,
-        radius=args.radius, side=args.side, gap=args.gap, noise=args.noise)
+    cloud = make_fixture(args.shape, count=args.count, seed=args.seed, radius=args.radius,
+                         side=args.side, gap=args.gap, noise=args.noise)
+    io.write_point_cloud(cloud, args.output)
     print(f"shape={args.shape}")
     print(f"points={len(cloud)}")
     print(f"output={args.output}")
@@ -154,13 +139,13 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reconstruct", help="point cloud file -> OBJ mesh")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p.add_argument("--input", required=True, dest="input_path")
+    p.add_argument("--output", required=True, dest="output_path")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("curvature", help="dump per-query surface variation")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, dest="input_path")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_curvature)
 
@@ -173,7 +158,7 @@ def make_parser():
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("bench", help="adaptive vs uniform-fine baseline")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, dest="input_path")
     p.add_argument("--reference", help="ground-truth cloud (defaults to the input)")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_bench)

@@ -98,20 +98,14 @@ def coarse_queries(spec: LatticeSpec):
 
 class AdaptiveGrid:
     """Field values over the fine lattice, and which sites were evaluated
-    directly (coarse or refined) rather than filled."""
+    directly (coarse from the start, refined later) rather than filled."""
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
+        n = spec.fine_n
         self.evaluated = np.zeros(spec.total_fine_vertices, dtype=bool)
+        self.evaluated.reshape(n, n, n)[::2, ::2, ::2] = True
         self.values = np.full(spec.total_fine_vertices, np.nan)
-
-    def mark_coarse(self, ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        ijk = self.spec.unflatten(ids)
-        if np.any(ijk % 2):
-            raise NotCoarseVertex("coarse sites must have all-even fine indices")
-        self.evaluated[ids] = True
-        return ids
 
     def set_values(self, ids, values):
         self.values[np.asarray(ids, dtype=np.int64)] = values
@@ -197,11 +191,8 @@ def hierarchical_fill(grid: AdaptiveGrid):
     evaluated = grid.evaluated.reshape(n, n, n)
     values = grid.values.reshape(n, n, n)
 
-    coarse_vals = values[::2, ::2, ::2]
-    if np.isnan(coarse_vals).any():
-        raise MissingCoarseValue("a coarse vertex has no value")
-    if np.isnan(grid.values[grid.evaluated]).any():
-        raise MissingCoarseValue("an evaluated (refined) vertex has no value")
+    if np.isnan(grid.values[grid.evaluated]).any():  # coarse vertices included
+        raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
 
     ev = slice(0, n, 2)        # even indices
     od = slice(1, n - 1, 2)    # odd indices

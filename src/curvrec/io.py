@@ -185,29 +185,31 @@ def _read_ply(path) -> PointCloud:
 _CLOUD_READERS = {".xyz": _read_xyz, ".ply": _read_ply, ".obj": _read_obj_points}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Rows are converted to Python numbers per block: a whole mesh as Python
+# lists would raise a run's peak memory by tens of MB.
+_WRITE_BLOCK = 8192
+
+
+def _rows(array):
+    """Rows of a 2-D array as tuples of Python numbers (floats print as
+    their shortest round-trip text with %r)."""
+    for start in range(0, len(array), _WRITE_BLOCK):
+        yield from map(tuple, array[start:start + _WRITE_BLOCK].tolist())
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
     """Write an XYZ text file (6 columns when the cloud carries normals)."""
+    rows = cloud.points if not cloud.has_normals else np.hstack([cloud.points, cloud.normals])
+    line = " ".join(["%r"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        if cloud.has_normals:
-            for p, n in zip(cloud.points, cloud.normals):
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} "
-                         f"{_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}\n")
-        else:
-            for p in cloud.points:
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.writelines(line % row for row in _rows(rows))
 
 
 def write_mesh(mesh: TriangleMesh, path) -> None:
     """Write OBJ: `v x y z` lines, then `f i j k` lines with 1-based indices."""
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.writelines("v %r %r %r\n" % v for v in _rows(mesh.vertices))
+        fh.writelines("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in _rows(mesh.faces))
 
 
 def read_mesh(path) -> TriangleMesh:

@@ -68,55 +68,64 @@ def sample_mesh(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     return PointCloud(pts, normals)
 
 
-def _nn_distances(src, dst, workers=1):
-    d, _ = cKDTree(dst).query(src, workers=workers)
-    return d
-
-
-def chamfer(a: PointCloud, b: PointCloud, workers=1) -> float:
-    """x1000 * (mean_a min-dist-to-b + mean_b min-dist-to-a)."""
+def _matches(a: PointCloud, b: PointCloud, what, workers):
+    """(distance, index) of each point's nearest neighbour in the other
+    cloud: a to b, then b to a."""
     if len(a) == 0 or len(b) == 0:
-        raise EmptyInput("chamfer distance of an empty set")
-    d_ab = _nn_distances(a.points, b.points, workers)
-    d_ba = _nn_distances(b.points, a.points, workers)
-    return CHAMFER_SCALE * (float(d_ab.mean()) + float(d_ba.mean()))
+        raise EmptyInput(f"{what} of an empty set")
+    return (cKDTree(b.points).query(a.points, workers=workers),
+            cKDTree(a.points).query(b.points, workers=workers))
 
 
-def f1_score(a: PointCloud, b: PointCloud, tau: float, workers=1) -> float:
-    """Harmonic precision/recall mean at closed distance threshold tau."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyInput("f1 of an empty set")
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
-    precision = float((_nn_distances(a.points, b.points, workers) <= tau).mean())
-    recall = float((_nn_distances(b.points, a.points, workers) <= tau).mean())
+def _chamfer(ab, ba):
+    return CHAMFER_SCALE * (float(ab[0].mean()) + float(ba[0].mean()))
+
+
+def _f1(ab, ba, tau):
+    precision = float((ab[0] <= tau).mean())
+    recall = float((ba[0] <= tau).mean())
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def normal_consistency(a: PointCloud, b: PointCloud, workers=1) -> float:
-    """Symmetric mean |cos| between nearest-neighbor-matched normals."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyInput("normal consistency of an empty set")
+def _nc(a, b, ab, ba):
     if not a.has_normals or not b.has_normals:
         raise MissingNormals("both clouds must carry normals")
 
-    def directional(src: PointCloud, dst: PointCloud):
-        _, idx = cKDTree(dst.points).query(src.points, workers=workers)
+    def directional(src, dst, idx):
         dots = np.einsum("ij,ij->i", src.normals, dst.normals[idx])
         return float(np.abs(dots).mean())
 
-    return 0.5 * (directional(a, b) + directional(b, a))
+    return 0.5 * (directional(a, b, ab[1]) + directional(b, a, ba[1]))
+
+
+def chamfer(a: PointCloud, b: PointCloud, workers=1) -> float:
+    """x1000 * (mean_a min-dist-to-b + mean_b min-dist-to-a)."""
+    return _chamfer(*_matches(a, b, "chamfer distance", workers))
+
+
+def f1_score(a: PointCloud, b: PointCloud, tau: float, workers=1) -> float:
+    """Harmonic precision/recall mean at closed distance threshold tau."""
+    if tau <= 0:
+        raise ValueError("threshold must be positive")
+    return _f1(*_matches(a, b, "f1", workers), tau)
+
+
+def normal_consistency(a: PointCloud, b: PointCloud, workers=1) -> float:
+    """Symmetric mean |cos| between nearest-neighbor-matched normals."""
+    return _nc(a, b, *_matches(a, b, "normal consistency", workers))
 
 
 def evaluate(reconstructed: PointCloud, reference: PointCloud,
              sample_count: int, seed: int, workers=1) -> MetricReport:
-    """Full report between two sampled/loaded clouds."""
+    """Full report between two sampled/loaded clouds; one nearest-neighbour
+    match per direction serves every metric."""
+    ab, ba = _matches(reconstructed, reference, "chamfer distance", workers)
     return MetricReport(
-        cd=chamfer(reconstructed, reference, workers),
-        f1_0005=f1_score(reconstructed, reference, 0.005, workers),
-        f1_001=f1_score(reconstructed, reference, 0.01, workers),
-        nc=normal_consistency(reconstructed, reference, workers),
+        cd=_chamfer(ab, ba),
+        f1_0005=_f1(ab, ba, 0.005),
+        f1_001=_f1(ab, ba, 0.01),
+        nc=_nc(reconstructed, reference, ab, ba),
         sample_count=sample_count,
         seed=seed)

@@ -21,6 +21,8 @@ class ResamplePolicy:
     def __post_init__(self):
         if self.target_count <= 0:
             raise ValueError("target_count must be positive")
+        if not 0 <= self.rng_seed < 2 ** 64:  # resample seeds with a uint64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.rng_seed}")
 
 
 def resample(points, sigma, policy: ResamplePolicy, query_id=0):

@@ -7,8 +7,10 @@ marching cubes, denormalize. Timing splits into patch_time (curvature,
 radius modulation, query addition, extraction, resampling) and udf_time
 (estimation plus fill interpolation).
 
-baseline_mode instead evaluates every fine vertex with a fixed radius:
-the uniform-grid setup the adaptive strategy is measured against.
+baseline_mode changes only the query set: every fine vertex at the fixed
+radius r0, without curvature (the uniform-grid setup the adaptive
+strategy is measured against). Both modes run the same evaluate, fill
+and extract.
 """
 
 import time
@@ -22,7 +24,6 @@ from .curvature import CurvatureField, curvature_field
 from .errors import ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .fixtures import make_fixture
 from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queries,
                    hierarchical_fill, refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
@@ -91,28 +92,19 @@ class PipelineResult:
 
 
 @contextmanager
-def _stage(name):
+def stage(name, bucket=None):
+    """Tag a ReconstructionError raised inside with the stage name, and
+    append the elapsed wall time to bucket (a list) when one is given."""
+    t0 = time.perf_counter()
     try:
         yield
     except ReconstructionError as exc:
         if not hasattr(exc, "stage"):
             exc.stage = name
         raise
-
-
-class _Stopwatch:
-    """Accumulates wall time into named buckets around code sections."""
-
-    def __init__(self):
-        self.buckets = {"patch": 0.0, "udf": 0.0}
-
-    @contextmanager
-    def section(self, bucket):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.buckets[bucket] += time.perf_counter() - t0
+    finally:
+        if bucket is not None:
+            bucket.append(time.perf_counter() - t0)
 
 
 def _load_cloud(config, cloud):
@@ -120,8 +112,19 @@ def _load_cloud(config, cloud):
         return cloud
     if config.input_path is None:
         raise ValueError("config.input_path is required when no cloud is passed")
-    with _stage("read"):
+    with stage("read"):
         return io.read_point_cloud(config.input_path)
+
+
+def _prepare(config, cloud):
+    """The run prefix every command shares: read, normalize, index, lattice."""
+    cloud = _load_cloud(config, cloud)
+    with stage("normalize"):
+        norm_cloud, transform = normalize_cloud(cloud)
+    with stage("index"):
+        index = build_index(norm_cloud)
+    spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
+    return norm_cloud, transform, index, spec
 
 
 def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
@@ -135,31 +138,32 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
     return out, hit
 
 
-def _evaluate_queries(index, cloud, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, nn, watch, workers):
+def _evaluate_queries(index, positions, radii, sigmas, query_ids,
+                      policy, estimator, far_cap, nn, patch, udf, workers):
     """UDF value per query: patch pipeline inside the radius, capped
-    nearest distance outside. nn must be exact up to max(far_cap, radii)."""
+    nearest distance outside. nn must be exact up to max(far_cap, radii).
+    Wall time is appended to the patch and udf lists."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
-    with watch.section("udf"):
+    with stage("evaluate", udf):
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
     near_rows = np.flatnonzero(nn <= radii)
 
     target = policy.target_count
     for start in range(0, near_rows.size, _CHUNK):
         rows = near_rows[start:start + _CHUNK]
-        with watch.section("patch"):
+        with stage("evaluate", patch):
             flat, offsets = index.radius_query_flat(positions[rows], radii[rows],
                                                     workers=workers)
             # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
             # a query whose ball came back empty keeps its far value.
             hit = np.diff(offsets) > 0
             rows, offsets = rows[hit], offsets[np.r_[True, hit]]
-            block = pad_block(cloud.points, flat, offsets, sigmas[rows], policy)
+            block = pad_block(index.points, flat, offsets, sigmas[rows], policy)
             for j in np.flatnonzero(np.diff(offsets) > target):
-                raw = cloud.points[flat[offsets[j]:offsets[j + 1]]]
+                raw = index.points[flat[offsets[j]:offsets[j + 1]]]
                 block[j] = resample(raw, sigmas[rows[j]], policy,
                                     query_id=int(query_ids[rows[j]]))
-        with watch.section("udf"):
+        with stage("evaluate", udf):
             values[rows] = estimator.estimate_batch(positions[rows], block)
     return values
 
@@ -174,103 +178,81 @@ def _nearest(index, positions, radii, far_cap, workers):
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
     if config.far_cap <= 0:
         raise ValueError("far_cap must be positive")
-    cloud = _load_cloud(config, cloud)
-    with _stage("normalize"):
-        norm_cloud, transform = normalize_cloud(cloud)
-    with _stage("index"):
-        index = build_index(norm_cloud)
-
-    spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     estimator = make_estimator(config.estimator)
-    watch = _Stopwatch()
+    norm_cloud, transform, index, spec = _prepare(config, cloud)
+    grid = AdaptiveGrid(spec)
+    patch, udf = [], []  # wall time per section, summed into TimingReport
     cf = None
 
+    # The mode picks the query set; evaluate, fill and extract are shared.
     if config.baseline_mode:
-        with _stage("evaluate"):
-            n = spec.fine_n
-            ijk = np.stack(np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
-                                       indexing="ij"), axis=-1).reshape(-1, 3)
-            positions = spec.fine_position(ijk)
-            ids = spec.flat_id(ijk)
-            # fixed radius, no curvature conditioning: always centroid-pad
-            policy = ResamplePolicy(target_count=config.target_count,
-                                    curvature_threshold=np.inf, rng_seed=config.seed)
+        with stage("evaluate", patch):
+            # every fine vertex at the fixed radius, no curvature
+            # conditioning: always centroid-pad
+            ids = np.arange(spec.total_fine_vertices)
+            grid.evaluated[:] = True
+            positions = spec.position_of_id(ids)
             radii = np.full(ids.size, config.r0)
-            with watch.section("patch"):
-                nn = _nearest(index, positions, radii, config.far_cap, config.workers)
-            values = _evaluate_queries(
-                index, norm_cloud, positions, radii, np.zeros(ids.size), ids, policy,
-                estimator, config.far_cap, nn, watch, config.workers)
-            dense = values.reshape(n, n, n)
-        evaluated = spec.total_fine_vertices
-        filled = 0
+            sigmas = np.zeros(ids.size)
+            threshold = np.inf
+            nn = _nearest(index, positions, radii, config.far_cap, config.workers)
     else:
-        grid = AdaptiveGrid(spec)
-        with _stage("curvature"):
-            with watch.section("patch"):
-                ids, positions = coarse_queries(spec)
-                grid.mark_coarse(ids)
-                # One prefilter serves both the curvature candidates (nn <= r0)
-                # and the coarse rows of evaluate (radius <= r0 * s_max).
-                coarse_nn = _nearest(index, positions, config.r0 * max(config.s_max, 1.0),
-                                     config.far_cap, config.workers)
-                cf = curvature_field(norm_cloud, index, positions, config.r0,
-                                     query_ids=ids, workers=config.workers, nn=coarse_nn)
-                sched = RadiusSchedule.from_field(
-                    cf, s_max=config.s_max, s_min=config.s_min,
-                    alpha=config.alpha, beta=config.beta, r0=config.r0)
-        with _stage("refine"):
-            with watch.section("patch"):
-                hot = select_hot(cf, cf.percentile_value(config.refine_threshold))
-                new_ids, parents = refine_with_parents(grid, hot)
-        with _stage("evaluate"):
-            sig_coarse, has_sigma = _sigma_lookup(cf, ids)
-            sig_refined, _ = _sigma_lookup(cf, parents)  # hot parents always have entries
-            sigmas = np.concatenate([sig_coarse, sig_refined])
-            eval_ids = np.concatenate([ids, new_ids])
+        with stage("curvature", patch):
+            ids, positions = coarse_queries(spec)
+            # One prefilter serves both the curvature candidates (nn <= r0)
+            # and the coarse rows of evaluate (radius <= r0 * s_max).
+            coarse_nn = _nearest(index, positions, config.r0 * max(config.s_max, 1.0),
+                                 config.far_cap, config.workers)
+            cf = curvature_field(norm_cloud, index, positions, config.r0,
+                                 query_ids=ids, workers=config.workers, nn=coarse_nn)
+            sched = RadiusSchedule.from_field(
+                cf, s_max=config.s_max, s_min=config.s_min,
+                alpha=config.alpha, beta=config.beta, r0=config.r0)
+        with stage("refine", patch):
+            hot = select_hot(cf, cf.percentile_value(config.refine_threshold))
+            new_ids, parents = refine_with_parents(grid, hot)
+        with stage("evaluate", patch):
+            # hot parents always have entries, so only coarse rows can miss
+            sigmas, has_sigma = _sigma_lookup(cf, np.concatenate([ids, parents]))
+            radii = schedule_radius(sched, sigmas)
+            # Queries whose initial region was empty carry no curvature
+            # evidence; extracting wider than r0 there can only reach
+            # geometry the curvature stage never saw (and can straddle
+            # close layers), so they keep the nominal radius.
+            radii[~has_sigma] = np.minimum(radii[~has_sigma], config.r0)
             new_pos = spec.position_of_id(new_ids)
-            eval_pos = np.vstack([positions, new_pos])
-            with watch.section("patch"):
-                radii = schedule_radius(sched, sigmas)
-                # Queries whose initial region was empty carry no curvature
-                # evidence; extracting wider than r0 there can only reach
-                # geometry the curvature stage never saw (and can straddle
-                # close layers), so they keep the nominal radius.
-                radii[:ids.size][~has_sigma] = np.minimum(
-                    radii[:ids.size][~has_sigma], config.r0)
-                nn = np.concatenate([coarse_nn, _nearest(
-                    index, new_pos, radii[ids.size:], config.far_cap, config.workers)])
-            policy = ResamplePolicy(
-                target_count=config.target_count,
-                curvature_threshold=cf.percentile_value(config.resample_threshold),
-                rng_seed=config.seed)
-            values = _evaluate_queries(
-                index, norm_cloud, eval_pos, radii, sigmas, eval_ids,
-                policy, estimator, config.far_cap, nn, watch, config.workers)
-            grid.set_values(eval_ids, values)
-        with _stage("fill"):
-            with watch.section("udf"):
-                hierarchical_fill(grid)
-            dense = grid.dense_values()
-        evaluated = grid.evaluated_count
-        filled = grid.filled_count
+            nn = np.concatenate([coarse_nn, _nearest(
+                index, new_pos, radii[ids.size:], config.far_cap, config.workers)])
+            ids = np.concatenate([ids, new_ids])
+            positions = np.vstack([positions, new_pos])
+            threshold = cf.percentile_value(config.resample_threshold)
+
+    policy = ResamplePolicy(target_count=config.target_count,
+                            curvature_threshold=threshold, rng_seed=config.seed)
+    with stage("evaluate"):
+        values = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
+                                   estimator, config.far_cap, nn, patch, udf, config.workers)
+        grid.set_values(ids, values)
+    with stage("fill", udf):
+        hierarchical_fill(grid)
+        dense = grid.dense_values()
 
     if config.dump_field:
-        with _stage("dump"):
+        with stage("dump"):
             save_field(dense, spec, config.dump_field)
 
-    with _stage("extract"):
+    with stage("extract"):
         iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
         norm_mesh = marching_cubes(dense, spec, iso)
-    with _stage("denormalize"):
+    with stage("denormalize"):
         mesh = denormalize_mesh(norm_mesh, transform)
     if config.output_path:
-        with _stage("write"):
+        with stage("write"):
             io.write_mesh(mesh, config.output_path)
 
     timing = TimingReport(
-        patch_time=watch.buckets["patch"], udf_time=watch.buckets["udf"],
-        evaluated_queries=evaluated, filled_queries=filled,
+        patch_time=sum(patch), udf_time=sum(udf),
+        evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
         total_fine_vertices=spec.total_fine_vertices)
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
@@ -313,7 +295,7 @@ def bench(config: PipelineConfig, cloud: PointCloud | None = None,
     baseline = run_pipeline(replace(config, baseline_mode=True), cloud)
 
     ref = reference if reference is not None else cloud
-    with _stage("metrics"):
+    with stage("metrics"):
         ref_norm = PointCloud(adaptive.transform.apply(ref.points), ref.normals)
         reports = []
         for result in (adaptive, baseline):
@@ -328,20 +310,10 @@ def bench(config: PipelineConfig, cloud: PointCloud | None = None,
 
 def curvature_summary(config: PipelineConfig, cloud: PointCloud | None = None):
     """Curvature field over the coarse lattice, for the text dump."""
-    cloud = _load_cloud(config, cloud)
-    with _stage("normalize"):
-        norm_cloud, _ = normalize_cloud(cloud)
-    with _stage("index"):
-        index = build_index(norm_cloud)
-    spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
+    norm_cloud, _, index, spec = _prepare(config, cloud)
     ids, positions = coarse_queries(spec)
-    with _stage("curvature"):
+    with stage("curvature"):
         cf = curvature_field(norm_cloud, index, positions, config.r0,
                              query_ids=ids, workers=config.workers)
     return cf, spec
 
-
-def generate_fixture(shape, path, count=50000, seed=0, **kwargs) -> PointCloud:
-    cloud = make_fixture(shape, count=count, seed=seed, **kwargs)
-    io.write_point_cloud(cloud, path)
-    return cloud

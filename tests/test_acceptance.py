@@ -117,7 +117,6 @@ def test_criterion_3_fill_affine_exactness():
     for _ in range(100):
         grid = AdaptiveGrid(spec)
         ids, pos = coarse_queries(spec)
-        grid.mark_coarse(ids)
         a, b, c, d = rng.normal(size=4)
         grid.set_values(ids, pos @ np.array([a, b, c]) + d)
         hierarchical_fill(grid)
@@ -133,22 +132,16 @@ def test_criterion_4_refinement_combinatorics():
     checks = []
     spec = LatticeSpec(coarse_cells=8, margin_cells=2)
 
-    def grid_with_coarse():
-        g = AdaptiveGrid(spec)
-        ids, _ = coarse_queries(spec)
-        g.mark_coarse(ids)
-        return g
-
-    g = grid_with_coarse()
+    g = AdaptiveGrid(spec)
     interior = spec.flat_id(np.array([8, 8, 8]))
     checks.append(("isolated-interior-26", refine(g, [interior]).size == 26))
     checks.append(("idempotent", refine(g, [interior]).size == 0))
 
-    g = grid_with_coarse()
+    g = AdaptiveGrid(spec)
     pair = [spec.flat_id(np.array([8, 8, 8])), spec.flat_id(np.array([10, 8, 8]))]
     checks.append(("adjacent-pair-43", refine(g, pair).size == 43))
 
-    g = grid_with_coarse()
+    g = AdaptiveGrid(spec)
     corner = spec.flat_id(np.array([0, 0, 0]))
     checks.append(("corner-7", refine(g, [corner]).size == 7))
     _verdict(4, "refinement combinatorics", checks, time.perf_counter() - t0, 1.0)

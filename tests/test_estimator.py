@@ -108,8 +108,8 @@ def test_far_examples():
         radii = np.full(m, 1e-9)
         nn = pipeline._nearest(index, positions, radii, far_cap, workers=1)
         return pipeline._evaluate_queries(
-            index, cloud, positions, radii, np.zeros(m), np.arange(m), policy,
-            make_estimator("nearest"), far_cap, nn, pipeline._Stopwatch(), 1)
+            index, positions, radii, np.zeros(m), np.arange(m), policy,
+            make_estimator("nearest"), far_cap, nn, [], [], 1)
 
     assert estimate_far([0.0, 0, 0], far_cap=0.1).tolist() == [0.0]
     assert estimate_far([10.0, 0, 0], far_cap=0.1)[0] == pytest.approx(0.1)

@@ -12,7 +12,6 @@ def fresh_grid(coarse_cells=8, margin_cells=2):
     spec = LatticeSpec(coarse_cells=coarse_cells, margin_cells=margin_cells)
     grid = AdaptiveGrid(spec)
     ids, pos = coarse_queries(spec)
-    grid.mark_coarse(ids)
     return spec, grid, ids, pos
 
 
@@ -117,6 +116,11 @@ def test_refine_adjacent_pair():
     assert set(new.tolist()) == {int(spec.flat_id(np.array(t))) for t in blocks}
 
 
+def test_new_grid_has_exactly_the_coarse_vertices_evaluated():
+    spec, grid, ids, _ = fresh_grid(coarse_cells=5, margin_cells=1)
+    assert np.array_equal(np.flatnonzero(grid.evaluated), ids)
+
+
 def test_refine_corner_clipped():
     spec, grid, ids, _ = fresh_grid()
     corner = spec.flat_id(np.array([0, 0, 0]))
@@ -129,8 +133,6 @@ def test_refine_rejects_non_coarse():
     odd = spec.flat_id(np.array([1, 0, 0]))
     with pytest.raises(NotCoarseVertex):
         refine_with_parents(grid, [odd])
-    with pytest.raises(NotCoarseVertex):
-        grid.mark_coarse([odd])
 
 
 def test_refine_with_parents_first_wins():
@@ -198,7 +200,6 @@ def test_fill_matches_slow_oracle_with_refined_sites():
     spec = LatticeSpec(coarse_cells=2, margin_cells=0)
     grid = AdaptiveGrid(spec)
     ids, pos = coarse_queries(spec)
-    grid.mark_coarse(ids)
     rng = np.random.default_rng(1)
     vals = rng.normal(size=ids.size)
     grid.set_values(ids, vals)

@@ -129,6 +129,27 @@ def test_write_mesh_empty(tmp_path):
     assert back.num_vertices == 0 and back.num_faces == 0
 
 
+# Values whose shortest round-trip text is easy to get wrong.
+_AWKWARD = [[1e-05, -0.0, 0.1 + 0.2], [1e16, 5e-324, 1.0]]
+_AWKWARD_TEXT = ["1e-05 -0.0 0.30000000000000004", "1e+16 5e-324 1.0"]
+
+
+def test_writers_emit_shortest_round_trip_text(tmp_path):
+    mesh_path, cloud_path = tmp_path / "m.obj", tmp_path / "c.xyz"
+    write_mesh(TriangleMesh(np.array(_AWKWARD + [[0.0, 2.5, -3.0]]),
+                            np.array([[0, 1, 2], [2, 1, 0]])), mesh_path)
+    assert mesh_path.read_text() == (
+        f"v {_AWKWARD_TEXT[0]}\nv {_AWKWARD_TEXT[1]}\nv 0.0 2.5 -3.0\n"
+        "f 1 2 3\nf 3 2 1\n")
+    write_point_cloud(PointCloud(np.array(_AWKWARD),
+                                 np.array([[1.0, -0.0, 5e-324], [0.6, 0.8, 1e-05]])),
+                      cloud_path)
+    assert cloud_path.read_text() == (
+        f"{_AWKWARD_TEXT[0]} 1.0 -0.0 5e-324\n{_AWKWARD_TEXT[1]} 0.6 0.8 1e-05\n")
+    write_point_cloud(PointCloud(np.array(_AWKWARD)), cloud_path)
+    assert cloud_path.read_text() == f"{_AWKWARD_TEXT[0]}\n{_AWKWARD_TEXT[1]}\n"
+
+
 def test_mesh_roundtrip_random(tmp_path):
     rng = np.random.default_rng(9)
     verts = rng.normal(size=(40, 3)) * 1.7

@@ -149,6 +149,18 @@ def test_normal_consistency_brute_force_and_errors():
         normal_consistency(a, PointCloud(b.points))
 
 
+def test_evaluate_equals_standalone_metrics():
+    rng = np.random.default_rng(7)
+    a, b = random_cloud(rng, 400), random_cloud(rng, 300)
+    a, b = PointCloud(a.points * 0.01, a.normals), PointCloud(b.points * 0.01, b.normals)
+    rep = evaluate(a, b, sample_count=400, seed=0)
+    assert rep.cd == chamfer(a, b)
+    assert rep.f1_0005 == f1_score(a, b, 0.005)
+    assert rep.f1_001 == f1_score(a, b, 0.01)
+    assert rep.nc == normal_consistency(a, b)
+    assert 0 < rep.f1_0005 < rep.f1_001 < 1  # both thresholds split the matches
+
+
 def test_evaluate_report():
     rng = np.random.default_rng(6)
     a = random_cloud(rng, 100)

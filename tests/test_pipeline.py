@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,8 @@ def test_point_exactly_at_query_radius_is_near():
     assert nn.tolist() == [0.25]
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values = pipeline._evaluate_queries(
-        index, cloud, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
-        make_estimator("nearest"), 0.1, nn, pipeline._Stopwatch(), 1)
+        index, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
+        make_estimator("nearest"), 0.1, nn, [], [], 1)
     assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
 
 
@@ -134,8 +136,8 @@ def test_empty_ball_at_nn_radius_keeps_far_value():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     m = positions.shape[0]
     values = pipeline._evaluate_queries(
-        index, cloud, positions, nn, np.zeros(m), np.arange(m), policy,
-        make_estimator("nearest"), 1.0, nn, pipeline._Stopwatch(), 1)
+        index, positions, nn, np.zeros(m), np.arange(m), policy,
+        make_estimator("nearest"), 1.0, nn, [], [], 1)
     assert np.array_equal(values[empty], nn[empty])
     assert np.allclose(values, nn, rtol=0, atol=1e-15)
 
@@ -212,6 +214,14 @@ def test_no_curvature_samples_names_r0(coarse):
         run_pipeline(small_config(coarse_cells=coarse), cloud)
     assert exc_info.value.stage == "curvature"
     assert "r0=" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_uint64_raises(sphere_cloud, seed):
+    # No patch exceeds target_count at this size, so resample, which reads
+    # the seed as a uint64, is never called: the policy rejects it first.
+    with pytest.raises(ValueError, match="seed"):
+        run_pipeline(small_config(coarse_cells=12, seed=seed), sphere_cloud)
 
 
 # --- CLI surface ---------------------------------------------------------
@@ -294,6 +304,59 @@ def test_cli_bad_config_key(tmp_path, capsys):
     code = cli.main(["reconstruct", "--input", str(cloud_path),
                      "--output", str(tmp_path / "m.obj"), "--config", str(cfg_file)])
     assert code != 0
+
+
+def test_cli_seed_outside_uint64_exits_2(tmp_path, capsys):
+    cloud_path = tmp_path / "cloud.xyz"
+    cli.main(["make-fixture", "--shape", "sphere", "--count", "4000",
+              "--output", str(cloud_path)])
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--input", str(cloud_path), "--output",
+                     str(tmp_path / "m.obj"), "--coarse-cells", "12",
+                     "--margin-cells", "2", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be in [0, 2**64)")
+
+
+# A value other than the default for every setting, as flag or config text.
+_SETTING_TEXT = {
+    "coarse_cells": "12", "margin_cells": "1", "r0": "0.02", "s_max": "1.25",
+    "s_min": "0.5", "alpha": "0.25", "beta": "1.75", "refine_threshold": "p40",
+    "resample_threshold": "0.01", "target_count": "32", "estimator": "nearest",
+    "far_cap": "0.2", "iso_eps": "0.01", "sample_count": "500", "seed": "3",
+    "workers": "2", "baseline_mode": "true", "dump_field": "field.bin",
+}
+
+
+def test_cli_every_setting_by_flag_and_by_config_key(tmp_path):
+    settable = {f.name for f in fields(PipelineConfig)} - {"input_path", "output_path"}
+    assert set(cli.SETTINGS) == settable
+    assert set(_SETTING_TEXT) == settable
+    parser = cli.make_parser()
+    paths = ["reconstruct", "--input", "in.xyz", "--output", "out.obj"]
+    default = cli.build_config(parser.parse_args(paths))
+    assert default == PipelineConfig(input_path="in.xyz", output_path="out.obj")
+    for name, text in _SETTING_TEXT.items():
+        flag = (["--baseline"] if name == "baseline_mode"
+                else ["--" + name.replace("_", "-"), text])
+        config_file = tmp_path / f"{name}.cfg"
+        config_file.write_text(f"{name} = {text}\n")
+        by_flag = cli.build_config(parser.parse_args(paths + flag))
+        by_key = cli.build_config(parser.parse_args(paths + ["--config", str(config_file)]))
+        assert by_flag == by_key
+        assert getattr(by_flag, name) != getattr(default, name)
+        assert by_flag == replace(default, **{name: getattr(by_flag, name)})
+
+
+def test_cli_unknown_estimator_fails_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.xyz")
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("estimator = bogus\n")
+    for extra in (["--estimator", "bogus"], ["--config", str(config_file)]):
+        code = cli.main(["reconstruct", "--input", missing,
+                         "--output", str(tmp_path / "m.obj")] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown estimator 'bogus'")
 
 
 def test_fixture_shapes(tmp_path):
