@@ -11,7 +11,7 @@ from .metrics import (MetricReport, chamfer, evaluate, f1_score, normal_consiste
                       sample_mesh)
 from .model import (NormalizationTransform, PointCloud, TriangleMesh, denormalize_mesh,
                     normalize_cloud)
-from .patch import ResamplePolicy, pad_block, resample
+from .patch import Patches, ResamplePolicy, pad_weights, resample, segmented_moments
 from .pipeline import (BenchResult, PipelineConfig, PipelineResult, TimingReport,
                        bench, reconstruct, run_pipeline)
 from .schedule import RadiusSchedule, radius, scale_factor

@@ -75,8 +75,7 @@ def build_config(args) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def _cmd_reconstruct(args):
-    config = build_config(args)
+def _cmd_reconstruct(args, config):
     mesh, timing = pipeline.reconstruct(config)
     for line in timing.lines():
         print(line)
@@ -86,8 +85,7 @@ def _cmd_reconstruct(args):
     return 0
 
 
-def _cmd_curvature(args):
-    config = build_config(args)
+def _cmd_curvature(args, config):
     cf, spec = pipeline.curvature_summary(config)
     print("# id ix iy iz x y z sigma")
     ijk = spec.unflatten(cf.ids)
@@ -98,8 +96,7 @@ def _cmd_curvature(args):
     return 0
 
 
-def _cmd_metrics(args):
-    config = build_config(args)
+def _cmd_metrics(args, config):
     mesh = io.read_mesh(args.mesh)
     reference = io.read_point_cloud(args.reference)
     samples = sample_mesh(mesh, config.sample_count, config.seed)
@@ -113,8 +110,7 @@ def _cmd_metrics(args):
     return 0
 
 
-def _cmd_bench(args):
-    config = build_config(args)
+def _cmd_bench(args, config):
     reference = io.read_point_cloud(args.reference) if args.reference else None
     result = pipeline.bench(config, reference=reference)
     for line in result.lines():
@@ -122,7 +118,7 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_make_fixture(args):
+def _cmd_make_fixture(args, _config):
     cloud = make_fixture(args.shape, count=args.count, seed=args.seed, radius=args.radius,
                          side=args.side, gap=args.gap, noise=args.noise)
     io.write_point_cloud(cloud, args.output)
@@ -179,7 +175,8 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = None if args.command == "make-fixture" else build_config(args)
+        return args.func(args, config)
     except ReconstructionError as exc:
         stage = getattr(exc, "stage", "pipeline")
         print(f"error[{stage}]: {exc}", file=sys.stderr)

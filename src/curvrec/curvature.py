@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import patch, spatial
 from .errors import EmptyInput, NoCurvatureSamples
 
 # Regions whose covariance trace falls below this are treated as flat
@@ -88,28 +89,28 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
         raise ValueError("r0 must be positive")
     positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
     if query_ids is None:
-        query_ids = np.arange(positions.shape[0], dtype=np.int64)
-    else:
-        query_ids = np.asarray(query_ids, dtype=np.int64)
+        query_ids = np.arange(len(positions))
+    query_ids = np.asarray(query_ids, dtype=np.int64)
 
     # Cheap prefilter: only positions with any point inside r0 need a ball query.
     if nn is None:
         nn = index.nearest_distance_many(positions, workers=workers, bound=r0)
     candidates = np.flatnonzero(nn <= r0)
-    if candidates.size == 0:
-        raise NoCurvatureSamples(f"no query position lies within r0={r0:g} of a point")
 
-    flat, offsets = index.radius_query_flat(positions[candidates], r0, workers=workers)
-    counts = np.diff(offsets)
-    keep = counts >= 3
-    if not keep.any():
+    # Ball query and moments per block of candidates, which bounds memory.
+    ids, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for start in range(0, candidates.size, spatial.CHUNK):
+        rows = candidates[start:start + spatial.CHUNK]
+        flat, offsets = index.radius_query_flat(positions[rows], r0, workers=workers)
+        counts = np.diff(offsets)
+        keep = counts >= 3
+        ids.append(query_ids[rows[keep]])
+        sigma.append(_segmented_variation(cloud.points[flat[np.repeat(keep, counts)]],
+                                          counts[keep]))
+    ids, sigma = np.concatenate(ids), np.concatenate(sigma)
+    if ids.size == 0:
         raise NoCurvatureSamples(f"no query position has 3 or more points within r0={r0:g}")
 
-    kept_rows = np.flatnonzero(keep)
-    sigma = _segmented_variation(cloud.points[flat[np.repeat(keep, counts)]],
-                                 counts[kept_rows])
-
-    ids = query_ids[candidates[kept_rows]]
     order = np.argsort(ids, kind="stable")
     ids, sigma = ids[order], sigma[order]
     return CurvatureField(
@@ -120,15 +121,8 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
 
 def _segmented_variation(points, counts):
     """Surface variation per segment of a concatenated point array."""
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    sums = np.add.reduceat(points, starts, axis=0)
-    means = sums / counts[:, None]
-    centered = points - np.repeat(means, counts, axis=0)
-    outer = centered[:, :, None] * centered[:, None, :]
-    cov = np.add.reduceat(outer, starts, axis=0) / counts[:, None, None]
-    w = np.maximum(np.linalg.eigvalsh(cov), 0.0)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    total, _, scatter = patch.segmented_moments(points, offsets, np.ones(len(points)))
+    w = np.maximum(np.linalg.eigvalsh(scatter / total[:, None, None]), 0.0)
     totals = w.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sigma = np.where(totals < DEGENERATE_TRACE, 0.0, w[:, 0] / np.where(totals > 0, totals, 1.0))
-    return sigma
+    return np.where(totals < DEGENERATE_TRACE, 0.0, w[:, 0] / np.maximum(totals, DEGENERATE_TRACE))

@@ -1,12 +1,14 @@
 """Per-patch unsigned distance estimation.
 
-Estimators consume stacked queries and fixed-size patches and return a
+Estimators consume stacked queries and weighted CSR patches and return a
 nonnegative distance per query, so a learned model can be swapped in
 behind the same interface. Two analytic estimators are provided: nearest
 patch point, and point-to-fitted-plane clamped by the nearest-point value.
 """
 
 import numpy as np
+
+from .patch import segmented_moments
 
 # Plane fitting needs a genuinely 2D neighborhood; below this ratio of the
 # covariance trace the two smallest eigenvalues are treated as collapsed.
@@ -16,21 +18,17 @@ _PLANE_DEGENERACY = 1e-12
 class UdfEstimator:
     """Deterministic distance per (query, patch) row."""
 
-    name = "abstract"
-
     def estimate_batch(self, queries, patches):
-        """Estimates for stacked (n,3) queries and (n,k,3) patches."""
+        """Estimates for stacked (m, 3) queries and their m patch.Patches."""
         raise NotImplementedError
 
 
 class NearestPointEstimator(UdfEstimator):
     """Minimum Euclidean distance from the query to its patch points."""
 
-    name = "nearest"
-
     def estimate_batch(self, queries, patches):
-        return _batch_nearest(np.asarray(queries, dtype=np.float64),
-                              np.asarray(patches, dtype=np.float64))
+        mean = segmented_moments(patches.points, patches.offsets, patches.weights)[1]
+        return _nearest(np.asarray(queries, dtype=np.float64), patches, mean)
 
 
 class PlaneFitEstimator(UdfEstimator):
@@ -41,27 +39,25 @@ class PlaneFitEstimator(UdfEstimator):
     (no unique plane) fall back to the nearest-point value.
     """
 
-    name = "plane"
-
     def estimate_batch(self, queries, patches):
         queries = np.asarray(queries, dtype=np.float64)
-        patches = np.asarray(patches, dtype=np.float64)
-        nearest = _batch_nearest(queries, patches)
-        if patches.shape[1] < 3:
-            return nearest
-        centroids = patches.mean(axis=1)
-        centered = patches - centroids[:, None, :]
-        cov = np.einsum("nki,nkj->nij", centered, centered) / patches.shape[1]
-        w, v = np.linalg.eigh(cov)
-        plane = np.abs(np.einsum("ni,ni->n", queries - centroids, v[:, :, 0]))
+        total, mean, scatter = segmented_moments(patches.points, patches.offsets, patches.weights)
+        nearest = _nearest(queries, patches, mean)
+        # covariance over the padded cardinality: centroid copies add no scatter
+        cardinality = total + patches.centroid_copies
+        w, v = np.linalg.eigh(scatter / cardinality[:, None, None])
+        plane = np.abs(((queries - mean) * v[:, :, 0]).sum(axis=1))
         traces = w.sum(axis=1)
         degenerate = (traces < _PLANE_DEGENERACY) | (w[:, 1] < _PLANE_DEGENERACY * traces)
         return np.where(degenerate, nearest, np.minimum(plane, nearest))
 
 
-def _batch_nearest(queries, patches):
-    d = patches - queries[:, None, :]
-    return np.sqrt((d * d).sum(axis=2).min(axis=1))
+def _nearest(queries, patches, mean):
+    """Distance to the closest entry, or to the centroid where the patch holds copies."""
+    d = patches.points - np.repeat(queries, np.diff(patches.offsets), axis=0)
+    d2 = np.minimum.reduceat((d * d).sum(axis=1), patches.offsets[:-1])
+    c = mean - queries
+    return np.sqrt(np.where(patches.centroid_copies > 0, np.minimum(d2, (c * c).sum(axis=1)), d2))
 
 
 def make_estimator(name) -> UdfEstimator:

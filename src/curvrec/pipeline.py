@@ -1,11 +1,11 @@
 """End-to-end reconstruction: cloud -> adaptive UDF lattice -> mesh.
 
 Stages: read, normalize, index, curvature field over the coarse lattice,
-percentile-driven radius schedule, hot-region refinement, patch building,
-UDF estimation with far-field capping, hierarchical fill, offset-level
-marching cubes, denormalize. Timing splits into patch_time (curvature,
-radius modulation, query addition, extraction, resampling) and udf_time
-(estimation plus fill interpolation).
+percentile-driven radius schedule, hot-region refinement, CSR patches
+weighted to target_count, UDF estimation with far-field capping,
+hierarchical fill, offset-level marching cubes, denormalize. Timing
+splits into patch_time (curvature, radius modulation, query addition,
+extraction, resampling) and udf_time (estimation plus fill interpolation).
 
 baseline_mode changes only the query set: every fine vertex at the fixed
 radius r0, without curvature (the uniform-grid setup the adaptive
@@ -19,23 +19,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import io
+from . import io, spatial
 from .curvature import CurvatureField, curvature_field
-from .errors import ReconstructionError
+from .errors import NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
 from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queries,
                    hierarchical_fill, refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
-from .patch import ResamplePolicy, pad_block, resample
+from .patch import Patches, ResamplePolicy, pad_weights, resample
 from .schedule import (ALPHA_DEFAULT, BETA_DEFAULT, R0_DEFAULT, S_MAX_DEFAULT,
                        S_MIN_DEFAULT, RadiusSchedule, radius as schedule_radius)
 from .spatial import build_index
-
-# Queries are streamed through fixed-size blocks; constant so that results
-# never depend on the worker count.
-_CHUNK = 8192
 
 # Queries farther than this from every point read this UDF value.
 FAR_CAP_DEFAULT = 0.10
@@ -63,6 +59,14 @@ class PipelineConfig:
     baseline_mode: bool = False
     workers: int = 1
     dump_field: str | None = None
+
+    def __post_init__(self):  # a bad setting fails before any file is read
+        make_estimator(self.estimator)
+        if not self.far_cap > 0:
+            raise ValueError("far_cap must be positive")
+        ResamplePolicy(target_count=self.target_count, rng_seed=self.seed)
+        if self.iso_eps is not None:
+            IsoSpec(self.iso_eps)
 
 
 @dataclass
@@ -148,9 +152,8 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
     near_rows = np.flatnonzero(nn <= radii)
 
-    target = policy.target_count
-    for start in range(0, near_rows.size, _CHUNK):
-        rows = near_rows[start:start + _CHUNK]
+    for start in range(0, near_rows.size, spatial.CHUNK):
+        rows = near_rows[start:start + spatial.CHUNK]
         with stage("evaluate", patch):
             flat, offsets = index.radius_query_flat(positions[rows], radii[rows],
                                                     workers=workers)
@@ -158,13 +161,16 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
             # a query whose ball came back empty keeps its far value.
             hit = np.diff(offsets) > 0
             rows, offsets = rows[hit], offsets[np.r_[True, hit]]
-            block = pad_block(index.points, flat, offsets, sigmas[rows], policy)
-            for j in np.flatnonzero(np.diff(offsets) > target):
-                raw = index.points[flat[offsets[j]:offsets[j + 1]]]
-                block[j] = resample(raw, sigmas[rows[j]], policy,
-                                    query_id=int(query_ids[rows[j]]))
+            weights, copies = pad_weights(offsets, sigmas[rows], policy)
+            for j in np.flatnonzero(np.diff(offsets) > policy.target_count):
+                a, b = offsets[j], offsets[j + 1]
+                weights[a + resample(flat[a:b], sigmas[rows[j]], policy,
+                                     query_id=int(query_ids[rows[j]]))] = 1
+            keep = weights > 0
+            kept = np.concatenate([[0], np.cumsum(keep)])[offsets]
+            patches = Patches(index.points[flat[keep]], kept, weights[keep], copies)
         with stage("evaluate", udf):
-            values[rows] = estimator.estimate_batch(positions[rows], block)
+            values[rows] = estimator.estimate_batch(positions[rows], patches)
     return values
 
 
@@ -175,9 +181,18 @@ def _nearest(index, positions, radii, far_cap, workers):
                                        bound=np.max(radii, initial=far_cap))
 
 
+def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
+    """curvature_field over the coarse lattice, naming an r0 that finds samples if it fails."""
+    try:
+        return curvature_field(norm_cloud, index, positions, config.r0, query_ids=ids,
+                               workers=config.workers, nn=nn)
+    except NoCurvatureSamples as exc:
+        h = spec.coarse_spacing  # every point is within half a cell diagonal of a site
+        raise NoCurvatureSamples(f"{exc}; the coarse spacing is {h:g}, and r0 >= "
+                                 f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
+
+
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
-    if config.far_cap <= 0:
-        raise ValueError("far_cap must be positive")
     estimator = make_estimator(config.estimator)
     norm_cloud, transform, index, spec = _prepare(config, cloud)
     grid = AdaptiveGrid(spec)
@@ -203,8 +218,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             # and the coarse rows of evaluate (radius <= r0 * s_max).
             coarse_nn = _nearest(index, positions, config.r0 * max(config.s_max, 1.0),
                                  config.far_cap, config.workers)
-            cf = curvature_field(norm_cloud, index, positions, config.r0,
-                                 query_ids=ids, workers=config.workers, nn=coarse_nn)
+            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, coarse_nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -313,7 +327,6 @@ def curvature_summary(config: PipelineConfig, cloud: PointCloud | None = None):
     norm_cloud, _, index, spec = _prepare(config, cloud)
     ids, positions = coarse_queries(spec)
     with stage("curvature"):
-        cf = curvature_field(norm_cloud, index, positions, config.r0,
-                             query_ids=ids, workers=config.workers)
+        cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions)
     return cf, spec
 

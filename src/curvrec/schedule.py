@@ -63,17 +63,14 @@ def scale_factor(sched: RadiusSchedule, sigma):
         done[use] = True
 
     take(sig <= sched.p10, sched.s_max)
-    if sched.p40 > sched.p10:
-        ramp = (sig - sched.p10) / (sched.p40 - sched.p10)
-        with np.errstate(invalid="ignore"):
-            g1 = np.power(np.clip(ramp, 0.0, 1.0), sched.alpha)
-        take(sig < sched.p40, (1.0 - g1) * sched.s_max + g1)
-    take(sig < sched.p60, 1.0)
-    if sched.p90 > sched.p60:
-        ramp = (sig - sched.p60) / (sched.p90 - sched.p60)
-        with np.errstate(invalid="ignore"):
-            g2 = np.power(np.clip(ramp, 0.0, 1.0), sched.beta)
-        take(sig < sched.p90, 1.0 - (1.0 - sched.s_min) * g2)
+    with np.errstate(over="ignore"):  # a subnormal ramp width; the clip caps it at 1
+        if sched.p40 > sched.p10:
+            g1 = np.power(np.clip((sig - sched.p10) / (sched.p40 - sched.p10), 0, 1), sched.alpha)
+            take(sig < sched.p40, (1.0 - g1) * sched.s_max + g1)
+        take(sig < sched.p60, 1.0)
+        if sched.p90 > sched.p60:
+            g2 = np.power(np.clip((sig - sched.p60) / (sched.p90 - sched.p60), 0, 1), sched.beta)
+            take(sig < sched.p90, 1.0 - (1.0 - sched.s_min) * g2)
     take(np.ones_like(done), sched.s_min)
 
     return float(out[0]) if scalar else out

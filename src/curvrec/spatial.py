@@ -22,6 +22,9 @@ _BOUND_PAD = 1.0 + 1e-9
 # relative pad, so the searched radius never drops below this floor.
 _MIN_SEARCH = 1e-150
 
+# Centers per block of ball-query and patch work; fixed, so results never depend on workers.
+CHUNK = 8192
+
 
 class SpatialIndex:
     """Immutable kd-partition over the points of one PointCloud."""

@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvrec import pipeline
 from curvrec.estimator import NearestPointEstimator, PlaneFitEstimator, make_estimator
 from curvrec.model import PointCloud
-from curvrec.patch import ResamplePolicy
+from curvrec.patch import Patches, ResamplePolicy
 from curvrec.pipeline import PipelineConfig, run_pipeline
 from curvrec.spatial import build_index
 from oracles import estimate_nearest_point as nearest_oracle
 from oracles import estimate_plane_fit as plane_oracle
+from oracles import resample as resample_oracle
+
+
+def unit_patches(patches):
+    """Patches holding each given (k, 3) point array once, unpadded."""
+    counts = [len(p) for p in patches]
+    return Patches(np.concatenate(patches).astype(float), np.concatenate([[0], np.cumsum(counts)]),
+                   np.ones(sum(counts), dtype=np.int64), np.zeros(len(counts), dtype=np.int64))
 
 
 def _one_row(estimator):
     """The estimator applied to a single (query, patch) row."""
     def estimate(q, patch):
         q = np.asarray(q, dtype=float).reshape(1, 3)
-        return float(estimator.estimate_batch(q, np.asarray(patch, dtype=float)[None])[0])
+        return float(estimator.estimate_batch(q, unit_patches([patch]))[0])
     return estimate
 
 
@@ -138,7 +147,7 @@ def test_batch_matches_scalar():
     patches = rng.normal(size=(64, 16, 3))
     for name in ("nearest", "plane"):
         est = make_estimator(name)
-        batch = est.estimate_batch(queries, patches)
+        batch = est.estimate_batch(queries, unit_patches(patches))
         oracle = nearest_oracle if name == "nearest" else plane_oracle
         scalar = np.array([oracle(q, p) for q, p in zip(queries, patches)])
         assert np.abs(batch - scalar).max() < 1e-12
@@ -150,7 +159,7 @@ def test_batch_handles_degenerate_rows():
     line = np.outer(np.linspace(0, 1, 8), [1.0, 0, 0])
     planar = np.column_stack([np.linspace(0, 1, 8), np.linspace(1, 0, 8) ** 2,
                               np.zeros(8)])
-    batch = est.estimate_batch(queries, np.stack([line, planar]))
+    batch = est.estimate_batch(queries, unit_patches([line, planar]))
     assert batch[0] == pytest.approx(plane_oracle(queries[0], line), abs=1e-15)
     assert batch[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -160,3 +169,59 @@ def test_make_estimator():
     assert isinstance(make_estimator("plane"), PlaneFitEstimator)
     with pytest.raises(ValueError):
         make_estimator("neural")
+
+
+class _FixedBalls:
+    """Stands in for SpatialIndex: every ball query returns the same CSR patches."""
+
+    def __init__(self, points, flat, offsets):
+        self.points = points
+        self._csr = (flat, offsets)
+
+    def radius_query_flat(self, centers, radii, workers=1):
+        return self._csr
+
+
+def _row_points(rng, n, kind):
+    if kind == "scattered":
+        return rng.normal(size=(n, 3)) * rng.uniform(0.01, 1.0, size=3)
+    if kind == "tiny":  # covariance trace near _PLANE_DEGENERACY
+        return rng.normal(size=(n, 3)) * 1e-6
+    if kind == "collinear":
+        return rng.normal(size=3) + np.outer(rng.normal(size=n), rng.normal(size=3))
+    return np.tile(rng.normal(size=3), (n, 1))  # coincident
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), target=st.integers(1, 12),
+       rows=st.lists(st.tuples(st.integers(1, 30),
+                               st.sampled_from(["scattered", "tiny", "collinear", "coincident"]),
+                               st.booleans()), min_size=1, max_size=12))
+@example(seed=0, target=4, rows=[(20, "scattered", False), (3, "scattered", False),
+                                 (3, "scattered", True), (2, "collinear", True),
+                                 (5, "coincident", False), (6, "collinear", False)])
+# the trace test reads the covariance over the padded cardinality: 2.6e-12
+# over the 3 points, under 1e-12 once the 9 centroid copies count
+@example(seed=2, target=12, rows=[(3, "tiny", False)])
+def test_weighted_csr_estimate_matches_padded_oracle(seed, target, rows):
+    # Each row's patch is padded or subsampled by weights in the pipeline,
+    # and by building the target_count points in the oracle; the estimates
+    # agree to rounding in every branch (subsample, centroid, duplicate).
+    rng = np.random.default_rng(seed)
+    patches = [_row_points(rng, n, kind) for n, kind, _ in rows]
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in patches])])
+    flat = rng.permutation(offsets[-1])  # patch entries scattered over the cloud
+    points = np.empty((offsets[-1], 3))
+    points[flat] = np.concatenate(patches)
+    m = len(rows)
+    sigmas = np.array([0.2 if curved else 0.0 for _, _, curved in rows])
+    query_ids = rng.choice(10 ** 9, size=m, replace=False)
+    queries = rng.normal(size=(m, 3))
+    policy = ResamplePolicy(target_count=target, curvature_threshold=0.1, rng_seed=seed)
+    for name, oracle in (("plane", plane_oracle), ("nearest", nearest_oracle)):
+        got = pipeline._evaluate_queries(
+            _FixedBalls(points, flat, offsets), queries, np.ones(m), sigmas, query_ids,
+            policy, make_estimator(name), 1.0, np.zeros(m), [], [], 1)
+        expect = [oracle(q, resample_oracle(p, s, policy, query_id=i))
+                  for q, p, s, i in zip(queries, patches, sigmas, query_ids)]
+        assert np.abs(got - expect).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvrec.model import PointCloud
-from curvrec.patch import ResamplePolicy, pad_block, resample
+from curvrec.patch import ResamplePolicy, pad_weights, resample, segmented_moments
 from curvrec.spatial import build_index
 from oracles import resample as resample_oracle
 
@@ -41,12 +41,32 @@ def test_extract_matches_brute_force(indexed_cloud):
         assert np.array_equal(got, expect)  # ascending source order both sides
 
 
+def padded(points, offsets, sigma, policy):
+    """The target_count samples pad_weights makes of each patch: its entries
+    repeated by weight, then its centroid copies."""
+    weights, copies = pad_weights(offsets, sigma, policy)
+    _, mean, _ = segmented_moments(points, offsets, np.ones(len(points)))
+    rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    return [np.concatenate([np.repeat(points[rows == i], weights[rows == i], axis=0),
+                            np.repeat(mean[i:i + 1], copies[i], axis=0)])
+            for i in range(offsets.size - 1)]
+
+
+def sorted_rows(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def same_rows(got, expect):
+    """The same multiset of rows, centroid copies equal to rounding (the
+    oracle's pts.mean and the segmented sum add in different orders)."""
+    return np.abs(sorted_rows(got) - sorted_rows(expect)).max() <= 1e-12
+
+
 def pad_one(pts, sigma, policy):
-    """pad_block over a single patch."""
+    """A patch of at most target_count points, padded as the scalar oracle pads it."""
     pts = np.asarray(pts, dtype=float)
-    one = pad_block(pts, np.arange(len(pts)), np.array([0, len(pts)]), np.array([sigma]),
-                    policy)[0]
-    assert np.array_equal(one, resample_oracle(pts, sigma, policy))
+    one = padded(pts, np.array([0, len(pts)]), np.array([sigma]), policy)[0]
+    assert same_rows(one, resample_oracle(pts, sigma, policy))
     return one
 
 
@@ -61,11 +81,11 @@ def test_resample_duplication_fill():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5, rng_seed=0)
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
     out = pad_one(pts, sigma=0.5, policy=policy)
-    assert np.array_equal(out, [[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0]])
-    # round-robin wraps in ascending index order
-    out5 = pad_one(pts, sigma=0.9, policy=ResamplePolicy(target_count=5,
-                                                         curvature_threshold=0.5))
-    assert np.array_equal(out5[2:], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    assert np.array_equal(out, [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0]])
+    # round-robin wraps in ascending index order: the first entry gets the extra copy
+    weights, copies = pad_weights(np.array([0, 2]), np.array([0.9]),
+                                  ResamplePolicy(target_count=5, curvature_threshold=0.5))
+    assert weights.tolist() == [3, 2] and copies.tolist() == [0]
 
 
 def test_resample_identity_and_empty():
@@ -81,7 +101,7 @@ def test_resample_subsample():
     rng = np.random.default_rng(2)
     pts = rng.random((40, 3))
     policy = ResamplePolicy(target_count=16, curvature_threshold=0.5, rng_seed=7)
-    out = resample(pts, 0.0, policy, query_id=11)
+    out = pts[resample(pts, 0.0, policy, query_id=11)]
     assert out.shape == (16, 3)
     # without replacement, drawn from the input set
     as_rows = {tuple(r) for r in pts}
@@ -89,10 +109,10 @@ def test_resample_subsample():
     assert set(got_rows) <= as_rows
     assert len(set(got_rows)) == 16
     # deterministic given (seed, query_id); different query ids decorrelate
-    again = resample(pts, 0.0, policy, query_id=11)
+    again = pts[resample(pts, 0.0, policy, query_id=11)]
     assert np.array_equal(out, again)
     assert np.array_equal(out, resample_oracle(pts, 0.0, policy, query_id=11))
-    other = resample(pts, 0.0, policy, query_id=12)
+    other = pts[resample(pts, 0.0, policy, query_id=12)]
     assert not np.array_equal(out, other)
 
 
@@ -125,22 +145,24 @@ def test_output_size_exact(indexed_cloud):
     brute = [np.count_nonzero(np.linalg.norm(cloud.points - q, axis=1) <= r)
              for q, r in zip(queries, radii)]
     assert counts.tolist() == brute
-    # empty patches stay out of the block, as in the pipeline
+    # empty patches are dropped first, as in the pipeline
     hit = counts > 0
     rows, offsets = np.flatnonzero(hit), offsets[np.r_[True, hit]]
-    block = pad_block(cloud.points, flat, offsets, sigma[rows], policy)
+    weights, copies = pad_weights(offsets, sigma[rows], policy)
     for j in np.flatnonzero(np.diff(offsets) > policy.target_count):
-        raw = cloud.points[flat[offsets[j]:offsets[j + 1]]]
-        block[j] = resample(raw, sigma[rows[j]], policy, query_id=rows[j])
-    assert block.shape == (rows.size, 64, 3)
-    # everything stays inside the closed ball
-    d = np.linalg.norm(block - queries[rows, None, :], axis=2)
-    assert (d.max(axis=1) <= radii[rows] + 1e-12).all()
+        a, b = offsets[j], offsets[j + 1]
+        assert not weights[a:b].any()
+        weights[a + resample(flat[a:b], sigma[rows[j]], policy, query_id=rows[j])] = 1
+    # every patch counts exactly target_count samples
+    assert (np.add.reduceat(weights, offsets[:-1]) + copies == 64).all()
+    assert weights.min() >= 0
+    # everything with weight stays inside the closed ball
+    d = np.linalg.norm(cloud.points[flat] - np.repeat(queries[rows], np.diff(offsets), axis=0),
+                       axis=1)
+    assert (d[weights > 0] <= np.repeat(radii[rows], np.diff(offsets))[weights > 0] + 1e-12).all()
 
 
-def test_pad_block_matches_scalar_resample():
-    # Bit equality, not closeness: a centroid summed in another order than
-    # pts.mean(axis=0) drifts in the last ulp and moves the mesh.
+def test_pad_weights_match_scalar_resample():
     rng = np.random.default_rng(6)
     policy = ResamplePolicy(target_count=64, curvature_threshold=0.1, rng_seed=3)
     m = 2000
@@ -150,16 +172,17 @@ def test_pad_block_matches_scalar_resample():
     flat = rng.integers(0, points.shape[0], size=offsets[-1])
     sigma = rng.uniform(0.0, 0.2, size=m)
     assert (sigma < policy.curvature_threshold).any() and (sigma >= 0.1).any()
-    block = pad_block(points, flat, offsets, sigma, policy)
-    expect = np.stack([resample_oracle(points[flat[offsets[i]:offsets[i + 1]]], sigma[i], policy)
-                       for i in range(m)])
-    assert np.array_equal(block, expect)
+    got = padded(points[flat], offsets, sigma, policy)
+    for i in range(m):
+        expect = resample_oracle(points[flat[offsets[i]:offsets[i + 1]]], sigma[i], policy)
+        assert same_rows(got[i], expect)
 
 
-def test_pad_block_leaves_oversized_rows_to_resample():
+def test_pad_weights_leave_oversized_rows_to_resample():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     points = np.arange(30, dtype=float).reshape(10, 3)
     offsets = np.array([0, 7, 9])
-    block = pad_block(points, np.arange(9), offsets, np.array([0.0, 0.0]), policy)
-    assert np.array_equal(block[0], points[:4])
-    assert np.array_equal(block[1], resample_oracle(points[7:9], 0.0, policy))
+    weights, copies = pad_weights(offsets, np.array([0.0, 0.0]), policy)
+    assert weights[:7].tolist() == [0] * 7 and copies[0] == 0
+    got = padded(points[:9], offsets, np.array([0.0, 0.0]), policy)[1]
+    assert np.array_equal(got, resample_oracle(points[7:9], 0.0, policy))

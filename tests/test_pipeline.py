@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from curvrec import cli, fixtures, io, pipeline
+from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import chamfer, sample_mesh
 from curvrec.errors import NoCurvatureSamples
 from curvrec.estimator import make_estimator
@@ -99,14 +100,18 @@ def test_output_is_closed_edge_manifold(shape, coarse, extra):
 
 def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
     # a wide r0 and target_count 16 send ~1000 patches through the seeded
-    # subsample, so chunk edges cut between padded and subsampled rows
+    # subsample, so chunk edges cut between padded and subsampled rows; the
+    # curvature stage streams its candidates through the same blocks
     cfg = small_config(coarse_cells=20, r0=0.04, target_count=16)
-    meshes = []
+    meshes, fields = [], []
     for chunk in (8192, 97):
-        monkeypatch.setattr(pipeline, "_CHUNK", chunk)
-        mesh = run_pipeline(cfg, sphere_cloud).mesh
-        meshes.append(mesh.vertices.tobytes() + mesh.faces.tobytes())
+        monkeypatch.setattr(spatial, "CHUNK", chunk)
+        result = run_pipeline(cfg, sphere_cloud)
+        meshes.append(result.mesh.vertices.tobytes() + result.mesh.faces.tobytes())
+        cf = result.curvature
+        fields.append((cf.ids, cf.sigma, np.array([cf.p10, cf.p40, cf.p60, cf.p90])))
     assert meshes[0] == meshes[1]
+    assert all(np.array_equal(a, b) for a, b in zip(*fields))
 
 
 def test_point_exactly_at_query_radius_is_near():
@@ -213,13 +218,20 @@ def test_no_curvature_samples_names_r0(coarse):
     with pytest.raises(NoCurvatureSamples) as exc_info:
         run_pipeline(small_config(coarse_cells=coarse), cloud)
     assert exc_info.value.stage == "curvature"
-    assert "r0=" in str(exc_info.value)
+    message = str(exc_info.value)
+    assert "r0=0.018" in message
+    spacing = 1.0 / (coarse - 2 * 2)
+    assert f"coarse spacing is {spacing:g}" in message
+    # the error names the fix: an r0 that reaches every point from the lattice
+    reach = float(re.search(r"r0 >= ([0-9.]+)", message).group(1))
+    assert reach == pytest.approx(np.sqrt(3.0) / 2.0 * spacing, rel=1e-3)
+    cf, _ = curvature_summary(small_config(coarse_cells=coarse, r0=reach), cloud)
+    assert len(cf) > 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_uint64_raises(sphere_cloud, seed):
-    # No patch exceeds target_count at this size, so resample, which reads
-    # the seed as a uint64, is never called: the policy rejects it first.
+    # resample reads the seed as a uint64; the config rejects it up front.
     with pytest.raises(ValueError, match="seed"):
         run_pipeline(small_config(coarse_cells=12, seed=seed), sphere_cloud)
 
@@ -357,6 +369,30 @@ def test_cli_unknown_estimator_fails_before_reading(tmp_path, capsys):
                          "--output", str(tmp_path / "m.obj")] + extra)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: unknown estimator 'bogus'")
+
+
+_BAD_SETTINGS = [
+    (["--estimator", "bogus"], "unknown estimator 'bogus'"),
+    (["--seed", "-5"], "seed must be in [0, 2**64)"),
+    (["--far-cap", "-1"], "far_cap must be positive"),
+    (["--target-count", "0"], "target_count must be positive"),
+    (["--iso-eps", "0"], "offset level must be positive"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--input", "{missing}", "--output", "{out}"],
+    ["curvature", "--input", "{missing}"],
+    ["metrics", "--mesh", "{missing}", "--reference", "{missing}"],
+    ["bench", "--input", "{missing}", "--reference", "{missing}"],
+])
+@pytest.mark.parametrize("flag, message", _BAD_SETTINGS)
+def test_cli_bad_setting_exits_2_before_reading(tmp_path, capsys, command, flag, message):
+    # the input files do not exist: the setting must fail first
+    paths = {"missing": str(tmp_path / "missing.xyz"), "out": str(tmp_path / "m.obj")}
+    argv = [arg.format(**paths) for arg in command] + flag
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_fixture_shapes(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvrec.schedule import RadiusSchedule, radius, scale_factor
 
@@ -107,3 +108,40 @@ def test_validation():
         RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_min=1.5)
     with pytest.raises(ValueError):
         scale_factor(default_sched(), -0.1)
+
+
+_unit = st.floats(0.0, 1.0 / 3.0)
+_shape = dict(s_max=st.floats(1.01, 2.0), s_min=st.floats(0.2, 0.99),
+              alpha=st.floats(0.1, 3.0), beta=st.floats(0.1, 3.0))
+
+
+def _modulus(gamma, t):
+    """Continuity modulus of t**gamma on [0, 1]."""
+    return min(t, 1.0) ** gamma if gamma < 1 else min(gamma * t, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ps=st.lists(_unit, min_size=4, max_size=4), sig=st.lists(_unit, min_size=2, max_size=2),
+       **_shape)
+def test_monotone_over_random_percentiles(ps, sig, s_max, s_min, alpha, beta):
+    p10, p40, p60, p90 = sorted(ps)
+    s = RadiusSchedule(p10=p10, p40=p40, p60=p60, p90=p90, s_max=s_max, s_min=s_min,
+                       alpha=alpha, beta=beta)
+    lo, hi = sorted(sig)
+    assert s_max >= scale_factor(s, lo) >= scale_factor(s, hi) >= s_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(ps=st.lists(_unit, min_size=4, max_size=4, unique=True), x=_unit,
+       eps=st.floats(0.0, 1e-3), **_shape)
+@example(ps=[0.0, 5e-324, 0.125, 0.25], x=0.25, eps=0.0,  # subnormal gap: ramp overflows
+         s_max=2.0, s_min=0.5, alpha=1.0, beta=1.0)
+def test_continuous_over_random_percentiles(ps, x, eps, s_max, s_min, alpha, beta):
+    # With no collapsed ramp the scale is continuous: a step of eps moves
+    # it by at most the moduli of the two power ramps.
+    p10, p40, p60, p90 = sorted(ps)
+    s = RadiusSchedule(p10=p10, p40=p40, p60=p60, p90=p90, s_max=s_max, s_min=s_min,
+                       alpha=alpha, beta=beta)
+    bound = ((s_max - 1.0) * _modulus(alpha, eps / (p40 - p10))
+             + (1.0 - s_min) * _modulus(beta, eps / (p90 - p60)))
+    assert abs(scale_factor(s, x + eps) - scale_factor(s, x)) <= bound + 1e-9
