@@ -2,13 +2,16 @@
 
 Supported cloud inputs, chosen by file suffix: whitespace XYZ (3 or 6
 columns), PLY (ascii or binary little-endian, float vertex properties),
-and OBJ ``v`` records. A malformed file raises ParseError or
+and OBJ ``v`` records. XYZ is parsed in bulk by np.loadtxt; the records
+reader reruns on any file the bulk parse does not take, so it alone
+decides what is malformed. A malformed file raises ParseError or
 UnsupportedFormat naming the file and, for text records, the line.
 Meshes are written as OBJ; floats use shortest round-trip repr so a
 write/read cycle is lossless.
 """
 
 import os
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -58,18 +61,56 @@ def _finish_cloud(points, normals, path):
     nrm = None
     if normals is not None:
         nrm = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-        lengths = np.linalg.norm(nrm, axis=1)
-        if np.any(lengths <= 0):
-            raise ParseError(f"{path}: zero-length normal in record "
-                             f"{int(np.flatnonzero(lengths <= 0)[0])}")
-        nrm = nrm / lengths[:, None]
+        if np.isfinite(nrm).all():  # else PointCloud names the non-finite value
+            with np.errstate(over="ignore"):
+                lengths = np.linalg.norm(nrm, axis=1)
+            # the squares overflow or underflow at extreme magnitudes: such rows
+            # are first divided by their largest component (the others by 1, exactly)
+            odd = np.isinf(lengths) | ((lengths == 0) & (nrm != 0).any(axis=1))
+            if odd.any():
+                nrm = nrm / np.where(odd, np.abs(nrm).max(axis=1), 1.0)[:, None]
+                lengths = np.linalg.norm(nrm, axis=1)
+            if np.any(lengths <= 0):
+                raise ParseError(f"{path}: zero-length normal in record "
+                                 f"{int(np.flatnonzero(lengths <= 0)[0])}")
+            nrm = nrm / lengths[:, None]
     try:
         return PointCloud(pts, nrm)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# Bytes on which np.loadtxt splits tokens and lines as bytes.split and
+# binary readline do: printable ASCII and ASCII whitespace. loadtxt also
+# splits on \x1c-\x1f and on non-ASCII spaces, and ends a line at a lone \r.
+_BULK_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r\x0b\x0c"
+
+
+def _bulk_xyz(path):
+    """The (n >= 1, 3 | 6) table of an XYZ file that np.loadtxt reads as the
+    records reader would, or None: then the records reader decides."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    del data
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            table = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+    except Exception:
+        return None
+    return table if table.shape[0] >= 1 and table.shape[1] in (3, 6) else None
+
+
 def _read_xyz(path) -> PointCloud:
+    table = _bulk_xyz(path)
+    if table is None:
+        return _read_xyz_records(path)
+    return _finish_cloud(table[:, :3], table[:, 3:] if table.shape[1] == 6 else None, path)
+
+
+def _read_xyz_records(path) -> PointCloud:
     points, normals = [], []
     arity = None
     with open(path, "rb") as fh:

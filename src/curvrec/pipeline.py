@@ -28,7 +28,7 @@ from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queri
                    hierarchical_fill, refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
-from .patch import Patches, ResamplePolicy, pad_weights, resample
+from .patch import Patches, ResamplePolicy, csr_subset, pad_weights, resample
 from .schedule import (ALPHA_DEFAULT, BETA_DEFAULT, R0_DEFAULT, S_MAX_DEFAULT,
                        S_MIN_DEFAULT, RadiusSchedule, radius as schedule_radius)
 from .spatial import build_index
@@ -162,10 +162,11 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
             hit = np.diff(offsets) > 0
             rows, offsets = rows[hit], offsets[np.r_[True, hit]]
             weights, copies = pad_weights(offsets, sigmas[rows], policy)
-            for j in np.flatnonzero(np.diff(offsets) > policy.target_count):
-                a, b = offsets[j], offsets[j + 1]
-                weights[a + resample(flat[a:b], sigmas[rows[j]], policy,
-                                     query_id=int(query_ids[rows[j]]))] = 1
+            big = np.flatnonzero(np.diff(offsets) > policy.target_count)
+            if big.size:  # one subsample over the block's oversized patches
+                entries, big_offsets = csr_subset(offsets, big)
+                weights[entries[resample(flat[entries], big_offsets, policy,
+                                         query_ids[rows[big]])]] = 1
             keep = weights > 0
             kept = np.concatenate([[0], np.cumsum(keep)])[offsets]
             patches = Patches(index.points[flat[keep]], kept, weights[keep], copies)

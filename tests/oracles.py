@@ -64,10 +64,23 @@ def estimate_plane_fit(q, patch) -> float:
     return min(plane, nearest)
 
 
-def resample(points, sigma, policy, query_id=0):
+_MASK64 = 2 ** 64 - 1
+
+
+def splitmix64(x: int) -> int:
+    """splitmix64's output for the state x, in Python integers."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def resample(points, sigma, policy, query_id=0, point_ids=None):
     """Bring a raw neighborhood to exactly policy.target_count points.
 
-    count > target: seeded uniform subsample without replacement.
+    count > target: keep the target points of smallest key
+    splitmix64(splitmix64(seed ^ query_id) ^ point id), where point_ids
+    (default 0..count-1) are the points' indices in the cloud.
     count < target, sigma below threshold: append centroid copies.
     count < target, sigma at/above threshold: duplicate existing points
     round-robin in ascending index order. Empty input stays empty.
@@ -78,9 +91,10 @@ def resample(points, sigma, policy, query_id=0):
     if n == 0 or n == target:
         return pts
     if n > target:
-        rng = np.random.default_rng(np.uint64(policy.rng_seed) ^ np.uint64(query_id))
-        pick = rng.choice(n, size=target, replace=False)
-        return pts[pick]
+        ids = range(n) if point_ids is None else [int(i) for i in point_ids]
+        seed = splitmix64(policy.rng_seed ^ int(query_id))
+        keys = [splitmix64(seed ^ i) for i in ids]
+        return pts[sorted(range(n), key=keys.__getitem__)[:target]]
     if sigma < policy.curvature_threshold:
         fill = np.broadcast_to(pts.mean(axis=0), (target - n, 3))
     else:

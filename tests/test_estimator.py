@@ -222,6 +222,7 @@ def test_weighted_csr_estimate_matches_padded_oracle(seed, target, rows):
         got = pipeline._evaluate_queries(
             _FixedBalls(points, flat, offsets), queries, np.ones(m), sigmas, query_ids,
             policy, make_estimator(name), 1.0, np.zeros(m), [], [], 1)
-        expect = [oracle(q, resample_oracle(p, s, policy, query_id=i))
-                  for q, p, s, i in zip(queries, patches, sigmas, query_ids)]
+        expect = [oracle(q, resample_oracle(p, s, policy, query_id=i, point_ids=ids))
+                  for q, p, s, i, ids in zip(queries, patches, sigmas, query_ids,
+                                             np.split(flat, offsets[1:-1]))]
         assert np.abs(got - expect).max() <= 1e-12

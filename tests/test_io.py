@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvrec import cli
 from curvrec.errors import ParseError, ReconstructionError, UnsupportedFormat
-from curvrec.io import read_mesh, read_point_cloud, write_mesh, write_point_cloud
+from curvrec.io import (_bulk_xyz, _read_xyz_records, read_mesh, read_point_cloud,
+                        write_mesh, write_point_cloud)
 from curvrec.model import PointCloud, TriangleMesh
 
 
@@ -38,6 +39,17 @@ def test_xyz_with_normals_and_errors(tmp_path):
     nonnum.write_text("a b c\n")
     with pytest.raises(ParseError):
         read_point_cloud(nonnum)
+
+
+def test_xyz_normals_of_extreme_magnitude(tmp_path):
+    # their squares overflow or underflow, yet they point somewhere
+    p = tmp_path / "n.xyz"
+    p.write_text("0 0 0 1e200 1e200 0\n1 0 0 0 -5e-324 0\n")
+    cloud = read_point_cloud(p)
+    assert np.allclose(cloud.normals, [[2 ** -0.5, 2 ** -0.5, 0], [0, -1, 0]])
+    p.write_text("0 0 0 0 0 0\n")
+    with pytest.raises(ParseError, match="zero-length normal in record 0"):
+        read_point_cloud(p)
 
 
 def test_ply_ascii_with_normals(tmp_path):
@@ -205,6 +217,8 @@ _HOSTILE = {
     "ply-ascii-negative-count": ("h.ply", ply_bytes(_ASCII, b"element vertex -2"),
                                  r"h\.ply:3: negative element count"),
     "xyz-not-utf8": ("h.xyz", b"0 0 0\n1 \xff\xfe 2\n", r"h\.xyz:2: "),
+    # bytes.split keeps \x1c-\x1f inside a token; np.loadtxt would split there
+    "xyz-unit-separator": ("h.xyz", b"0\x1c1 2\n", r"h\.xyz:1: expected 3 or 6 values, got 2"),
     "obj-not-utf8": ("h.obj", b"v 0 0 0\nv 1 \xe9 2\n", r"h\.obj:2: "),
 }
 
@@ -275,3 +289,87 @@ def test_damaged_files_parse_or_raise_typed_errors(tmp_path_factory, name, data)
             read(p)
         except ReconstructionError:
             pass
+
+
+def _outcome(read, path):
+    """The cloud's exact bytes, or the ParseError message."""
+    try:
+        cloud = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return cloud.points.tobytes(), None if cloud.normals is None else cloud.normals.tobytes()
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0", "-0", "7", "+1.5", "1.", ".5", "-.25e-3", "1E+03", "2e-310"])
+
+
+@st.composite
+def xyz_files(draw):
+    """Valid XYZ bytes: 3 or 6 numbers a line, tabs and runs of spaces, LF or
+    CRLF, blank and whitespace-only lines, and '#' comment lines."""
+    arity = draw(st.sampled_from([3, 6]))
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\x0b", "\x0c"])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in draw(st.lists(st.lists(_NUMBER, min_size=arity, max_size=arity),
+                             min_size=1, max_size=8)):
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "# note 1 2 3", "#"]),
+                               max_size=2))
+        text = row[0]
+        for value in row[1:]:
+            text += draw(sep) + value
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "])))
+    raw = end.join(lines) + draw(st.sampled_from(["", end]))
+    return raw.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=xyz_files())
+def test_bulk_xyz_parse_equals_records_reader(tmp_path_factory, raw):
+    p = tmp_path_factory.getbasetemp() / "valid.xyz"
+    p.write_bytes(raw)
+    assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
+    # the bulk parse takes every valid file without comment lines
+    assert (_bulk_xyz(p) is None) == (b"#" in raw)
+
+
+# Bytes where np.loadtxt and the records reader could disagree: separators
+# only one of them splits on, a lone CR, underscores, inline comments, NUL.
+_MUTATIONS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"_", b"#", b"\r", b"\x00", b"\x0b",
+              b"\xc2\xa0", b"\xc2\x85", b"\xe2\x80\x83", b"\xa0", b" ", b"\n", b"e", b"-",
+              b"nan", b"inf", b"0x1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=xyz_files(), data=st.data())
+def test_bulk_xyz_accepts_only_what_records_reader_accepts(tmp_path_factory, raw, data):
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        breaks = [i for i, byte in enumerate(raw) if byte == ord("\n")]
+        if breaks and data.draw(st.booleans(), label="at a line break"):
+            at = data.draw(st.sampled_from(breaks), label="at")
+        else:
+            at = data.draw(st.integers(0, len(raw)), label="at")
+        piece = data.draw(st.sampled_from(_MUTATIONS) | st.binary(min_size=1, max_size=2),
+                          label="piece")
+        cut = data.draw(st.integers(0, 1), label="replace")
+        raw[at:at + cut] = piece
+    p = tmp_path_factory.getbasetemp() / "mutated.xyz"
+    p.write_bytes(bytes(raw))
+    records = _outcome(_read_xyz_records, p)
+    # what the bulk parse accepts the records reader accepts as the same
+    # table, and every ParseError message is the records reader's
+    if _bulk_xyz(p) is not None:
+        assert not isinstance(records, str) or "finite" in records or "normal" in records
+    assert _outcome(read_point_cloud, p) == records
+
+
+@pytest.mark.parametrize("raw", [b"1 2 3\r4 5 6\n", b"0\x1c1 2\n", b"1 2 3\x1e4 5 6\n",
+                                 b"1\xc2\xa02 3\n", b"1 2\xe2\x80\x833\n"])
+def test_bulk_xyz_leaves_split_disagreements_to_records_reader(tmp_path, raw):
+    # np.loadtxt would split these into other rows or values than bytes.split
+    p = tmp_path / "d.xyz"
+    p.write_bytes(raw)
+    assert _bulk_xyz(p) is None
+    assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from curvrec.model import PointCloud
-from curvrec.patch import ResamplePolicy, pad_weights, resample, segmented_moments
+from curvrec.patch import (ResamplePolicy, _order_in_segments, csr_subset, pad_weights, resample,
+                           segmented_moments, splitmix64)
 from curvrec.spatial import build_index
 from oracles import resample as resample_oracle
+from oracles import splitmix64 as splitmix64_oracle
 
 
 @pytest.fixture
@@ -97,23 +99,62 @@ def test_resample_identity_and_empty():
         ResamplePolicy(target_count=0)
 
 
+def test_splitmix64_matches_reference():
+    # the first output of splitmix64 seeded with 0 (Vigna's reference code)
+    assert splitmix64(np.zeros(1, dtype=np.uint64)).tolist() == [0xE220A8397B1DCDAF]
+    x = np.random.default_rng(2).integers(0, 2 ** 64, size=200, dtype=np.uint64)
+    assert splitmix64(x).tolist() == [splitmix64_oracle(int(v)) for v in x]
+
+
 def test_resample_subsample():
     rng = np.random.default_rng(2)
     pts = rng.random((40, 3))
     policy = ResamplePolicy(target_count=16, curvature_threshold=0.5, rng_seed=7)
-    out = pts[resample(pts, 0.0, policy, query_id=11)]
+    flat, offsets = np.arange(40), np.array([0, 40])
+    pick = resample(flat, offsets, policy, np.array([11]))
+    out = pts[pick]
     assert out.shape == (16, 3)
     # without replacement, drawn from the input set
-    as_rows = {tuple(r) for r in pts}
-    got_rows = [tuple(r) for r in out]
-    assert set(got_rows) <= as_rows
-    assert len(set(got_rows)) == 16
+    assert len(set(pick.tolist())) == 16 and set(pick.tolist()) <= set(range(40))
     # deterministic given (seed, query_id); different query ids decorrelate
-    again = pts[resample(pts, 0.0, policy, query_id=11)]
-    assert np.array_equal(out, again)
-    assert np.array_equal(out, resample_oracle(pts, 0.0, policy, query_id=11))
-    other = pts[resample(pts, 0.0, policy, query_id=12)]
-    assert not np.array_equal(out, other)
+    assert np.array_equal(pick, resample(flat, offsets, policy, np.array([11])))
+    assert same_rows(out, resample_oracle(pts, 0.0, policy, query_id=11))
+    other = resample(flat, offsets, policy, np.array([12]))
+    assert set(pick.tolist()) != set(other.tolist())
+
+
+def test_resample_picks_each_patch_as_the_scalar_oracle_in_any_block():
+    rng = np.random.default_rng(8)
+    policy = ResamplePolicy(target_count=5, rng_seed=2 ** 64 - 3)
+    counts = rng.integers(6, 40, size=300)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # ascending point indices per patch, as the ball query returns them
+    flat = np.concatenate([np.sort(rng.choice(10 ** 6, size=n, replace=False)) for n in counts])
+    query_ids = rng.choice(10 ** 7, size=counts.size, replace=False)
+    picked = np.zeros(flat.size, dtype=bool)
+    picked[resample(flat, offsets, policy, query_ids)] = True
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        ids = flat[a:b].astype(float)
+        expect = resample_oracle(np.repeat(ids[:, None], 3, axis=1), 0.0, policy,
+                                 query_id=query_ids[i], point_ids=flat[a:b])[:, 0]
+        assert sorted(flat[a:b][picked[a:b]]) == sorted(expect)
+    # a patch picks the same entries in any block, in any position within it
+    for segments in (np.arange(7, 300, 13), np.arange(299, -1, -1)):
+        entries, sub = csr_subset(offsets, segments)
+        again = np.zeros(flat.size, dtype=bool)
+        again[entries[resample(flat[entries], sub, policy, query_ids[segments])]] = True
+        assert np.array_equal(again[entries], picked[entries])
+
+
+def test_order_in_segments_is_exact_when_top_bits_tie():
+    rng = np.random.default_rng(3)
+    segments = np.repeat(np.arange(4, dtype=np.uint64), 50)
+    keys = rng.integers(0, 2 ** 64, size=200, dtype=np.uint64)
+    exact = np.lexsort((keys, segments))
+    assert np.array_equal(_order_in_segments(segments, keys), exact)
+    # distinct keys that differ only below the packed top bits tie in the fast sort
+    low = rng.permutation(200).astype(np.uint64)
+    assert np.array_equal(_order_in_segments(segments, low), np.lexsort((low, segments)))
 
 
 def test_centroid_fill_preserves_mean():
@@ -149,10 +190,10 @@ def test_output_size_exact(indexed_cloud):
     hit = counts > 0
     rows, offsets = np.flatnonzero(hit), offsets[np.r_[True, hit]]
     weights, copies = pad_weights(offsets, sigma[rows], policy)
-    for j in np.flatnonzero(np.diff(offsets) > policy.target_count):
-        a, b = offsets[j], offsets[j + 1]
-        assert not weights[a:b].any()
-        weights[a + resample(flat[a:b], sigma[rows[j]], policy, query_id=rows[j])] = 1
+    big = np.flatnonzero(np.diff(offsets) > policy.target_count)
+    entries, big_offsets = csr_subset(offsets, big)
+    assert big.size and not weights[entries].any()
+    weights[entries[resample(flat[entries], big_offsets, policy, rows[big])]] = 1
     # every patch counts exactly target_count samples
     assert (np.add.reduceat(weights, offsets[:-1]) + copies == 64).all()
     assert weights.min() >= 0

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import fields, replace
 
@@ -81,6 +82,47 @@ def test_determinism_across_runs_and_workers(sphere_cloud, tmp_path):
         reconstruct(cfg, sphere_cloud)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_subsampled_mesh_bytes_independent_of_workers(sphere_cloud, tmp_path):
+    # r0 0.04 and target_count 16 send ~1000 patches through the subsample
+    blobs = []
+    for workers in (1, 2):
+        path = tmp_path / f"mesh{workers}.obj"
+        reconstruct(small_config(r0=0.04, target_count=16, workers=workers,
+                                 output_path=str(path)), sphere_cloud)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+# First 12 hex digits of the sha256 of vertices.tobytes() + faces.tobytes(),
+# per fixture (12k points, seed 0), mode and estimator, at coarse 32, margin 2
+# ("nearest" also sets target_count 8, so its patches get subsampled).
+MESH_PINS = {
+    ("sphere", "baseline", "plane"): "11f2f72e1eca",
+    ("sphere", "baseline", "nearest"): "a608da49500f",
+    ("sphere", "adaptive", "plane"): "7e6a56d495b8",
+    ("sphere", "adaptive", "nearest"): "fcedb2703779",
+    ("cube", "baseline", "plane"): "3c16c9fd9038",
+    ("cube", "baseline", "nearest"): "987c77e58815",
+    ("cube", "adaptive", "plane"): "db46833c47f2",
+    ("cube", "adaptive", "nearest"): "8e6db58beca5",
+    ("sheets", "baseline", "plane"): "bf28266813a2",
+    ("sheets", "baseline", "nearest"): "e88ec25fc9b7",
+    ("sheets", "adaptive", "plane"): "5c8886baa5e4",
+    ("sheets", "adaptive", "nearest"): "620738a76dbc",
+}
+
+
+@pytest.mark.parametrize("shape, mode, estimator", sorted(MESH_PINS))
+def test_fixture_mesh_bytes_are_pinned(shape, mode, estimator):
+    extra = {"gap": 0.045, "noise": 0.002} if shape == "sheets" else {}
+    cloud = fixtures.make_fixture(shape, count=12000, seed=0, **extra)
+    kw = {"estimator": "nearest", "target_count": 8} if estimator == "nearest" else {}
+    mesh = run_pipeline(small_config(coarse_cells=32, baseline_mode=mode == "baseline", **kw),
+                        cloud).mesh
+    digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.faces.tobytes()).hexdigest()
+    assert digest[:12] == MESH_PINS[shape, mode, estimator]
 
 
 def _edge_uses(faces):
