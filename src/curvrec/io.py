@@ -231,11 +231,16 @@ _CLOUD_READERS = {".xyz": _read_xyz, ".ply": _read_ply, ".obj": _read_obj_points
 _WRITE_BLOCK = 8192
 
 
-def _rows(array):
-    """Rows of a 2-D array as tuples of Python numbers (floats print as
-    their shortest round-trip text with %r)."""
+def _blocks(array):
+    """Consecutive blocks of _WRITE_BLOCK rows of a 2-D array."""
     for start in range(0, len(array), _WRITE_BLOCK):
-        yield from map(tuple, array[start:start + _WRITE_BLOCK].tolist())
+        yield array[start:start + _WRITE_BLOCK]
+
+
+def _lines(line, block):
+    """Each row of a 2-D block through the %-format line, in one format
+    call (floats print as their shortest round-trip text with %r)."""
+    return line * len(block) % tuple(block.ravel().tolist())
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
@@ -243,14 +248,14 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
     rows = cloud.points if not cloud.has_normals else np.hstack([cloud.points, cloud.normals])
     line = " ".join(["%r"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.writelines(line % row for row in _rows(rows))
+        fh.writelines(_lines(line, block) for block in _blocks(rows))
 
 
 def write_mesh(mesh: TriangleMesh, path) -> None:
     """Write OBJ: `v x y z` lines, then `f i j k` lines with 1-based indices."""
     with open(path, "w") as fh:
-        fh.writelines("v %r %r %r\n" % v for v in _rows(mesh.vertices))
-        fh.writelines("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in _rows(mesh.faces))
+        fh.writelines(_lines("v %r %r %r\n", block) for block in _blocks(mesh.vertices))
+        fh.writelines(_lines("f %d %d %d\n", block + 1) for block in _blocks(mesh.faces))
 
 
 def read_mesh(path) -> TriangleMesh:

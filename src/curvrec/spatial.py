@@ -4,6 +4,13 @@ Backed by scipy's kd-tree, which is exact: radius queries return the
 closed ball (distance <= r) and nearest queries the true minimum, so
 results are interchangeable with brute force. All query methods are
 read-only and safe to call from concurrent workers.
+
+The kd-tree is built with compact_nodes=False: shrinking each node's box
+to its points' range makes far queries slower here, not faster. On
+sphere-c64's coarse sites the bounded tree query took 2.03 s with compact
+nodes and 0.93 s without, with identical distances; building the index
+over the 400k-point dense-sheets cloud took 0.29 s against 0.23 s, and
+its coarse ball queries took the same time either way (2-core x86-64).
 """
 
 import itertools
@@ -38,7 +45,7 @@ class SpatialIndex:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.shape[0] == 0:
             raise EmptyCloud("cannot index an empty cloud")
-        self._tree = cKDTree(self.points, leafsize=16)
+        self._tree = cKDTree(self.points, leafsize=16, compact_nodes=False)
 
     def __len__(self):
         return self.points.shape[0]

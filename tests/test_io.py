@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvrec import cli
 from curvrec.errors import ParseError, ReconstructionError, UnsupportedFormat
-from curvrec.io import (_bulk_xyz, _read_xyz_records, read_mesh, read_point_cloud,
-                        write_mesh, write_point_cloud)
+from curvrec.io import (_WRITE_BLOCK, _bulk_xyz, _read_xyz_records, read_mesh,
+                        read_point_cloud, write_mesh, write_point_cloud)
 from curvrec.model import PointCloud, TriangleMesh
 
 
@@ -160,6 +160,22 @@ def test_writers_emit_shortest_round_trip_text(tmp_path):
         f"{_AWKWARD_TEXT[0]} 1.0 -0.0 5e-324\n{_AWKWARD_TEXT[1]} 0.6 0.8 1e-05\n")
     write_point_cloud(PointCloud(np.array(_AWKWARD)), cloud_path)
     assert cloud_path.read_text() == f"{_AWKWARD_TEXT[0]}\n{_AWKWARD_TEXT[1]}\n"
+
+
+def test_writers_match_per_row_text_across_blocks(tmp_path):
+    # the writers format a block of rows per call; rows on either side of
+    # a block boundary print as they would one at a time
+    n = _WRITE_BLOCK + 3
+    rng = np.random.default_rng(2)
+    verts = rng.normal(size=(n, 3))
+    faces = rng.integers(0, n, size=(n, 3))
+    mesh_path, cloud_path = tmp_path / "m.obj", tmp_path / "c.xyz"
+    write_mesh(TriangleMesh(verts, faces), mesh_path)
+    assert mesh_path.read_text() == "".join(
+        ["v %r %r %r\n" % tuple(v) for v in verts.tolist()]
+        + ["f %d %d %d\n" % tuple(f) for f in (faces + 1).tolist()])
+    write_point_cloud(PointCloud(verts), cloud_path)
+    assert cloud_path.read_text() == "".join("%r %r %r\n" % tuple(v) for v in verts.tolist())
 
 
 def test_mesh_roundtrip_random(tmp_path):
