@@ -67,6 +67,8 @@ class PipelineConfig:
         ResamplePolicy(target_count=self.target_count, rng_seed=self.seed)
         if self.iso_eps is not None:
             IsoSpec(self.iso_eps)
+        if not (self.workers == -1 or self.workers >= 1):
+            raise ValueError(f"workers must be -1 (every CPU) or at least 1, not {self.workers}")
 
 
 @dataclass
@@ -145,8 +147,9 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
                       policy, estimator, far_cap, nn, patch, udf, workers):
     """UDF value per query: patch pipeline inside the radius, capped
-    nearest distance outside. nn must be exact up to max(far_cap, radii).
-    Wall time is appended to the patch and udf lists."""
+    nearest distance outside. nn must be exact up to max(far_cap, radii);
+    a query whose nn reads inf gets far_cap. Wall time is appended to the
+    patch and udf lists."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
     with stage("evaluate", udf):
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
@@ -182,6 +185,38 @@ def _nearest(index, positions, radii, far_cap, workers):
                                        bound=np.max(radii, initial=far_cap))
 
 
+def _far_band(near, n):
+    """Sites of the (n, n, n) coarse lattice within one coarse step
+    (Chebyshev) of a near site, flat like near."""
+    band = near.reshape(n, n, n).copy()
+    for axis in range(3):
+        view = np.moveaxis(band, axis, 0)
+        view[1:] |= view[:-1]
+        view[:-1] |= view[1:]
+    return band.ravel()
+
+
+def _coarse_nearest(index, spec, positions, near_bound, far_cap, workers):
+    """Coarse-lattice nn, exact up to near_bound everywhere and up to
+    max(near_bound, far_cap) in the band around sites within near_bound;
+    inf elsewhere, so that evaluate gives those sites far_cap.
+
+    The mesh cannot tell: with near_bound at least every radius and the
+    offset level, a coarse cell with an out-of-band corner has no corner
+    within near_bound, so no hot corner and no refined site. Its corners
+    read at least min(near_bound, far_cap), as do the sites filled from
+    them; no inside flag or crossed edge changes. Only field values
+    outside the band do (--dump-field).
+    """
+    nn = index.nearest_distance_many(positions, workers=workers, bound=near_bound)
+    if far_cap > near_bound:
+        n = spec.coarse_cells + 1
+        redo = np.flatnonzero(_far_band(nn <= near_bound, n) & np.isinf(nn))
+        nn[redo] = index.nearest_distance_many(positions[redo], workers=workers,
+                                               bound=far_cap)
+    return nn
+
+
 def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
     """curvature_field over the coarse lattice, naming an r0 that finds samples if it fails."""
     try:
@@ -196,6 +231,7 @@ def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
     estimator = make_estimator(config.estimator)
     norm_cloud, transform, index, spec = _prepare(config, cloud)
+    iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
     grid = AdaptiveGrid(spec)
     patch, udf = [], []  # wall time per section, summed into TimingReport
     cf = None
@@ -215,10 +251,11 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     else:
         with stage("curvature", patch):
             ids, positions = coarse_queries(spec)
-            # One prefilter serves both the curvature candidates (nn <= r0)
-            # and the coarse rows of evaluate (radius <= r0 * s_max).
-            coarse_nn = _nearest(index, positions, config.r0 * max(config.s_max, 1.0),
-                                 config.far_cap, config.workers)
+            # One prefilter serves the curvature candidates (nn <= r0), the
+            # coarse rows of evaluate (radius <= r0 * s_max) and the band.
+            near_bound = max(config.r0 * max(config.s_max, 1.0), iso.eps)
+            coarse_nn = _coarse_nearest(index, spec, positions, near_bound,
+                                        config.far_cap, config.workers)
             cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, coarse_nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
@@ -257,7 +294,6 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             save_field(dense, spec, config.dump_field)
 
     with stage("extract"):
-        iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
         norm_mesh = marching_cubes(dense, spec, iso)
     with stage("denormalize"):
         mesh = denormalize_mesh(norm_mesh, transform)

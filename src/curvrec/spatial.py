@@ -11,9 +11,15 @@ sphere-c64's coarse sites the bounded tree query took 2.03 s with compact
 nodes and 0.93 s without, with identical distances; building the index
 over the 400k-point dense-sheets cloud took 0.29 s against 0.23 s, and
 its coarse ball queries took the same time either way (2-core x86-64).
-"""
 
-import itertools
+Ball queries run as one dual-tree traversal per block: a small kd-tree
+over the block's centers, matched against the point tree by
+sparse_distance_matrix, whose pairs come back as flat arrays.
+query_ball_point returns one Python list per center, and flattening
+those lists into CSR arrays cost as much as the search; on sphere-c64's
+evaluate blocks the lists took 0.69 s and the dual tree 0.44 s for the
+same indices (2-core x86-64).
+"""
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,10 +37,10 @@ _MIN_SEARCH = 1e-150
 
 # Centers per block of ball-query and patch work. Results never depend on
 # it (nor on workers); it bounds the memory a block holds, which grows with
-# it: the ball query's lists of Python ints and curvature's (E, 3, 3) outer
-# products. On dense-sheets-c64 (400k points, 2-core x86-64) peak RSS was
-# 301 MB at 8192, 232 at 4096, 216 at 2048 and 215 at 1024, so 2048 is the
-# largest block at that floor.
+# it: the ball query's pairs (24 bytes each, found at the block's largest
+# radius) and curvature's (E, 3, 3) outer products. On dense-sheets-c64
+# (400k points, 2-core x86-64) peak RSS was 351 MB at 8192, 255 at 4096,
+# 212 at 2048 and 213 at 1024, so 2048 is the largest block at that floor.
 CHUNK = 2048
 
 
@@ -51,19 +57,54 @@ class SpatialIndex:
         return self.points.shape[0]
 
     def radius_query_flat(self, centers, radii, workers=1):
-        """Batched radius query; radii may be scalar or per-center.
+        """Batched closed-ball query; radii may be scalar or per-center.
 
         Returns (flat, offsets): the ascending indices of center i are
-        flat[offsets[i]:offsets[i + 1]].
+        flat[offsets[i]:offsets[i + 1]]. Point j is in ball i when
+        (dx*dx + dy*dy) + dz*dz <= r_i*r_i, the kd-tree's own test.
+        workers > 1 (or -1, all CPUs) splits the centers into contiguous
+        slices searched on threads; the result does not depend on it.
         """
-        lists = self._tree.query_ball_point(np.asarray(centers, dtype=np.float64),
-                                            radii, return_sorted=True, workers=workers)
-        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)),
-                  out=offsets[1:])
-        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
-                           count=offsets[-1])
-        return flat, offsets
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:1])
+        if workers == -1:
+            import os
+            workers = os.cpu_count()
+        parts = max(min(workers, len(centers)), 1)
+        cuts = np.linspace(0, len(centers), parts + 1).astype(np.int64)
+
+        def search(k):
+            a, b = cuts[k], cuts[k + 1]
+            return self._ball_keys(centers[a:b], radii[a:b], a)
+
+        if parts > 1:  # this thread searches the first slice itself
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(parts - 1) as pool:
+                rest = [pool.submit(search, k) for k in range(1, parts)]
+                # slices are contiguous, so their sorted keys stay ascending
+                key = np.concatenate([search(0)] + [f.result() for f in rest])
+        else:
+            key = search(0)
+        n = len(self)
+        offsets = np.zeros(len(centers) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // n, minlength=len(centers)), out=offsets[1:])
+        return key % n, offsets
+
+    def _ball_keys(self, centers, radii, first):
+        """Ascending (first + center row) * len(self) + point index per ball entry."""
+        # One search at the largest radius, then each pair against its own.
+        pairs = cKDTree(centers).sparse_distance_matrix(
+            self._tree, radii.max(initial=0.0), output_type="ndarray")
+        i, j, v = pairs["i"], pairs["j"], pairs["v"]
+        r = radii[i]
+        keep = v <= r
+        # v is sqrt(d2) rounded, so near r (and anywhere once r*r is
+        # subnormal) it can disagree with d2 <= r*r: recompute d2 there in
+        # the tree's summation order.
+        tie = np.flatnonzero((np.abs(v - r) <= 4 * np.spacing(r)) | (r < _MIN_SEARCH))
+        d = self.points[j[tie]] - centers[i[tie]]
+        keep[tie] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2] <= r[tie] * r[tie]
+        return np.sort((i[keep] + first) * len(self) + j[keep])
 
     def radius_query_many(self, centers, radii, workers=1):
         """radius_query_flat as a list of ascending index arrays, one per center."""

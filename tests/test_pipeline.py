@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import chamfer, sample_mesh
@@ -154,6 +156,59 @@ def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
         fields.append((cf.ids, cf.sigma, np.array([cf.p10, cf.p40, cf.p60, cf.p90])))
     assert meshes[0] == meshes[1]
     assert all(np.array_equal(a, b) for a, b in zip(*fields))
+
+
+@functools.cache
+def _band_cloud(shape):
+    extra = {"gap": 0.045, "noise": 0.002} if shape == "sheets" else {}
+    return fixtures.make_fixture(shape, count=6000, seed=0, **extra)
+
+
+def _mesh_or_error(config, cloud):
+    try:
+        mesh = run_pipeline(config, cloud).mesh
+    except NoCurvatureSamples as exc:
+        return str(exc)
+    return mesh.vertices.tobytes() + mesh.faces.tobytes()
+
+
+def _whole_lattice_band(near, n):
+    return np.ones_like(near)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["sphere", "cube", "sheets"]), coarse=st.integers(10, 24),
+       margin=st.integers(1, 3), r0=st.sampled_from([0.018, 0.03]),
+       far_cap=st.floats(0.01, 0.3),
+       iso_eps=st.one_of(st.none(), st.floats(0.001, 0.4)))
+# an offset level above r0 * s_max (0.0243), then one above far_cap as well
+@example(shape="sphere", coarse=24, margin=2, r0=0.018, far_cap=0.3, iso_eps=0.05)
+@example(shape="cube", coarse=24, margin=3, r0=0.018, far_cap=0.05, iso_eps=0.08)
+def test_far_band_leaves_mesh_bytes_unchanged(shape, coarse, margin, r0, far_cap, iso_eps):
+    # Coarse sites more than one step from any site within the near bound
+    # skip the far_cap query; the mesh must equal a run that queries them all.
+    config = small_config(coarse_cells=coarse, margin_cells=margin, r0=r0,
+                          far_cap=far_cap, iso_eps=iso_eps)
+    banded = _mesh_or_error(config, _band_cloud(shape))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_far_band", _whole_lattice_band)
+        assert _mesh_or_error(config, _band_cloud(shape)) == banded
+
+
+def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypatch):
+    from curvrec.grid import load_field
+    cfg = small_config(coarse_cells=16, far_cap=0.3)
+    banded = run_pipeline(replace(cfg, dump_field=str(tmp_path / "band.bin")), sphere_cloud)
+    monkeypatch.setattr(pipeline, "_far_band", _whole_lattice_band)
+    whole = run_pipeline(replace(cfg, dump_field=str(tmp_path / "whole.bin")), sphere_cloud)
+    assert banded.mesh.vertices.tobytes() == whole.mesh.vertices.tobytes()
+    assert banded.mesh.faces.tobytes() == whole.mesh.faces.tobytes()
+    band_coarse = load_field(tmp_path / "band.bin")[0][::2, ::2, ::2]
+    whole_coarse = load_field(tmp_path / "whole.bin")[0][::2, ::2, ::2]
+    moved = band_coarse != whole_coarse
+    assert moved.any()  # the sphere's inside is out of band
+    assert np.all(band_coarse[moved] == np.float32(0.3))
+    assert np.all(whole_coarse[moved] < np.float32(0.3))
 
 
 def test_point_exactly_at_query_radius_is_near():
@@ -419,6 +474,7 @@ _BAD_SETTINGS = [
     (["--far-cap", "-1"], "far_cap must be positive"),
     (["--target-count", "0"], "target_count must be positive"),
     (["--iso-eps", "0"], "offset level must be positive"),
+    (["--workers", "0"], "workers must be -1 (every CPU) or at least 1, not 0"),
 ]
 
 

@@ -136,12 +136,18 @@ def test_monotone_over_random_percentiles(ps, sig, s_max, s_min, alpha, beta):
        eps=st.floats(0.0, 1e-3), **_shape)
 @example(ps=[0.0, 5e-324, 0.125, 0.25], x=0.25, eps=0.0,  # subnormal gap: ramp overflows
          s_max=2.0, s_min=0.5, alpha=1.0, beta=1.0)
+# x + eps rounds up to the next float: the step is 5.55e-17, not 5.33e-17
+@example(ps=[0.25, 0.3125, 0.28125, 0.328125], x=0.25, eps=5.327342366651203e-17,
+         s_max=2.0, s_min=0.5, alpha=0.25, beta=1.0)
 def test_continuous_over_random_percentiles(ps, x, eps, s_max, s_min, alpha, beta):
-    # With no collapsed ramp the scale is continuous: a step of eps moves
-    # it by at most the moduli of the two power ramps.
+    # With no collapsed ramp the scale is continuous: a step moves it by
+    # at most the moduli of the two power ramps. The step is the rounded
+    # x + eps minus x, which can exceed eps.
     p10, p40, p60, p90 = sorted(ps)
     s = RadiusSchedule(p10=p10, p40=p40, p60=p60, p90=p90, s_max=s_max, s_min=s_min,
                        alpha=alpha, beta=beta)
-    bound = ((s_max - 1.0) * _modulus(alpha, eps / (p40 - p10))
-             + (1.0 - s_min) * _modulus(beta, eps / (p90 - p60)))
-    assert abs(scale_factor(s, x + eps) - scale_factor(s, x)) <= bound + 1e-9
+    y = x + eps
+    step = y - x
+    bound = ((s_max - 1.0) * _modulus(alpha, step / (p40 - p10))
+             + (1.0 - s_min) * _modulus(beta, step / (p90 - p60)))
+    assert abs(scale_factor(s, y) - scale_factor(s, x)) <= bound + 1e-9

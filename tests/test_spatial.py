@@ -145,3 +145,51 @@ def test_bounded_nearest_equals_trimmed_unbounded(points, queries, bound):
     b = unbounded[0]
     if b > 0:
         assert idx.nearest_distance_many(queries[:1], bound=b)[0] == b
+
+
+def brute_flat(points, centers, radii):
+    """Closed balls by the kd-tree's own test, (dx*dx + dy*dy) + dz*dz <= r*r."""
+    d = points[None, :, :] - centers[:, None, :]
+    d2 = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+    inside = d2 <= radii[:, None] * radii[:, None]
+    offsets = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    return np.nonzero(inside)[1], offsets
+
+
+_ball_coords = st.one_of(st.floats(-1, 1, allow_subnormal=False),
+                         st.sampled_from([0.0, 0.25, -0.5]))
+
+
+@st.composite
+def _ball_case(draw):
+    points = draw(arrays(np.float64, (draw(st.integers(1, 40)), 3), elements=_ball_coords))
+    centers = draw(arrays(np.float64, (draw(st.integers(0, 20)), 3), elements=_ball_coords))
+    radii = np.empty(len(centers))
+    for i, c in enumerate(centers):
+        # a free radius, or one point's distance from the center and the
+        # floats one ulp either side: where sqrt(d2) <= r and d2 <= r*r
+        # can disagree
+        kind = draw(st.sampled_from(["free", "at", "below", "above"]))
+        if kind == "free":
+            radii[i] = draw(st.floats(0, 2))
+            continue
+        d = points[draw(st.integers(0, len(points) - 1))] - c
+        radii[i] = np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+        if kind != "at":
+            radii[i] = np.nextafter(radii[i], 0.0 if kind == "below" else 3.0)
+    return points, centers, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ball_case())
+# squares are subnormal: d2 <= r*r holds although sqrt(d2) > r by far more than an ulp
+@example(case=(np.zeros((1, 3)), np.array([[1.1219638162832103e-161, 0.0, 0.0]]),
+               np.array([1.1042791565325132e-161])))
+def test_ball_query_equals_brute_force_closed_ball(case):
+    points, centers, radii = case
+    idx = build_index(PointCloud(points))
+    want_flat, want_offsets = brute_flat(points, centers, radii)
+    for workers in (1, 2, 3, -1):
+        flat, offsets = idx.radius_query_flat(centers, radii, workers=workers)
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(offsets, want_offsets)
