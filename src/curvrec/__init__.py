@@ -1,8 +1,7 @@
 """Curvature-adaptive unsigned-distance-field surface reconstruction."""
 
 from .curvature import CurvatureField, curvature_field, percentile
-from .estimator import (NearestPointEstimator, PlaneFitEstimator, UdfEstimator,
-                        make_estimator)
+from .estimator import NearestPointEstimator, PlaneFitEstimator, make_estimator
 from .extract import IsoSpec, marching_cubes
 from .grid import (AdaptiveGrid, LatticeSpec, coarse_queries, hierarchical_fill,
                    load_field, refine_with_parents, save_field, select_hot)

@@ -12,6 +12,7 @@ import sys
 from dataclasses import fields
 
 from . import io, pipeline
+from .curvature import PERCENTILES
 from .errors import ReconstructionError
 from .fixtures import make_fixture
 from .metrics import evaluate, sample_mesh
@@ -19,9 +20,7 @@ from .pipeline import PipelineConfig
 
 
 def _threshold(text):
-    if text in ("p10", "p40", "p60", "p90"):
-        return text
-    return float(text)
+    return text if text in PERCENTILES else float(text)
 
 
 # The value parser of each PipelineConfig setting: one table drives both

@@ -19,6 +19,18 @@ DEGENERATE_TRACE = 1e-15
 
 MAX_VARIATION = 1.0 / 3.0
 
+# The percentiles a threshold setting may name instead of a number.
+PERCENTILES = ("p10", "p40", "p60", "p90")
+
+
+def check_threshold(selector):
+    """The selector unchanged if it names one of PERCENTILES or is not a
+    string (a numeric threshold); ValueError otherwise."""
+    if isinstance(selector, str) and selector not in PERCENTILES:
+        raise ValueError(f"unknown percentile selector {selector!r} "
+                         f"(expected one of {', '.join(PERCENTILES)} or a number)")
+    return selector
+
 
 def percentile(values, p) -> float:
     """Linear-interpolation percentile of a non-empty list, p in [0, 100]."""
@@ -65,13 +77,9 @@ class CurvatureField:
         return self.ids.size
 
     def percentile_value(self, selector):
-        """Resolve 'p10'/'p40'/'p60'/'p90' or a numeric threshold."""
+        """Resolve one of PERCENTILES or a numeric threshold."""
         if isinstance(selector, str):
-            try:
-                return {"p10": self.p10, "p40": self.p40,
-                        "p60": self.p60, "p90": self.p90}[selector]
-            except KeyError:
-                raise ValueError(f"unknown percentile selector {selector!r}") from None
+            return getattr(self, check_threshold(selector))
         return float(selector)
 
 
@@ -101,7 +109,7 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
     ids, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for start in range(0, candidates.size, spatial.CHUNK):
         rows = candidates[start:start + spatial.CHUNK]
-        flat, offsets = index.radius_query_flat(positions[rows], r0, workers=workers)
+        flat, offsets = index.radius_query_flat(positions[rows], r0)
         counts = np.diff(offsets)
         keep = counts >= 3
         ids.append(query_ids[rows[keep]])

@@ -1,9 +1,10 @@
 """Per-patch unsigned distance estimation.
 
-Estimators consume stacked queries and weighted CSR patches and return a
-nonnegative distance per query, so a learned model can be swapped in
-behind the same interface. Two analytic estimators are provided: nearest
-patch point, and point-to-fitted-plane clamped by the nearest-point value.
+An estimator's estimate_batch(queries, patches) takes stacked (m, 3)
+queries and their m weighted CSR patches (patch.Patches) and returns a
+nonnegative distance per query; make_estimator picks one by name. Two
+analytic estimators are provided: nearest patch point, and
+point-to-fitted-plane clamped by the nearest-point value.
 """
 
 import numpy as np
@@ -15,15 +16,7 @@ from .patch import segmented_moments
 _PLANE_DEGENERACY = 1e-12
 
 
-class UdfEstimator:
-    """Deterministic distance per (query, patch) row."""
-
-    def estimate_batch(self, queries, patches):
-        """Estimates for stacked (m, 3) queries and their m patch.Patches."""
-        raise NotImplementedError
-
-
-class NearestPointEstimator(UdfEstimator):
+class NearestPointEstimator:
     """Minimum Euclidean distance from the query to its patch points."""
 
     def estimate_batch(self, queries, patches):
@@ -31,7 +24,7 @@ class NearestPointEstimator(UdfEstimator):
         return _nearest(np.asarray(queries, dtype=np.float64), patches, mean)
 
 
-class PlaneFitEstimator(UdfEstimator):
+class PlaneFitEstimator:
     """Distance to the best-fit patch plane, clamped by the nearest point.
 
     The plane passes through the patch centroid with the smallest
@@ -60,7 +53,7 @@ def _nearest(queries, patches, mean):
     return np.sqrt(np.where(patches.centroid_copies > 0, np.minimum(d2, (c * c).sum(axis=1)), d2))
 
 
-def make_estimator(name) -> UdfEstimator:
+def make_estimator(name):
     if name == "nearest":
         return NearestPointEstimator()
     if name == "plane":

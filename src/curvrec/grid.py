@@ -134,24 +134,18 @@ def _refine_candidates(spec: LatticeSpec, hot_ids):
     Returns (candidate flat ids, position of the first claiming hot vertex
     in hot_ids), candidates sorted ascending; includes block centers.
     """
-    hot_ids = np.asarray(hot_ids, dtype=np.int64)
-    if hot_ids.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     base = spec.unflatten(hot_ids)
     off = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1],
                                indexing="ij"), axis=-1).reshape(27, 3)
     cand = base[:, None, :] + off[None, :, :]
-    parent = np.repeat(np.arange(hot_ids.size, dtype=np.int64), 27)
+    parent = np.repeat(np.arange(len(base), dtype=np.int64), 27)
     cand = cand.reshape(-1, 3)
     inside = np.all((cand >= 0) & (cand < spec.fine_n), axis=1)
     cand, parent = cand[inside], parent[inside]
-    flat = spec.flat_id(cand)
-    # stable first-parent-wins dedup: order by (id, parent position)
-    order = np.lexsort((parent, flat))
-    flat, parent = flat[order], parent[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
-    return flat[first], parent[first]
+    # candidates run in hot_ids order, so each id's first occurrence is
+    # its first claiming hot vertex
+    flat, first = np.unique(spec.flat_id(cand), return_index=True)
+    return flat, parent[first]
 
 
 def refine_with_parents(grid: AdaptiveGrid, hot_ids):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import io, spatial
-from .curvature import CurvatureField, curvature_field
+from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
@@ -61,12 +61,19 @@ class PipelineConfig:
     dump_field: str | None = None
 
     def __post_init__(self):  # a bad setting fails before any file is read
+        LatticeSpec(coarse_cells=self.coarse_cells, margin_cells=self.margin_cells)
+        RadiusSchedule(0.0, 0.0, 0.0, 0.0, s_max=self.s_max, s_min=self.s_min,
+                       alpha=self.alpha, beta=self.beta, r0=self.r0)
+        check_threshold(self.refine_threshold)
+        check_threshold(self.resample_threshold)
         make_estimator(self.estimator)
         if not self.far_cap > 0:
             raise ValueError("far_cap must be positive")
         ResamplePolicy(target_count=self.target_count, rng_seed=self.seed)
         if self.iso_eps is not None:
             IsoSpec(self.iso_eps)
+        if not self.sample_count > 0:
+            raise ValueError("sample_count must be positive")
         if not (self.workers == -1 or self.workers >= 1):
             raise ValueError(f"workers must be -1 (every CPU) or at least 1, not {self.workers}")
 
@@ -145,7 +152,7 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, nn, patch, udf, workers):
+                      policy, estimator, far_cap, nn, patch, udf):
     """UDF value per query: patch pipeline inside the radius, capped
     nearest distance outside. nn must be exact up to max(far_cap, radii);
     a query whose nn reads inf gets far_cap. Wall time is appended to the
@@ -158,8 +165,7 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
     for start in range(0, near_rows.size, spatial.CHUNK):
         rows = near_rows[start:start + spatial.CHUNK]
         with stage("evaluate", patch):
-            flat, offsets = index.radius_query_flat(positions[rows], radii[rows],
-                                                    workers=workers)
+            flat, offsets = index.radius_query_flat(positions[rows], radii[rows])
             # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
             # a query whose ball came back empty keeps its far value.
             hit = np.diff(offsets) > 0
@@ -253,7 +259,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             ids, positions = coarse_queries(spec)
             # One prefilter serves the curvature candidates (nn <= r0), the
             # coarse rows of evaluate (radius <= r0 * s_max) and the band.
-            near_bound = max(config.r0 * max(config.s_max, 1.0), iso.eps)
+            near_bound = max(config.r0 * config.s_max, iso.eps)
             coarse_nn = _coarse_nearest(index, spec, positions, near_bound,
                                         config.far_cap, config.workers)
             cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, coarse_nn)
@@ -283,7 +289,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
                             curvature_threshold=threshold, rng_seed=config.seed)
     with stage("evaluate"):
         values = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                   estimator, config.far_cap, nn, patch, udf, config.workers)
+                                   estimator, config.far_cap, nn, patch, udf)
         grid.set_values(ids, values)
     with stage("fill", udf):
         hierarchical_fill(grid)

@@ -34,7 +34,7 @@ class RadiusSchedule:
             raise ValueError("breakpoints must be non-decreasing")
         if not (self.s_min < 1.0 < self.s_max):
             raise ValueError("need s_min < 1 < s_max")
-        if self.alpha <= 0 or self.beta <= 0 or self.r0 <= 0:
+        if not (self.alpha > 0 and self.beta > 0 and self.r0 > 0):
             raise ValueError("alpha, beta, r0 must be positive")
 
     @classmethod
@@ -54,25 +54,16 @@ def scale_factor(sched: RadiusSchedule, sigma):
     if np.any(sig < 0):
         raise ValueError("surface variation must be nonnegative")
 
-    out = np.empty_like(sig)
-    done = np.zeros(sig.shape, dtype=bool)
-
-    def take(mask, values):
-        use = mask & ~done
-        out[use] = values[use] if isinstance(values, np.ndarray) else values
-        done[use] = True
-
-    take(sig <= sched.p10, sched.s_max)
-    with np.errstate(over="ignore"):  # a subnormal ramp width; the clip caps it at 1
-        if sched.p40 > sched.p10:
-            g1 = np.power(np.clip((sig - sched.p10) / (sched.p40 - sched.p10), 0, 1), sched.alpha)
-            take(sig < sched.p40, (1.0 - g1) * sched.s_max + g1)
-        take(sig < sched.p60, 1.0)
-        if sched.p90 > sched.p60:
-            g2 = np.power(np.clip((sig - sched.p60) / (sched.p90 - sched.p60), 0, 1), sched.beta)
-            take(sig < sched.p90, 1.0 - (1.0 - sched.s_min) * g2)
-    take(np.ones_like(done), sched.s_min)
-
+    # Both ramps are computed everywhere. A subnormal ramp width overflows
+    # to inf, which the clip caps at 1; a collapsed ramp (p10 == p40 or
+    # p60 == p90) divides by zero, but its case is never selected.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g1 = np.power(np.clip((sig - sched.p10) / (sched.p40 - sched.p10), 0, 1), sched.alpha)
+        g2 = np.power(np.clip((sig - sched.p60) / (sched.p90 - sched.p60), 0, 1), sched.beta)
+    out = np.select([sig <= sched.p10, sig < sched.p40, sig < sched.p60, sig < sched.p90],
+                    [sched.s_max, (1.0 - g1) * sched.s_max + g1, 1.0,
+                     1.0 - (1.0 - sched.s_min) * g2],
+                    sched.s_min)
     return float(out[0]) if scalar else out
 
 

@@ -2,8 +2,8 @@
 
 Backed by scipy's kd-tree, which is exact: radius queries return the
 closed ball (distance <= r) and nearest queries the true minimum, so
-results are interchangeable with brute force. All query methods are
-read-only and safe to call from concurrent workers.
+results are interchangeable with brute force. Queries are read-only.
+workers reaches only scipy's native threads in the nearest query.
 
 The kd-tree is built with compact_nodes=False: shrinking each node's box
 to its points' range makes far queries slower here, not faster. On
@@ -19,6 +19,12 @@ query_ball_point returns one Python list per center, and flattening
 those lists into CSR arrays cost as much as the search; on sphere-c64's
 evaluate blocks the lists took 0.69 s and the dual tree 0.44 s for the
 same indices (2-core x86-64).
+
+Each block is one search on the calling thread. Splitting a block's
+centers over two threads took sphere-c64's 71 ball blocks from 0.54 s
+to 0.45 s (median of 8 alternating pairs), a share too small to show in
+the whole run at workers=2: 2.94 s with the split, 2.91 s without
+(median of 10 alternating pairs, 5 won each way; 2-core x86-64).
 """
 
 import numpy as np
@@ -36,9 +42,9 @@ _BOUND_PAD = 1.0 + 1e-9
 _MIN_SEARCH = 1e-150
 
 # Centers per block of ball-query and patch work. Results never depend on
-# it (nor on workers); it bounds the memory a block holds, which grows with
-# it: the ball query's pairs (24 bytes each, found at the block's largest
-# radius) and curvature's (E, 3, 3) outer products. On dense-sheets-c64
+# it; it bounds the memory a block holds, which grows with it: the ball
+# query's pairs (24 bytes each, found at the block's largest radius) and
+# curvature's (E, 3, 3) outer products. On dense-sheets-c64
 # (400k points, 2-core x86-64) peak RSS was 351 MB at 8192, 255 at 4096,
 # 212 at 2048 and 213 at 1024, so 2048 is the largest block at that floor.
 CHUNK = 2048
@@ -56,42 +62,15 @@ class SpatialIndex:
     def __len__(self):
         return self.points.shape[0]
 
-    def radius_query_flat(self, centers, radii, workers=1):
+    def radius_query_flat(self, centers, radii):
         """Batched closed-ball query; radii may be scalar or per-center.
 
         Returns (flat, offsets): the ascending indices of center i are
         flat[offsets[i]:offsets[i + 1]]. Point j is in ball i when
         (dx*dx + dy*dy) + dz*dz <= r_i*r_i, the kd-tree's own test.
-        workers > 1 (or -1, all CPUs) splits the centers into contiguous
-        slices searched on threads; the result does not depend on it.
         """
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:1])
-        if workers == -1:
-            import os
-            workers = os.cpu_count()
-        parts = max(min(workers, len(centers)), 1)
-        cuts = np.linspace(0, len(centers), parts + 1).astype(np.int64)
-
-        def search(k):
-            a, b = cuts[k], cuts[k + 1]
-            return self._ball_keys(centers[a:b], radii[a:b], a)
-
-        if parts > 1:  # this thread searches the first slice itself
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(parts - 1) as pool:
-                rest = [pool.submit(search, k) for k in range(1, parts)]
-                # slices are contiguous, so their sorted keys stay ascending
-                key = np.concatenate([search(0)] + [f.result() for f in rest])
-        else:
-            key = search(0)
-        n = len(self)
-        offsets = np.zeros(len(centers) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key // n, minlength=len(centers)), out=offsets[1:])
-        return key % n, offsets
-
-    def _ball_keys(self, centers, radii, first):
-        """Ascending (first + center row) * len(self) + point index per ball entry."""
         # One search at the largest radius, then each pair against its own.
         pairs = cKDTree(centers).sparse_distance_matrix(
             self._tree, radii.max(initial=0.0), output_type="ndarray")
@@ -104,11 +83,15 @@ class SpatialIndex:
         tie = np.flatnonzero((np.abs(v - r) <= 4 * np.spacing(r)) | (r < _MIN_SEARCH))
         d = self.points[j[tie]] - centers[i[tie]]
         keep[tie] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2] <= r[tie] * r[tie]
-        return np.sort((i[keep] + first) * len(self) + j[keep])
+        n = len(self)
+        key = np.sort(i[keep] * n + j[keep])
+        offsets = np.zeros(len(centers) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // n, minlength=len(centers)), out=offsets[1:])
+        return key % n, offsets
 
-    def radius_query_many(self, centers, radii, workers=1):
+    def radius_query_many(self, centers, radii):
         """radius_query_flat as a list of ascending index arrays, one per center."""
-        flat, offsets = self.radius_query_flat(centers, radii, workers=workers)
+        flat, offsets = self.radius_query_flat(centers, radii)
         return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
     def nearest_distance_many(self, queries, workers=1, bound=np.inf):

@@ -118,7 +118,7 @@ def test_far_examples():
         nn = pipeline._nearest(index, positions, radii, far_cap, workers=1)
         return pipeline._evaluate_queries(
             index, positions, radii, np.zeros(m), np.arange(m), policy,
-            make_estimator("nearest"), far_cap, nn, [], [], 1)
+            make_estimator("nearest"), far_cap, nn, [], [])
 
     assert estimate_far([0.0, 0, 0], far_cap=0.1).tolist() == [0.0]
     assert estimate_far([10.0, 0, 0], far_cap=0.1)[0] == pytest.approx(0.1)
@@ -178,7 +178,7 @@ class _FixedBalls:
         self.points = points
         self._csr = (flat, offsets)
 
-    def radius_query_flat(self, centers, radii, workers=1):
+    def radius_query_flat(self, centers, radii):
         return self._csr
 
 
@@ -221,7 +221,7 @@ def test_weighted_csr_estimate_matches_padded_oracle(seed, target, rows):
     for name, oracle in (("plane", plane_oracle), ("nearest", nearest_oracle)):
         got = pipeline._evaluate_queries(
             _FixedBalls(points, flat, offsets), queries, np.ones(m), sigmas, query_ids,
-            policy, make_estimator(name), 1.0, np.zeros(m), [], [], 1)
+            policy, make_estimator(name), 1.0, np.zeros(m), [], [])
         expect = [oracle(q, resample_oracle(p, s, policy, query_id=i, point_ids=ids))
                   for q, p, s, i, ids in zip(queries, patches, sigmas, query_ids,
                                              np.split(flat, offsets[1:-1]))]

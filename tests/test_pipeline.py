@@ -221,7 +221,7 @@ def test_point_exactly_at_query_radius_is_near():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values = pipeline._evaluate_queries(
         index, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
-        make_estimator("nearest"), 0.1, nn, [], [], 1)
+        make_estimator("nearest"), 0.1, nn, [], [])
     assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
 
 
@@ -239,7 +239,7 @@ def test_empty_ball_at_nn_radius_keeps_far_value():
     m = positions.shape[0]
     values = pipeline._evaluate_queries(
         index, positions, nn, np.zeros(m), np.arange(m), policy,
-        make_estimator("nearest"), 1.0, nn, [], [], 1)
+        make_estimator("nearest"), 1.0, nn, [], [])
     assert np.array_equal(values[empty], nn[empty])
     assert np.allclose(values, nn, rtol=0, atol=1e-15)
 
@@ -331,6 +331,15 @@ def test_seed_outside_uint64_raises(sphere_cloud, seed):
     # resample reads the seed as a uint64; the config rejects it up front.
     with pytest.raises(ValueError, match="seed"):
         run_pipeline(small_config(coarse_cells=12, seed=seed), sphere_cloud)
+
+
+@pytest.mark.parametrize("setting", ["refine_threshold", "resample_threshold"])
+def test_unknown_percentile_selector_raises(setting):
+    # only the four percentiles of the field can be named; checked up front
+    with pytest.raises(ValueError, match="unknown percentile selector 'p50'"):
+        PipelineConfig(**{setting: "p50"})
+    PipelineConfig(**{setting: "p90"})
+    PipelineConfig(**{setting: 0.3})
 
 
 # --- CLI surface ---------------------------------------------------------
@@ -475,6 +484,13 @@ _BAD_SETTINGS = [
     (["--target-count", "0"], "target_count must be positive"),
     (["--iso-eps", "0"], "offset level must be positive"),
     (["--workers", "0"], "workers must be -1 (every CPU) or at least 1, not 0"),
+    (["--coarse-cells", "4", "--margin-cells", "3"], "coarse_cells must exceed twice the margin"),
+    (["--margin-cells", "-1"], "margin_cells must be nonnegative"),
+    (["--s-min", "1.5"], "need s_min < 1 < s_max"),
+    (["--s-max", "0.9"], "need s_min < 1 < s_max"),
+    (["--alpha", "0"], "alpha, beta, r0 must be positive"),
+    (["--r0", "-1"], "alpha, beta, r0 must be positive"),
+    (["--sample-count", "0"], "sample_count must be positive"),
 ]
 
 
