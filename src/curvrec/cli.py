@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from . import io, pipeline
-from .curvature import PERCENTILES
+from .curvature import check_threshold
 from .errors import ReconstructionError
 from .fixtures import make_fixture
 from .metrics import evaluate, sample_mesh
@@ -20,7 +20,13 @@ from .pipeline import PipelineConfig
 
 
 def _threshold(text):
-    return text if text in PERCENTILES else float(text)
+    try:
+        return float(text)
+    except ValueError:
+        try:
+            return check_threshold(text)
+        except ValueError as exc:  # argparse prints only this type's message
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # The value parser of each PipelineConfig setting: one table drives both
@@ -180,7 +186,7 @@ def main(argv=None):
         stage = getattr(exc, "stage", "pipeline")
         print(f"error[{stage}]: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

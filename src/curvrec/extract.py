@@ -54,9 +54,9 @@ def marching_cubes(field, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
 
     inside = values < level
     # cube index: bit c set when corner c is inside
-    cube_idx = np.zeros((n - 1, n - 1, n - 1), dtype=np.int32)
+    cube_idx = np.zeros((n - 1, n - 1, n - 1), dtype=np.uint8)
     for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-        cube_idx |= inside[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1].astype(np.int32) << c
+        cube_idx |= inside[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1].view(np.uint8) << c
 
     # a cube is crossed unless all its corners lie on one side
     active = np.flatnonzero((cube_idx != 0) & (cube_idx != 255))

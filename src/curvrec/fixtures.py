@@ -41,8 +41,8 @@ def sheets_cloud(count=50000, gap=0.045, side=1.0, noise=0.0, seed=0) -> PointCl
     """Two parallel square sheets at z = +/- gap/2.
 
     The first half of the points lies on the upper sheet, the second half
-    on the lower (sheet_membership recovers this split). noise is the
-    standard deviation of isotropic Gaussian jitter.
+    on the lower. noise is the standard deviation of isotropic Gaussian
+    jitter.
     """
     rng = np.random.default_rng(seed)
     half = count // 2
@@ -59,12 +59,6 @@ def sheets_cloud(count=50000, gap=0.045, side=1.0, noise=0.0, seed=0) -> PointCl
         nrm[:, 2] = np.sign(z) if z != 0 else 1.0
         normals.append(nrm)
     return PointCloud(np.vstack(pieces), np.vstack(normals))
-
-
-def sheet_membership(cloud_size: int):
-    """Index split of sheets_cloud: (upper sheet indices, lower sheet indices)."""
-    half = cloud_size // 2
-    return np.arange(half), np.arange(half, cloud_size)
 
 
 def make_fixture(shape, count=50000, seed=0, radius=0.3, side=1.0,

@@ -88,14 +88,6 @@ class LatticeSpec:
         return self.fine_position(self.unflatten(ids))
 
 
-def coarse_queries(spec: LatticeSpec):
-    """All coarse vertices as (flat fine ids, positions), lexicographic order."""
-    axis = np.arange(0, spec.fine_n, 2, dtype=np.int64)
-    i, j, k = np.meshgrid(axis, axis, axis, indexing="ij")
-    ijk = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
-    return spec.flat_id(ijk), spec.fine_position(ijk)
-
-
 class AdaptiveGrid:
     """Field values over the fine lattice, and which sites were evaluated
     directly (coarse from the start, refined later) rather than filled."""

@@ -100,23 +100,6 @@ def _nc(a, b, ab, ba):
     return 0.5 * (directional(a, b, ab[1]) + directional(b, a, ba[1]))
 
 
-def chamfer(a: PointCloud, b: PointCloud, workers=1) -> float:
-    """x1000 * (mean_a min-dist-to-b + mean_b min-dist-to-a)."""
-    return _chamfer(*_matches(a, b, "chamfer distance", workers))
-
-
-def f1_score(a: PointCloud, b: PointCloud, tau: float, workers=1) -> float:
-    """Harmonic precision/recall mean at closed distance threshold tau."""
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
-    return _f1(*_matches(a, b, "f1", workers), tau)
-
-
-def normal_consistency(a: PointCloud, b: PointCloud, workers=1) -> float:
-    """Symmetric mean |cos| between nearest-neighbor-matched normals."""
-    return _nc(a, b, *_matches(a, b, "normal consistency", workers))
-
-
 def evaluate(reconstructed: PointCloud, reference: PointCloud,
              sample_count: int, seed: int, workers=1) -> MetricReport:
     """Full report between two sampled/loaded clouds; one nearest-neighbour

@@ -7,10 +7,10 @@ hierarchical fill, offset-level marching cubes, denormalize. Timing
 splits into patch_time (curvature, radius modulation, query addition,
 extraction, resampling) and udf_time (estimation plus fill interpolation).
 
-baseline_mode changes only the query set: every fine vertex at the fixed
-radius r0, without curvature (the uniform-grid setup the adaptive
-strategy is measured against). Both modes run the same evaluate, fill
-and extract.
+baseline_mode changes only the query set: every fine vertex that can
+reach the mesh, at the fixed radius r0, without curvature (the
+uniform-grid setup the adaptive strategy is measured against). Both
+modes run the same evaluate, fill and extract.
 """
 
 import time
@@ -24,8 +24,8 @@ from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, coarse_queries,
-                   hierarchical_fill, refine_with_parents, save_field, select_hot)
+from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, hierarchical_fill,
+                   refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
 from .patch import Patches, ResamplePolicy, csr_subset, pad_weights, resample
@@ -184,43 +184,45 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
     return values
 
 
-def _nearest(index, positions, radii, far_cap, workers):
-    """Nearest distance, exact up to max(far_cap, radii): what
-    _evaluate_queries reads of it."""
-    return index.nearest_distance_many(positions, workers=workers,
-                                       bound=np.max(radii, initial=far_cap))
+def _band_sites(spec, points, stride, near_bound):
+    """Ascending flat ids of the stride-`stride` lattice sites (2: coarse,
+    1: fine) within one step (Chebyshev) of a site that can lie within
+    near_bound of a point. Such a site is within near_bound / step + 1/2
+    steps, per axis, of the point's nearest site clipped into the lattice
+    (clipping moves it toward every site), so dilating those marks by
+    floor(near_bound / step + 1/2) + 1 steps, plus slack for rounding,
+    covers it and its ring.
 
-
-def _far_band(near, n):
-    """Sites of the (n, n, n) coarse lattice within one coarse step
-    (Chebyshev) of a near site, flat like near."""
-    band = near.reshape(n, n, n).copy()
-    for axis in range(3):
-        view = np.moveaxis(band, axis, 0)
-        view[1:] |= view[:-1]
-        view[:-1] |= view[1:]
-    return band.ravel()
-
-
-def _coarse_nearest(index, spec, positions, near_bound, far_cap, workers):
-    """Coarse-lattice nn, exact up to near_bound everywhere and up to
-    max(near_bound, far_cap) in the band around sites within near_bound;
-    inf elsewhere, so that evaluate gives those sites far_cap.
-
-    The mesh cannot tell: with near_bound at least every radius and the
-    offset level, a coarse cell with an out-of-band corner has no corner
-    within near_bound, so no hot corner and no refined site. Its corners
-    read at least min(near_bound, far_cap), as do the sites filled from
-    them; no inside flag or crossed edge changes. Only field values
-    outside the band do (--dump-field).
+    The mesh cannot tell that sites outside read far_cap: with near_bound
+    at least every radius and the offset level, a cell with a corner
+    within near_bound has all its corners in the band. So a cell with an
+    out-of-band corner has no corner within near_bound, no hot corner and
+    no refined site; its corners read at least min(near_bound, far_cap),
+    as do the sites filled from them, and no inside flag or crossed edge
+    changes. Only field values outside the band do (--dump-field).
     """
-    nn = index.nearest_distance_many(positions, workers=workers, bound=near_bound)
-    if far_cap > near_bound:
-        n = spec.coarse_cells + 1
-        redo = np.flatnonzero(_far_band(nn <= near_bound, n) & np.isinf(nn))
-        nn[redo] = index.nearest_distance_many(positions[redo], workers=workers,
-                                               bound=far_cap)
-    return nn
+    m = (spec.fine_n - 1) // stride + 1
+    step = stride * spec.fine_spacing
+    site = np.clip(np.rint((points - spec.domain_min) / step), 0, m - 1).astype(np.intp)
+    band = np.zeros((m, m, m), dtype=bool)
+    band[site[:, 0], site[:, 1], site[:, 2]] = True
+    for _ in range(int(min(near_bound / step + 0.5 + 1e-9, m)) + 1):
+        for axis in range(3):  # a cube dilation is an interval dilation per axis
+            view = np.moveaxis(band, axis, 0)
+            view[1:] |= view[:-1]
+            view[:-1] |= view[1:]
+    return spec.flat_id(stride * np.argwhere(band))
+
+
+def _band_queries(config, index, grid, stride, near_bound):
+    """_band_sites' (ids, positions, nn), nn exact up to max(near_bound,
+    far_cap); every other stride site gets far_cap."""
+    n = grid.spec.fine_n
+    grid.values.reshape(n, n, n)[::stride, ::stride, ::stride] = config.far_cap
+    ids = _band_sites(grid.spec, index.points, stride, near_bound)
+    positions = grid.spec.position_of_id(ids)
+    return ids, positions, index.nearest_distance_many(
+        positions, workers=config.workers, bound=max(near_bound, config.far_cap))
 
 
 def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
@@ -245,24 +247,20 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     # The mode picks the query set; evaluate, fill and extract are shared.
     if config.baseline_mode:
         with stage("evaluate", patch):
-            # every fine vertex at the fixed radius, no curvature
-            # conditioning: always centroid-pad
-            ids = np.arange(spec.total_fine_vertices)
+            # every fine vertex that can reach the mesh, at the fixed
+            # radius, no curvature conditioning: always centroid-pad
             grid.evaluated[:] = True
-            positions = spec.position_of_id(ids)
+            ids, positions, nn = _band_queries(config, index, grid, 1, max(config.r0, iso.eps))
             radii = np.full(ids.size, config.r0)
             sigmas = np.zeros(ids.size)
             threshold = np.inf
-            nn = _nearest(index, positions, radii, config.far_cap, config.workers)
     else:
         with stage("curvature", patch):
-            ids, positions = coarse_queries(spec)
-            # One prefilter serves the curvature candidates (nn <= r0), the
-            # coarse rows of evaluate (radius <= r0 * s_max) and the band.
-            near_bound = max(config.r0 * config.s_max, iso.eps)
-            coarse_nn = _coarse_nearest(index, spec, positions, near_bound,
-                                        config.far_cap, config.workers)
-            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, coarse_nn)
+            # One prefilter serves the curvature candidates (nn <= r0) and
+            # the coarse rows of evaluate (radius <= r0 * s_max).
+            ids, positions, nn = _band_queries(config, index, grid, 2,
+                                               max(config.r0 * config.s_max, iso.eps))
+            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -279,8 +277,9 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             # close layers), so they keep the nominal radius.
             radii[~has_sigma] = np.minimum(radii[~has_sigma], config.r0)
             new_pos = spec.position_of_id(new_ids)
-            nn = np.concatenate([coarse_nn, _nearest(
-                index, new_pos, radii[ids.size:], config.far_cap, config.workers)])
+            nn = np.concatenate([nn, index.nearest_distance_many(
+                new_pos, workers=config.workers,
+                bound=np.max(radii[ids.size:], initial=config.far_cap))])
             ids = np.concatenate([ids, new_ids])
             positions = np.vstack([positions, new_pos])
             threshold = cf.percentile_value(config.resample_threshold)
@@ -368,8 +367,8 @@ def bench(config: PipelineConfig, cloud: PointCloud | None = None,
 def curvature_summary(config: PipelineConfig, cloud: PointCloud | None = None):
     """Curvature field over the coarse lattice, for the text dump."""
     norm_cloud, _, index, spec = _prepare(config, cloud)
-    ids, positions = coarse_queries(spec)
     with stage("curvature"):
-        cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions)
+        ids = _band_sites(spec, index.points, 2, config.r0)
+        cf = _coarse_curvature(config, norm_cloud, index, spec, ids, spec.position_of_id(ids))
     return cf, spec
 

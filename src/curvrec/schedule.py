@@ -34,6 +34,8 @@ class RadiusSchedule:
             raise ValueError("breakpoints must be non-decreasing")
         if not (self.s_min < 1.0 < self.s_max):
             raise ValueError("need s_min < 1 < s_max")
+        if not np.isfinite(self.s_max):  # an infinite radius takes in the whole cloud
+            raise ValueError(f"s_max must be finite, not {self.s_max}")
         if not (self.alpha > 0 and self.beta > 0 and self.r0 > 0):
             raise ValueError("alpha, beta, r0 must be positive")
 

@@ -1,7 +1,8 @@
-"""Scalar reference implementations the batched pipeline code is checked against.
+"""Reference implementations the batched pipeline code is checked against,
+and helpers only tests use.
 
-Each function handles one point set (or one query and its patch) with
-plain numpy, in the most direct form of the formula.
+Each scalar function handles one point set (or one query and its patch)
+with plain numpy, in the most direct form of the formula.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from curvrec.curvature import DEGENERATE_TRACE
 from curvrec.errors import EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
+from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
 
 def covariance3(points):
@@ -100,3 +102,34 @@ def resample(points, sigma, policy, query_id=0, point_ids=None):
     else:
         fill = pts[np.arange(target - n) % n]
     return np.concatenate([pts, fill], axis=0)
+
+
+def coarse_queries(spec):
+    """All coarse vertices as (flat fine ids, positions), lexicographic order."""
+    axis = np.arange(0, spec.fine_n, 2, dtype=np.int64)
+    i, j, k = np.meshgrid(axis, axis, axis, indexing="ij")
+    ijk = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
+    return spec.flat_id(ijk), spec.fine_position(ijk)
+
+
+def sheet_membership(cloud_size):
+    """Index split of fixtures.sheets_cloud: (upper sheet indices, lower sheet indices)."""
+    half = cloud_size // 2
+    return np.arange(half), np.arange(half, cloud_size)
+
+
+def chamfer(a, b, workers=1) -> float:
+    """x1000 * (mean_a min-dist-to-b + mean_b min-dist-to-a)."""
+    return _chamfer(*_matches(a, b, "chamfer distance", workers))
+
+
+def f1_score(a, b, tau, workers=1) -> float:
+    """Harmonic precision/recall mean at closed distance threshold tau."""
+    if tau <= 0:
+        raise ValueError("threshold must be positive")
+    return _f1(*_matches(a, b, "f1", workers), tau)
+
+
+def normal_consistency(a, b, workers=1) -> float:
+    """Symmetric mean |cos| between nearest-neighbor-matched normals."""
+    return _nc(a, b, *_matches(a, b, "normal consistency", workers))

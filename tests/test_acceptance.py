@@ -11,13 +11,13 @@ import pytest
 
 from curvrec import fixtures
 from curvrec.curvature import _segmented_variation, curvature_field
-from curvrec.grid import (AdaptiveGrid, LatticeSpec, coarse_queries, hierarchical_fill,
-                          refine_with_parents)
-from curvrec.metrics import chamfer, f1_score, normal_consistency, sample_mesh
+from curvrec.grid import AdaptiveGrid, LatticeSpec, hierarchical_fill, refine_with_parents
+from curvrec.metrics import sample_mesh
 from curvrec.model import PointCloud, normalize_cloud
 from curvrec.pipeline import PipelineConfig, bench, run_pipeline
 from curvrec.schedule import RadiusSchedule, radius as sched_radius, scale_factor
 from curvrec.spatial import build_index
+from oracles import chamfer, coarse_queries, f1_score, normal_consistency
 
 
 def _verdict(num, label, checks, elapsed, budget):

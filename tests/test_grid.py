@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
-from curvrec.grid import (AdaptiveGrid, LatticeSpec, coarse_queries, hierarchical_fill,
-                          load_field, refine_with_parents, save_field, select_hot)
+from curvrec.grid import (AdaptiveGrid, LatticeSpec, hierarchical_fill, load_field,
+                          refine_with_parents, save_field, select_hot)
+from oracles import coarse_queries
 
 
 def fresh_grid(coarse_cells=8, margin_cells=2):

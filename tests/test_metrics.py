@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from curvrec.errors import EmptyInput, MissingNormals, NoArea
-from curvrec.metrics import (MetricReport, chamfer, evaluate, f1_score,
-                             normal_consistency, sample_mesh)
+from curvrec.metrics import MetricReport, evaluate, sample_mesh
 from curvrec.model import PointCloud, TriangleMesh
+from oracles import chamfer, f1_score, normal_consistency
 
 
 def brute_chamfer(a, b):

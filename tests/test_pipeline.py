@@ -8,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvrec import cli, fixtures, io, pipeline, spatial
-from curvrec.metrics import chamfer, sample_mesh
+from curvrec.metrics import sample_mesh
 from curvrec.errors import NoCurvatureSamples
 from curvrec.estimator import make_estimator
+from curvrec.grid import LatticeSpec
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
                               run_pipeline)
 from curvrec.spatial import build_index
+from oracles import chamfer, sheet_membership
 
 
 @pytest.fixture(scope="module")
@@ -172,43 +174,113 @@ def _mesh_or_error(config, cloud):
     return mesh.vertices.tobytes() + mesh.faces.tobytes()
 
 
-def _whole_lattice_band(near, n):
-    return np.ones_like(near)
+def _whole_lattice_band(spec, points, stride, near_bound):
+    n = spec.fine_n
+    every = np.zeros((n, n, n), dtype=bool)
+    every[::stride, ::stride, ::stride] = True
+    return np.flatnonzero(every)
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.sampled_from(["sphere", "cube", "sheets"]), coarse=st.integers(10, 24),
        margin=st.integers(1, 3), r0=st.sampled_from([0.018, 0.03]),
        far_cap=st.floats(0.01, 0.3),
-       iso_eps=st.one_of(st.none(), st.floats(0.001, 0.4)))
+       iso_eps=st.one_of(st.none(), st.floats(0.001, 0.4)), baseline=st.booleans())
 # an offset level above r0 * s_max (0.0243), then one above far_cap as well
-@example(shape="sphere", coarse=24, margin=2, r0=0.018, far_cap=0.3, iso_eps=0.05)
-@example(shape="cube", coarse=24, margin=3, r0=0.018, far_cap=0.05, iso_eps=0.08)
-def test_far_band_leaves_mesh_bytes_unchanged(shape, coarse, margin, r0, far_cap, iso_eps):
-    # Coarse sites more than one step from any site within the near bound
-    # skip the far_cap query; the mesh must equal a run that queries them all.
+@example(shape="sphere", coarse=24, margin=2, r0=0.018, far_cap=0.3, iso_eps=0.05,
+         baseline=False)
+@example(shape="cube", coarse=24, margin=3, r0=0.018, far_cap=0.05, iso_eps=0.08,
+         baseline=False)
+@example(shape="sheets", coarse=16, margin=2, r0=0.03, far_cap=0.3, iso_eps=None,
+         baseline=True)
+def test_far_band_leaves_mesh_bytes_unchanged(shape, coarse, margin, r0, far_cap, iso_eps,
+                                              baseline):
+    # Lattice sites outside the band read far_cap without an nn query; the
+    # mesh must equal a run that queries every site.
     config = small_config(coarse_cells=coarse, margin_cells=margin, r0=r0,
-                          far_cap=far_cap, iso_eps=iso_eps)
+                          far_cap=far_cap, iso_eps=iso_eps, baseline_mode=baseline)
     banded = _mesh_or_error(config, _band_cloud(shape))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_far_band", _whole_lattice_band)
+        mp.setattr(pipeline, "_band_sites", _whole_lattice_band)
         assert _mesh_or_error(config, _band_cloud(shape)) == banded
 
 
-def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypatch):
+def _brute_band(spec, points, stride, near_bound):
+    """Stride sites within near_bound of a point, dilated one step."""
+    n = spec.fine_n
+    ijk = np.argwhere(np.ones((n, n, n), dtype=bool))
+    ijk = ijk[np.all(ijk % stride == 0, axis=1)]
+    d = np.linalg.norm(spec.fine_position(ijk)[:, None, :] - points[None], axis=2)
+    near = ijk[(d <= near_bound).any(axis=1)]
+    ring = np.argwhere(np.ones((3, 3, 3), dtype=bool)) - 1
+    band = (near[:, None, :] + stride * ring[None]).reshape(-1, 3)
+    band = band[np.all((band >= 0) & (band < n), axis=1)]
+    return np.unique(spec.flat_id(band))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarse=st.integers(1, 8), margin=st.integers(0, 2), stride=st.sampled_from([1, 2]),
+       data=st.data())
+# margin 0, a point on the boundary, near_bound / step + 1/2 = 2 exactly
+@example(coarse=4, margin=0, stride=2, data=([[0.5, 0.125, 0.0]], 0.375))
+# margin 0, a point 0.6 steps outside the cube on either side: it rounds
+# to index -1 (which would wrap to the far face) or m (past the lattice)
+@example(coarse=4, margin=0, stride=2, data=([[-0.65, 0.0, 0.0]], 0.2))
+@example(coarse=4, margin=0, stride=2, data=([[0.0, 0.65, 0.0]], 0.2))
+# near_bound one ulp below 1.5 steps, and the point at its site's distance
+# rounds to a half step: the bin needs its slack
+@example(coarse=1, margin=1, stride=1, data=([[0.2499999999999999, 0.0, 0.0]],
+                                             0.7499999999999999))
+def test_band_sites_cover_every_site_near_a_point(coarse, margin, stride, data):
+    spec = LatticeSpec(coarse_cells=coarse + 2 * margin, margin_cells=margin)
+    step = stride * spec.fine_spacing
+    if isinstance(data, tuple):
+        points, near_bound = np.array(data[0]), data[1]
+    else:
+        # coordinates on the unit cube's faces, on lattice sites, at
+        # near_bound from a site, or anywhere in the cloud's range
+        k = data.draw(st.integers(1, 4))
+        near_bound = data.draw(
+            st.sampled_from([(k - 0.5) * step, np.nextafter((k - 0.5) * step, 0), k * step])
+            | st.floats(1e-6 * step, 3 * step))
+        sites = spec.domain_min + step * np.arange((spec.fine_n - 1) // stride + 1)
+        sites = sites[np.abs(sites) <= 0.5]
+        coord = (st.sampled_from([-0.5, 0.5]) | st.sampled_from(sites.tolist())
+                 | st.sampled_from((sites + near_bound).tolist())
+                 | st.floats(-0.5, 0.5))
+        points = np.clip(np.array(data.draw(st.lists(st.tuples(coord, coord, coord),
+                                                     min_size=1, max_size=12))), -0.5, 0.5)
+    band = pipeline._band_sites(spec, points, stride, near_bound)
+    assert np.all(np.diff(band) > 0)
+    assert not np.any(spec.unflatten(band) % stride)
+    assert np.isin(_brute_band(spec, points, stride, near_bound), band).all()
+
+
+def test_band_sites_cap_a_huge_bound_at_the_lattice():
+    spec = LatticeSpec(coarse_cells=6, margin_cells=1)
+    one = np.zeros((1, 3))
+    for stride in (1, 2):
+        assert np.array_equal(pipeline._band_sites(spec, one, stride, np.inf),
+                              _whole_lattice_band(spec, one, stride, np.inf))
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypatch, baseline):
     from curvrec.grid import load_field
-    cfg = small_config(coarse_cells=16, far_cap=0.3)
+    cfg = small_config(coarse_cells=16, far_cap=0.3, baseline_mode=baseline)
     banded = run_pipeline(replace(cfg, dump_field=str(tmp_path / "band.bin")), sphere_cloud)
-    monkeypatch.setattr(pipeline, "_far_band", _whole_lattice_band)
+    monkeypatch.setattr(pipeline, "_band_sites", _whole_lattice_band)
     whole = run_pipeline(replace(cfg, dump_field=str(tmp_path / "whole.bin")), sphere_cloud)
     assert banded.mesh.vertices.tobytes() == whole.mesh.vertices.tobytes()
     assert banded.mesh.faces.tobytes() == whole.mesh.faces.tobytes()
-    band_coarse = load_field(tmp_path / "band.bin")[0][::2, ::2, ::2]
-    whole_coarse = load_field(tmp_path / "whole.bin")[0][::2, ::2, ::2]
-    moved = band_coarse != whole_coarse
+    stride = 1 if baseline else 2
+    sites = (slice(None, None, stride),) * 3
+    band_sites = load_field(tmp_path / "band.bin")[0][sites]
+    whole_sites = load_field(tmp_path / "whole.bin")[0][sites]
+    moved = band_sites != whole_sites
     assert moved.any()  # the sphere's inside is out of band
-    assert np.all(band_coarse[moved] == np.float32(0.3))
-    assert np.all(whole_coarse[moved] < np.float32(0.3))
+    assert np.all(band_sites[moved] == np.float32(0.3))
+    assert np.all(whole_sites[moved] < np.float32(0.3))
 
 
 def test_point_exactly_at_query_radius_is_near():
@@ -216,7 +288,7 @@ def test_point_exactly_at_query_radius_is_near():
     cloud = PointCloud(np.array([[0.25, 0.0, 0.0]]))
     index = build_index(cloud)
     positions, radii = np.zeros((1, 3)), np.array([0.25])
-    nn = pipeline._nearest(index, positions, radii, 0.1, workers=1)
+    nn = index.nearest_distance_many(positions, bound=np.max(radii, initial=0.1))
     assert nn.tolist() == [0.25]
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values = pipeline._evaluate_queries(
@@ -340,6 +412,21 @@ def test_unknown_percentile_selector_raises(setting):
         PipelineConfig(**{setting: "p50"})
     PipelineConfig(**{setting: "p90"})
     PipelineConfig(**{setting: 0.3})
+
+
+@pytest.mark.parametrize("setting", ["refine_threshold", "resample_threshold"])
+def test_cli_unknown_percentile_selector_names_the_choices(tmp_path, capsys, setting):
+    message = "unknown percentile selector 'p50' (expected one of p10, p40, p60, p90"
+    paths = ["reconstruct", "--input", str(tmp_path / "missing.xyz"),
+             "--output", str(tmp_path / "m.obj")]
+    with pytest.raises(SystemExit) as exit_info:  # argparse rejects the flag
+        cli.main(paths + ["--" + setting.replace("_", "-"), "p50"])
+    assert exit_info.value.code == 2
+    assert f"argument --{setting.replace('_', '-')}: {message}" in capsys.readouterr().err
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f"{setting} = p50\n")
+    assert cli.main(paths + ["--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 # --- CLI surface ---------------------------------------------------------
@@ -488,6 +575,7 @@ _BAD_SETTINGS = [
     (["--margin-cells", "-1"], "margin_cells must be nonnegative"),
     (["--s-min", "1.5"], "need s_min < 1 < s_max"),
     (["--s-max", "0.9"], "need s_min < 1 < s_max"),
+    (["--s-max", "inf"], "s_max must be finite, not inf"),
     (["--alpha", "0"], "alpha, beta, r0 must be positive"),
     (["--r0", "-1"], "alpha, beta, r0 must be positive"),
     (["--sample-count", "0"], "sample_count must be positive"),
@@ -515,7 +603,7 @@ def test_fixture_shapes(tmp_path):
         cloud = fixtures.make_fixture(shape, count=2000, seed=1, **extra)
         assert len(cloud) == 2000
         assert cloud.has_normals
-    up, lo = fixtures.sheet_membership(2000)
+    up, lo = sheet_membership(2000)
     sheets = fixtures.make_fixture("sheets", count=2000, gap=0.05, seed=1)
     assert np.all(sheets.points[up, 2] > 0)
     assert np.all(sheets.points[lo, 2] < 0)

@@ -106,6 +106,8 @@ def test_validation():
         RadiusSchedule(p10=0.2, p40=0.1, p60=0.3, p90=0.4)
     with pytest.raises(ValueError):
         RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_min=1.5)
+    with pytest.raises(ValueError, match="s_max must be finite, not inf"):
+        RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_max=float("inf"))
     with pytest.raises(ValueError):
         scale_factor(default_sched(), -0.1)
 
