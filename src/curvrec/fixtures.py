@@ -63,6 +63,10 @@ def sheets_cloud(count=50000, gap=0.045, side=1.0, noise=0.0, seed=0) -> PointCl
 
 def make_fixture(shape, count=50000, seed=0, radius=0.3, side=1.0,
                  gap=0.045, noise=0.0) -> PointCloud:
+    if not count > 0:
+        raise ValueError(f"count must be positive, not {count}")
+    if not noise >= 0:
+        raise ValueError(f"noise must be nonnegative, not {noise}")
     if shape == "sphere":
         return sphere_cloud(count=count, radius=radius, seed=seed)
     if shape == "cube":

@@ -120,24 +120,8 @@ class AdaptiveGrid:
         return self.values.reshape(n, n, n)
 
 
-def _refine_candidates(spec: LatticeSpec, hot_ids):
-    """27-block neighbors of each hot coarse vertex, deduplicated.
-
-    Returns (candidate flat ids, position of the first claiming hot vertex
-    in hot_ids), candidates sorted ascending; includes block centers.
-    """
-    base = spec.unflatten(hot_ids)
-    off = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1],
-                               indexing="ij"), axis=-1).reshape(27, 3)
-    cand = base[:, None, :] + off[None, :, :]
-    parent = np.repeat(np.arange(len(base), dtype=np.int64), 27)
-    cand = cand.reshape(-1, 3)
-    inside = np.all((cand >= 0) & (cand < spec.fine_n), axis=1)
-    cand, parent = cand[inside], parent[inside]
-    # candidates run in hot_ids order, so each id's first occurrence is
-    # its first claiming hot vertex
-    flat, first = np.unique(spec.flat_id(cand), return_index=True)
-    return flat, parent[first]
+# the 3x3x3 stencil around a site: (di, dj, dk) columns, lexicographic
+_STENCIL = np.indices((3, 3, 3)).reshape(3, 27) - 1
 
 
 def refine_with_parents(grid: AdaptiveGrid, hot_ids):
@@ -149,13 +133,25 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     vertex that claimed it. Sites already evaluated are left untouched, so
     a repeat call with the same hot set adds nothing.
     """
+    spec = grid.spec
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
-    coarse = grid.evaluated[hot_ids] & ~np.any(grid.spec.unflatten(hot_ids) % 2, axis=-1)
+    hot_ijk = spec.unflatten(hot_ids)
+    coarse = grid.evaluated[hot_ids] & ~np.any(hot_ijk % 2, axis=-1)
     if not coarse.all():
         raise NotCoarseVertex(f"id {hot_ids[~coarse][0]} is not an evaluated coarse vertex")
-    cand, parent_pos = _refine_candidates(grid.spec, hot_ids)
+    # candidates: each hot id plus the stencil's 27 flat offsets, (H, 27),
+    # clipped where the stencil leaves the lattice on some axis
+    inside = np.ones((hot_ids.size, 27), dtype=bool)
+    for axis in range(3):
+        index = hot_ijk[:, axis, None] + _STENCIL[axis]
+        inside &= (index >= 0) & (index < spec.fine_n)
+    kept = np.flatnonzero(inside)
+    # rows run in hot_ids order, so each id's first occurrence is its
+    # first claiming hot vertex
+    cand, first = np.unique((hot_ids[:, None] + spec.flat_id(_STENCIL.T)).ravel()[kept],
+                            return_index=True)
     fresh = ~grid.evaluated[cand]
-    new, parents = cand[fresh], hot_ids[parent_pos[fresh]]
+    new, parents = cand[fresh], hot_ids[kept[first[fresh]] // 27]
     grid.evaluated[new] = True
     return new, parents
 

@@ -13,6 +13,7 @@ uniform-grid setup the adaptive strategy is measured against). Both
 modes run the same evaluate, fill and extract.
 """
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -76,10 +77,17 @@ class PipelineConfig:
             raise ValueError("sample_count must be positive")
         if not (self.workers == -1 or self.workers >= 1):
             raise ValueError(f"workers must be -1 (every CPU) or at least 1, not {self.workers}")
+        for name in ("output_path", "dump_field"):
+            folder = os.path.dirname(getattr(self, name) or "")
+            if folder and not os.path.isdir(folder):
+                raise ValueError(f"{name} directory {folder!r} does not exist")
 
 
 @dataclass
 class TimingReport:
+    """evaluated_queries counts the lattice sites marked evaluated, not
+    kd-tree queries: sites outside the band read far_cap without one."""
+
     patch_time: float
     udf_time: float
     evaluated_queries: int

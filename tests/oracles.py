@@ -10,6 +10,8 @@ import numpy as np
 from curvrec.curvature import DEGENERATE_TRACE
 from curvrec.errors import EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
+from curvrec.extract import _T_CLAMP
+from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
 
@@ -102,6 +104,61 @@ def resample(points, sigma, policy, query_id=0, point_ids=None):
     else:
         fill = pts[np.arange(target - n) % n]
     return np.concatenate([pts, fill], axis=0)
+
+
+def marching_cubes(field, spec, level):
+    """(vertices, faces) of field == level, one cube at a time.
+
+    Each cube's triangles come from TRI_TABLE; a dict keyed by the global
+    edge (axis, i, j, k) of a corner's crossing, (i, j, k) the edge's lower
+    end, gives each edge one vertex, and vertices are ordered by that key.
+    """
+    f = np.asarray(field, dtype=np.float64)
+    n = spec.fine_n
+    corners = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            for k in range(n - 1):
+                case = sum(1 << c for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS)
+                           if f[i + dx, j + dy, k + dz] < level)
+                for e in TRI_TABLE[case]:
+                    if e < 0:
+                        break
+                    di, dj, dk = EDGE_BASE[e]
+                    corners.append((int(EDGE_AXIS[e]), i + di, j + dj, k + dk))
+    vertex_of = {key: v for v, key in enumerate(sorted(set(corners)))}
+    vertices = np.empty((len(vertex_of), 3))
+    for key, v in vertex_of.items():
+        lower = np.array(key[1:])
+        upper = lower.copy()
+        upper[key[0]] += 1
+        v0, v1 = f[tuple(lower)], f[tuple(upper)]
+        t = min(max((level - v0) / (v1 - v0), _T_CLAMP), 1.0 - _T_CLAMP)
+        p0, p1 = spec.fine_position(lower), spec.fine_position(upper)
+        vertices[v] = p0 + t * (p1 - p0)
+    faces = np.array([vertex_of[key] for key in corners], dtype=np.int64).reshape(-1, 3)
+    return vertices, faces
+
+
+def refine_with_parents(spec, evaluated, hot_ids):
+    """(new ids, parents) by enumeration: each hot id in turn claims every
+    site of its 3x3x3 block that lies in the lattice, is not evaluated and
+    is not claimed yet."""
+    n = spec.fine_n
+    claimed = {}
+    for h in hot_ids:
+        i, rest = divmod(int(h), n * n)
+        j, k = divmod(rest, n)
+        for a in (i - 1, i, i + 1):
+            for b in (j - 1, j, j + 1):
+                for c in (k - 1, k, k + 1):
+                    if 0 <= a < n and 0 <= b < n and 0 <= c < n:
+                        site = (a * n + b) * n + c
+                        if not evaluated[site]:
+                            claimed.setdefault(site, int(h))
+    new = sorted(claimed)
+    return (np.array(new, dtype=np.int64),
+            np.array([claimed[s] for s in new], dtype=np.int64))
 
 
 def coarse_queries(spec):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvrec.errors import EmptyField
 from curvrec.extract import IsoSpec, marching_cubes
 from curvrec.grid import LatticeSpec
-from curvrec.mc_tables import TRI_TABLE
+from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
+import oracles
 
 
 def lattice_positions(spec):
@@ -24,6 +26,16 @@ def test_iso_spec():
 def test_only_all_in_and_all_out_cases_have_no_triangles():
     # marching_cubes picks the crossed cubes by case value alone
     assert [c for c in range(256) if TRI_TABLE[c, 0] < 0] == [0, 255]
+
+
+def test_triangle_edges_join_an_inside_and_an_outside_corner():
+    # so the two ends of an interpolated edge never hold equal values
+    bit = {tuple(c): b for b, c in enumerate(CORNER_OFFSETS.tolist())}
+    for case in range(256):
+        for e in TRI_TABLE[case][TRI_TABLE[case] >= 0]:
+            ends = [EDGE_BASE[e], EDGE_BASE[e] + np.eye(3, dtype=int)[EDGE_AXIS[e]]]
+            inside = [(case >> bit[tuple(end.tolist())]) & 1 for end in ends]
+            assert inside[0] != inside[1]
 
 
 def test_field_above_level_gives_empty_mesh():
@@ -134,6 +146,44 @@ def test_deterministic():
     b = marching_cubes(field, spec, IsoSpec(spec.fine_spacing / 2))
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.faces, b.faces)
+
+
+def _assert_matches_oracle(field, spec, level):
+    mesh = marching_cubes(field, spec, IsoSpec(level))
+    vertices, faces = oracles.marching_cubes(field, spec, level)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.faces, faces)
+    return mesh
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse=st.integers(1, 4), data=st.data())
+def test_matches_per_cube_oracle(coarse, data):
+    # same vertices in the same (axis, i, j, k) edge order, same faces;
+    # random fields cross the level on the lattice's outer faces too, and
+    # sites exactly at the level reach the crossing clamp
+    margin = data.draw(st.integers(0, min(1, (coarse - 1) // 2)), label="margin")
+    spec = LatticeSpec(coarse_cells=coarse, margin_cells=margin)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    n = spec.fine_n
+    field = rng.random((n, n, n))
+    level = 0.5
+    field[rng.random((n, n, n)) < data.draw(st.sampled_from([0.0, 0.2]))] = level
+    _assert_matches_oracle(field, spec, level)
+
+
+def test_matches_oracle_on_outer_faces():
+    # only the outer shell of sites lies below the level: every crossing
+    # is on an edge that touches a face of the lattice
+    spec = LatticeSpec(coarse_cells=3, margin_cells=1)
+    n = spec.fine_n
+    field = np.zeros((n, n, n))
+    field[1:-1, 1:-1, 1:-1] = 1.0
+    mesh = _assert_matches_oracle(field, spec, 0.5)
+    half = spec.fine_spacing / 2
+    lo, hi = spec.domain_min + half, spec.fine_position(n - 1) - half
+    assert mesh.num_faces > 0
+    assert (np.isclose(mesh.vertices, lo) | np.isclose(mesh.vertices, hi)).any(axis=1).all()
 
 
 def test_affine_field_plane():

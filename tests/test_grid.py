@@ -6,6 +6,7 @@ from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
 from curvrec.grid import (AdaptiveGrid, LatticeSpec, hierarchical_fill, load_field,
                           refine_with_parents, save_field, select_hot)
+import oracles
 from oracles import coarse_queries
 
 
@@ -144,6 +145,36 @@ def test_refine_with_parents_first_wins():
     assert new.size == 43
     shared = spec.flat_id(np.array([9, 8, 8]))
     assert parents[new == shared][0] == a  # claimed by the earlier hot vertex
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse=st.integers(1, 5), data=st.data())
+def test_refine_matches_enumeration_on_faces_and_corners(coarse, data):
+    # hot sets hold both extreme corners and a vertex on each of the six
+    # faces, so a flat offset that wraps at a face would claim a wrong site
+    margin = data.draw(st.integers(0, (coarse - 1) // 2), label="margin")
+    spec, grid, ids, _ = fresh_grid(coarse_cells=coarse, margin_cells=margin)
+    index = st.integers(0, coarse)
+
+    def draw_vertex(axis=None, side=None):
+        ijk = [data.draw(index) for _ in range(3)]
+        if axis is not None:
+            ijk[axis] = side
+        return int(spec.flat_id(2 * np.array(ijk)))
+
+    for _ in range(2):  # the second call meets sites the first refined
+        hot = [0, spec.total_fine_vertices - 1]  # the two extreme corners
+        hot += [draw_vertex(axis, side) for axis in range(3) for side in (0, coarse)]
+        hot += [draw_vertex() for _ in range(data.draw(st.integers(0, 4)))]
+        hot = data.draw(st.permutations(list(dict.fromkeys(hot))), label="hot")
+        before = grid.evaluated.copy()
+        expect_new, expect_parents = oracles.refine_with_parents(spec, before, hot)
+        new, parents = refine_with_parents(grid, hot)
+        assert np.array_equal(new, expect_new)
+        assert np.array_equal(parents, expect_parents)
+        after = before.copy()
+        after[new] = True
+        assert np.array_equal(grid.evaluated, after)
 
 
 def test_select_hot():

@@ -579,6 +579,7 @@ _BAD_SETTINGS = [
     (["--alpha", "0"], "alpha, beta, r0 must be positive"),
     (["--r0", "-1"], "alpha, beta, r0 must be positive"),
     (["--sample-count", "0"], "sample_count must be positive"),
+    (["--dump-field", "{nodir}/f.bin"], "dump_field directory '{nodir}' does not exist"),
 ]
 
 
@@ -591,10 +592,36 @@ _BAD_SETTINGS = [
 @pytest.mark.parametrize("flag, message", _BAD_SETTINGS)
 def test_cli_bad_setting_exits_2_before_reading(tmp_path, capsys, command, flag, message):
     # the input files do not exist: the setting must fail first
-    paths = {"missing": str(tmp_path / "missing.xyz"), "out": str(tmp_path / "m.obj")}
-    argv = [arg.format(**paths) for arg in command] + flag
+    paths = {"missing": str(tmp_path / "missing.xyz"), "out": str(tmp_path / "m.obj"),
+             "nodir": str(tmp_path / "nodir")}
+    argv = [arg.format(**paths) for arg in command + flag]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(**paths))
+
+
+def test_cli_missing_output_directory_exits_2_before_reading(tmp_path, capsys):
+    nodir = tmp_path / "nodir"
+    argv = ["reconstruct", "--input", str(tmp_path / "missing.xyz"),
+            "--output", f"{nodir}/m.obj"]
+    assert cli.main(argv) == 2
+    message = f"error: output_path directory '{nodir}' does not exist"
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("count", 0, "count must be positive, not 0"),
+    ("count", -3, "count must be positive, not -3"),
+    ("noise", -0.5, "noise must be nonnegative, not -0.5"),
+    ("noise", float("nan"), "noise must be nonnegative, not nan"),
+])
+def test_make_fixture_bad_count_or_noise_exits_2(tmp_path, capsys, setting, value, message):
+    with pytest.raises(ValueError, match=message):
+        fixtures.make_fixture("sheets", **{setting: value})
+    out = tmp_path / "cloud.xyz"
+    argv = ["make-fixture", "--shape", "sheets", "--output", str(out), f"--{setting}", str(value)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
 
 
 def test_fixture_shapes(tmp_path):
