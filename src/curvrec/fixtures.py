@@ -67,6 +67,12 @@ def make_fixture(shape, count=50000, seed=0, radius=0.3, side=1.0,
         raise ValueError(f"count must be positive, not {count}")
     if not noise >= 0:
         raise ValueError(f"noise must be nonnegative, not {noise}")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, not {radius}")
+    if not side > 0:
+        raise ValueError(f"side must be positive, not {side}")
+    if not gap >= 0:
+        raise ValueError(f"gap must be nonnegative, not {gap}")
     if shape == "sphere":
         return sphere_cloud(count=count, radius=radius, seed=seed)
     if shape == "cube":

@@ -3,14 +3,16 @@
 The fine lattice doubles the coarse one, so coarse vertex (i,j,k) sits at
 fine index (2i,2j,2k) and every fine site is classified by the parity of
 its index: 0 odd components = lattice vertex, 1 = edge midpoint, 2 = face
-center, 3 = cell center. Sites never evaluated directly are filled by
-three averaging passes (edge -> face -> cell), which is exact for affine
+center, 3 = cell center. Sites never evaluated directly are filled by one
+rule, applied for k = 1, 2, 3 in turn: a site with k odd indices gets the
+mean of its 2k neighbors along its odd axes. The rule is exact for affine
 fields.
 
 Fine vertices are addressed by a flat id in lexicographic order with z
 fastest; all public operations speak flat ids.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +76,8 @@ class LatticeSpec:
         return (ijk[..., 0] * n + ijk[..., 1]) * n + ijk[..., 2]
 
     def unflatten(self, ids):
-        ids = np.asarray(ids, dtype=np.int64)
         n = self.fine_n
-        k = ids % n
-        j = (ids // n) % n
-        i = ids // (n * n)
-        return np.stack([i, j, k], axis=-1)
+        return np.stack(np.unravel_index(ids, (n, n, n)), axis=-1)
 
     def fine_position(self, ijk):
         return self.domain_min + np.asarray(ijk, dtype=np.float64) * self.fine_spacing
@@ -135,6 +133,10 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     """
     spec = grid.spec
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
+    outside = (hot_ids < 0) | (hot_ids >= spec.total_fine_vertices)
+    if outside.any():
+        raise NotCoarseVertex(f"id {hot_ids[outside][0]} is outside the lattice of "
+                              f"{spec.total_fine_vertices} fine vertices")
     hot_ijk = spec.unflatten(hot_ids)
     coarse = grid.evaluated[hot_ids] & ~np.any(hot_ijk % 2, axis=-1)
     if not coarse.all():
@@ -162,12 +164,12 @@ def select_hot(field, threshold):
 
 
 def hierarchical_fill(grid: AdaptiveGrid):
-    """Fill every unevaluated fine site by successive neighbor averaging.
+    """Fill every unevaluated fine site with the mean of its neighbors.
 
-    Pass 1 gives each open edge midpoint the mean of its two (even-index)
-    edge endpoints; pass 2 gives each open face center the mean of the 4
-    midpoints of its face's edges; pass 3 gives each open cell center the
-    mean of its 6 face centers. Evaluated sites are never overwritten.
+    A site with k odd indices gets the mean of its 2k neighbors along its
+    odd axes, for k = 1, 2, 3 in turn: edge midpoints from coarse vertices,
+    then face centers from edge midpoints, then cell centers from face
+    centers. Evaluated sites are never overwritten.
     """
     n = grid.spec.fine_n
     evaluated = grid.evaluated.reshape(n, n, n)
@@ -176,31 +178,19 @@ def hierarchical_fill(grid: AdaptiveGrid):
     if np.isnan(grid.values[grid.evaluated]).any():  # coarse vertices included
         raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
 
-    ev = slice(0, n, 2)        # even indices
-    od = slice(1, n - 1, 2)    # odd indices
-    lo = slice(0, n - 2, 2)    # even neighbor below an odd index
-    hi = slice(2, n, 2)        # even neighbor above an odd index
-
-    def fill(target_idx, neighbor_slices):
-        acc = values[neighbor_slices[0]].copy()
-        for sl in neighbor_slices[1:]:
-            acc += values[sl]
-        acc /= len(neighbor_slices)
-        tgt_vals = values[target_idx]   # a view: writes land in the grid
-        open_sites = ~evaluated[target_idx]
-        tgt_vals[open_sites] = acc[open_sites]
-
-    # pass 1: edge midpoints (one odd axis)
-    fill((od, ev, ev), [(lo, ev, ev), (hi, ev, ev)])
-    fill((ev, od, ev), [(ev, lo, ev), (ev, hi, ev)])
-    fill((ev, ev, od), [(ev, ev, lo), (ev, ev, hi)])
-    # pass 2: face centers (two odd axes), from the surrounding edge midpoints
-    fill((od, od, ev), [(lo, od, ev), (hi, od, ev), (od, lo, ev), (od, hi, ev)])
-    fill((od, ev, od), [(lo, ev, od), (hi, ev, od), (od, ev, lo), (od, ev, hi)])
-    fill((ev, od, od), [(ev, lo, od), (ev, hi, od), (ev, od, lo), (ev, od, hi)])
-    # pass 3: cell centers (all axes odd), from the six face centers
-    fill((od, od, od),
-         [(lo, od, od), (hi, od, od), (od, lo, od), (od, hi, od), (od, od, lo), (od, od, hi)])
+    for k in (1, 2, 3):
+        for odd in itertools.combinations(range(3), k):
+            site = tuple(slice(1, n - 1, 2) if a in odd else slice(0, n, 2) for a in range(3))
+            # the site moved to its even neighbor below, then above, per odd axis
+            neighbors = [site[:a] + (side,) + site[a + 1:] for a in odd
+                         for side in (slice(0, n - 2, 2), slice(2, n, 2))]
+            acc = values[neighbors[0]].copy()
+            for nb in neighbors[1:]:
+                acc += values[nb]
+            acc /= 2 * k
+            target = values[site]   # a view: writes land in the grid
+            open_sites = ~evaluated[site]
+            target[open_sites] = acc[open_sites]
 
 
 def save_field(values, spec: LatticeSpec, path):

@@ -352,11 +352,12 @@ def bench(config: PipelineConfig, cloud: PointCloud | None = None,
 
     Metrics are computed in normalized coordinates (where the distance
     thresholds are meaningful fractions of object extent) against the
-    reference cloud, which defaults to the input cloud itself.
+    reference cloud, which defaults to the input cloud itself. A
+    config.dump_field receives the adaptive field.
     """
     cloud = _load_cloud(config, cloud)
     adaptive = run_pipeline(replace(config, baseline_mode=False), cloud)
-    baseline = run_pipeline(replace(config, baseline_mode=True), cloud)
+    baseline = run_pipeline(replace(config, baseline_mode=True, dump_field=None), cloud)
 
     ref = reference if reference is not None else cloud
     with stage("metrics"):

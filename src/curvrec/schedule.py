@@ -38,6 +38,9 @@ class RadiusSchedule:
             raise ValueError(f"s_max must be finite, not {self.s_max}")
         if not (self.alpha > 0 and self.beta > 0 and self.r0 > 0):
             raise ValueError("alpha, beta, r0 must be positive")
+        if self.r0 * self.s_max > 1.0:  # a ball wider than the normalized cloud
+            raise ValueError(f"r0 * s_max must be at most 1, the longest side of the "
+                             f"normalized cloud, not {self.r0 * self.s_max:g}")
 
     @classmethod
     def from_field(cls, field, **overrides):

@@ -161,6 +161,49 @@ def refine_with_parents(spec, evaluated, hot_ids):
             np.array([claimed[s] for s in new], dtype=np.int64))
 
 
+def hierarchical_fill(spec, values_by_id):
+    """Fill by the three passes written out case by case: a dict from flat id
+    to value, one site at a time. Sites already in values_by_id keep their
+    value."""
+    n = spec.fine_n
+    vals = dict(values_by_id)
+
+    def get(i, j, k):
+        return vals[spec.flat_id(np.array([i, j, k]))]
+
+    def put(i, j, k, v):
+        vals.setdefault(int(spec.flat_id(np.array([i, j, k]))), v)
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (i % 2) + (j % 2) + (k % 2) == 1:
+                    if i % 2:
+                        put(i, j, k, (get(i - 1, j, k) + get(i + 1, j, k)) / 2)
+                    elif j % 2:
+                        put(i, j, k, (get(i, j - 1, k) + get(i, j + 1, k)) / 2)
+                    else:
+                        put(i, j, k, (get(i, j, k - 1) + get(i, j, k + 1)) / 2)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (i % 2) + (j % 2) + (k % 2) == 2:
+                    if i % 2 and j % 2:
+                        nb = [(i - 1, j, k), (i + 1, j, k), (i, j - 1, k), (i, j + 1, k)]
+                    elif i % 2 and k % 2:
+                        nb = [(i - 1, j, k), (i + 1, j, k), (i, j, k - 1), (i, j, k + 1)]
+                    else:
+                        nb = [(i, j - 1, k), (i, j + 1, k), (i, j, k - 1), (i, j, k + 1)]
+                    put(i, j, k, sum(get(*t) for t in nb) / 4)
+    for i in range(1, n, 2):
+        for j in range(1, n, 2):
+            for k in range(1, n, 2):
+                nb = [(i - 1, j, k), (i + 1, j, k), (i, j - 1, k), (i, j + 1, k),
+                      (i, j, k - 1), (i, j, k + 1)]
+                put(i, j, k, sum(get(*t) for t in nb) / 6)
+    return vals
+
+
 def coarse_queries(spec):
     """All coarse vertices as (flat fine ids, positions), lexicographic order."""
     axis = np.arange(0, spec.fine_n, 2, dtype=np.int64)

@@ -28,6 +28,15 @@ def test_only_all_in_and_all_out_cases_have_no_triangles():
     assert [c for c in range(256) if TRI_TABLE[c, 0] < 0] == [0, 255]
 
 
+def test_edge_table_derived_from_corner_pairs():
+    # the values the 12 edges were typed with before they were derived
+    assert EDGE_AXIS.dtype == EDGE_BASE.dtype == np.int32
+    assert EDGE_AXIS.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 2, 2]
+    assert EDGE_BASE.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0],
+                                  [0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 1],
+                                  [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+
+
 def test_triangle_edges_join_an_inside_and_an_outside_corner():
     # so the two ends of an interpolated edge never hold equal values
     bit = {tuple(c): b for b, c in enumerate(CORNER_OFFSETS.tolist())}

@@ -17,47 +17,6 @@ def fresh_grid(coarse_cells=8, margin_cells=2):
     return spec, grid, ids, pos
 
 
-def slow_fill(spec, values_by_id):
-    """Independent straightforward fill: dict-based, one site at a time."""
-    n = spec.fine_n
-    vals = dict(values_by_id)
-
-    def get(i, j, k):
-        return vals[spec.flat_id(np.array([i, j, k]))]
-
-    def put(i, j, k, v):
-        vals.setdefault(int(spec.flat_id(np.array([i, j, k]))), v)
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (i % 2) + (j % 2) + (k % 2) == 1:
-                    if i % 2:
-                        put(i, j, k, (get(i - 1, j, k) + get(i + 1, j, k)) / 2)
-                    elif j % 2:
-                        put(i, j, k, (get(i, j - 1, k) + get(i, j + 1, k)) / 2)
-                    else:
-                        put(i, j, k, (get(i, j, k - 1) + get(i, j, k + 1)) / 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (i % 2) + (j % 2) + (k % 2) == 2:
-                    if i % 2 and j % 2:
-                        nb = [(i - 1, j, k), (i + 1, j, k), (i, j - 1, k), (i, j + 1, k)]
-                    elif i % 2 and k % 2:
-                        nb = [(i - 1, j, k), (i + 1, j, k), (i, j, k - 1), (i, j, k + 1)]
-                    else:
-                        nb = [(i, j - 1, k), (i, j + 1, k), (i, j, k - 1), (i, j, k + 1)]
-                    put(i, j, k, sum(get(*t) for t in nb) / 4)
-    for i in range(1, n, 2):
-        for j in range(1, n, 2):
-            for k in range(1, n, 2):
-                nb = [(i - 1, j, k), (i + 1, j, k), (i, j - 1, k), (i, j + 1, k),
-                      (i, j, k - 1), (i, j, k + 1)]
-                put(i, j, k, sum(get(*t) for t in nb) / 6)
-    return vals
-
-
 def test_lattice_spec_geometry():
     spec = LatticeSpec(coarse_cells=128, margin_cells=3)
     assert spec.fine_cells == 256
@@ -135,6 +94,14 @@ def test_refine_rejects_non_coarse():
     odd = spec.flat_id(np.array([1, 0, 0]))
     with pytest.raises(NotCoarseVertex):
         refine_with_parents(grid, [odd])
+
+
+def test_refine_rejects_ids_outside_the_lattice():
+    spec, grid, ids, _ = fresh_grid()
+    for bad in (-1, spec.total_fine_vertices):
+        with pytest.raises(NotCoarseVertex, match=f"id {bad} is outside the lattice"):
+            refine_with_parents(grid, [ids[0], bad])
+    assert grid.evaluated_count == ids.size
 
 
 def test_refine_with_parents_first_wins():
@@ -242,11 +209,62 @@ def test_fill_matches_slow_oracle_with_refined_sites():
 
     seed = {int(i): float(v) for i, v in zip(ids, vals)}
     seed.update({int(i): float(v) for i, v in zip(new, new_vals)})
-    expect = slow_fill(spec, seed)
+    expect = oracles.hierarchical_fill(spec, seed)
 
     hierarchical_fill(grid)
     for fid, v in expect.items():
         assert grid.values[fid] == pytest.approx(v, abs=1e-12)
+
+
+def _refined_grid(coarse, data):
+    """A grid with up to 6 hot vertices refined and every evaluated site set
+    to a value of magnitude 1e-3 to 1e3, either sign; returns it with the
+    refined ids and the rng that drew the values."""
+    margin = data.draw(st.integers(0, min(1, (coarse - 1) // 2)), label="margin")
+    spec, grid, ids, _ = fresh_grid(coarse_cells=coarse, margin_cells=margin)
+    hot = data.draw(st.lists(st.sampled_from(ids.tolist()), max_size=6, unique=True),
+                    label="hot")
+    new = refine_with_parents(grid, hot)[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    evaluated = np.flatnonzero(grid.evaluated)
+    grid.set_values(evaluated, _signed_magnitudes(rng, evaluated.size))
+    return grid, new, rng
+
+
+def _signed_magnitudes(rng, size):
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3, 3, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse=st.integers(1, 4), data=st.data())
+def test_fill_matches_oracle_bitwise(coarse, data):
+    grid, _, _ = _refined_grid(coarse, data)
+    evaluated = np.flatnonzero(grid.evaluated)
+    expect = oracles.hierarchical_fill(grid.spec, zip(evaluated.tolist(),
+                                                      grid.values[evaluated].tolist()))
+    hierarchical_fill(grid)
+    assert len(expect) == grid.spec.total_fine_vertices
+    assert np.array_equal(grid.values, [expect[i] for i in range(len(expect))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarse=st.integers(1, 4), data=st.data())
+def test_filled_sites_never_read_refined_sites(coarse, data):
+    # a refined block is closed under the fill stencil, so a per-block fill
+    # needs a halo of one coarse cell and no more
+    grid, new, rng = _refined_grid(coarse, data)
+    hierarchical_fill(grid)
+    before = grid.values.copy()
+    grid.values[~grid.evaluated] = np.nan
+    grid.set_values(new, _signed_magnitudes(rng, new.size))
+    hierarchical_fill(grid)
+    assert np.array_equal(grid.values[~grid.evaluated], before[~grid.evaluated])
+    # with every site evaluated the fill writes nothing
+    grid.evaluated[:] = True
+    full = _signed_magnitudes(rng, grid.values.size)
+    grid.values[:] = full
+    hierarchical_fill(grid)
+    assert np.array_equal(grid.values, full)
 
 
 def test_fill_never_overwrites_evaluated():

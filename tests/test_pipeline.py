@@ -355,6 +355,17 @@ def test_bench_reports(sphere_cloud):
     assert "adaptive.patch_time=" in text and "query_ratio=" in text
 
 
+def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
+    cfg = small_config(coarse_cells=10, sample_count=2000)
+    run_pipeline(replace(cfg, dump_field=str(tmp_path / "adaptive.bin")), sphere_cloud)
+    run_pipeline(replace(cfg, baseline_mode=True, dump_field=str(tmp_path / "baseline.bin")),
+                 sphere_cloud)
+    bench(replace(cfg, dump_field=str(tmp_path / "bench.bin")), sphere_cloud)
+    dumped = (tmp_path / "bench.bin").read_bytes()
+    assert dumped == (tmp_path / "adaptive.bin").read_bytes()
+    assert dumped != (tmp_path / "baseline.bin").read_bytes()
+
+
 def test_dump_field(sphere_cloud, tmp_path):
     from curvrec.grid import load_field
     path = tmp_path / "field.bin"
@@ -576,6 +587,10 @@ _BAD_SETTINGS = [
     (["--s-min", "1.5"], "need s_min < 1 < s_max"),
     (["--s-max", "0.9"], "need s_min < 1 < s_max"),
     (["--s-max", "inf"], "s_max must be finite, not inf"),
+    (["--s-max", "1e6"], "r0 * s_max must be at most 1, the longest side of the "
+                         "normalized cloud, not 18000"),
+    (["--r0", "0.8"], "r0 * s_max must be at most 1, the longest side of the "
+                      "normalized cloud, not 1.08"),
     (["--alpha", "0"], "alpha, beta, r0 must be positive"),
     (["--r0", "-1"], "alpha, beta, r0 must be positive"),
     (["--sample-count", "0"], "sample_count must be positive"),
@@ -613,6 +628,14 @@ def test_cli_missing_output_directory_exits_2_before_reading(tmp_path, capsys):
     ("count", -3, "count must be positive, not -3"),
     ("noise", -0.5, "noise must be nonnegative, not -0.5"),
     ("noise", float("nan"), "noise must be nonnegative, not nan"),
+    ("radius", -0.3, "radius must be positive, not -0.3"),
+    ("radius", 0, "radius must be positive, not 0"),
+    ("radius", float("nan"), "radius must be positive, not nan"),
+    ("side", 0, "side must be positive, not 0"),
+    ("side", -1, "side must be positive, not -1"),
+    ("side", float("nan"), "side must be positive, not nan"),
+    ("gap", -0.045, "gap must be nonnegative, not -0.045"),
+    ("gap", float("nan"), "gap must be nonnegative, not nan"),
 ])
 def test_make_fixture_bad_count_or_noise_exits_2(tmp_path, capsys, setting, value, message):
     with pytest.raises(ValueError, match=message):
@@ -634,5 +657,7 @@ def test_fixture_shapes(tmp_path):
     sheets = fixtures.make_fixture("sheets", count=2000, gap=0.05, seed=1)
     assert np.all(sheets.points[up, 2] > 0)
     assert np.all(sheets.points[lo, 2] < 0)
+    touching = fixtures.make_fixture("sheets", count=2000, gap=0.0, seed=1)
+    assert np.all(touching.points[:, 2] == 0)
     with pytest.raises(ValueError):
         fixtures.make_fixture("torus")

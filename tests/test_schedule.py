@@ -108,6 +108,10 @@ def test_validation():
         RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_min=1.5)
     with pytest.raises(ValueError, match="s_max must be finite, not inf"):
         RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_max=float("inf"))
+    # the widest ball may span the normalized cloud's longest side, no more
+    RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_max=2.0, r0=0.5)
+    with pytest.raises(ValueError, match=r"r0 \* s_max must be at most 1"):
+        RadiusSchedule(p10=0.0, p40=0.1, p60=0.2, p90=0.3, s_max=2.0, r0=0.5000001)
     with pytest.raises(ValueError):
         scale_factor(default_sched(), -0.1)
 
