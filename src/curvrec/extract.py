@@ -1,11 +1,17 @@
-"""Triangle mesh extraction from the dense distance field.
+"""Triangle mesh extraction from the distance field's active blocks.
 
 The unsigned field has no zero crossing to contour, so we march on the
 offset level set {x : UDF(x) = eps}, a thin two-sided shell around the
 surface. Vertices are cached per global lattice edge, keyed
 axis * n^3 + flat id of the edge's lower end, which makes adjacent cubes
-agree exactly along shared faces; vertices are sorted by that key, the
-(axis, i, j, k) order, so output is reproducible.
+agree exactly along shared faces, also across blocks; vertices are sorted
+by that key, the (axis, i, j, k) order, so output is reproducible.
+
+Blocks are extracted one x slab (blocks sharing their x block index) at a
+time, so temporaries stay bounded by a slab. Faces run in the lattice's
+cube order (cube flat id, then table order): a slab's blocks interleave in
+that order, so its crossed cubes are sorted by flat id, and every cube of
+one slab precedes every cube of the next.
 
 Each crossing is clamped to lie at least _T_CLAMP of its edge from either
 end, so crossings on edges that share a lattice site never coincide. A
@@ -20,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyField
-from .grid import LatticeSpec
+from .grid import BLOCK, LatticeSpec, block_slabs, clear_past
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .model import TriangleMesh
 
 _T_CLAMP = 1e-6
+_SIDE = BLOCK + 1
+_STRIDES = np.array([_SIDE * _SIDE, _SIDE, 1])   # flat steps in a block's sites
 
 
 @dataclass(frozen=True)
@@ -42,52 +50,92 @@ class IsoSpec:
         return cls(eps=spec.fine_spacing / 2.0)
 
 
-def marching_cubes(field, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
+def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
     """Contour field == iso.eps over the lattice with the 256-case tables.
 
-    field must be a fully populated (n, n, n) array on the fine lattice.
-    Returns an empty mesh when the level set is not crossed.
+    field is a stack of lattice blocks as AdaptiveGrid stores them,
+    (A, BLOCK + 1, BLOCK + 1, BLOCK + 1), fully populated inside the
+    lattice, and blocks (A, 3) their block coordinates in ascending flat id.
+    A cube is extracted by the block that holds it at its lowest corner;
+    the cubes of blocks not given must not cross the level. Returns an
+    empty mesh when the level set is not crossed.
     """
     values = np.asarray(field, dtype=np.float64)
-    n = spec.fine_n
+    coords = np.asarray(blocks, dtype=np.int64).reshape(-1, 3)
     if values.size == 0:
         raise EmptyField("empty field")
-    if values.shape != (n, n, n):
-        raise ValueError(f"field shape {values.shape} does not match lattice {n}^3")
-    if np.isnan(values).any():
-        raise EmptyField("field has unpopulated (NaN) sites")
+    if values.shape != (len(coords),) + (_SIDE,) * 3:
+        raise ValueError(f"field shape {values.shape} is not {len(coords)} blocks of {_SIDE}^3")
+    n = spec.fine_n
     level = iso.eps
+    # a triangle corner's edge: its global key from the cube's flat id, and
+    # its lower end's index in the slab from the cube's lowest corner
+    edge_key = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
+    edge_site = EDGE_BASE @ _STRIDES
+    keys, crossings, corners = [], [], []
+    for start, stop in block_slabs(coords):
+        slab, at = values[start:stop], coords[start:stop]
+        if np.isnan(slab).any():  # allowed past the lattice's last plane
+            unset = np.isnan(slab)
+            clear_past(unset, at, spec, False)
+            if unset.any():
+                raise EmptyField("field has unpopulated (NaN) sites")
 
-    # cube_idx[i, j, k]: case of the cube whose lowest corner is (i, j, k),
-    # bit c set when corner c is inside; the last plane per axis has no
-    # cube, so a cube's flat position is its lowest corner's flat id
-    inside = values < level
-    cube_idx = np.zeros((n, n, n), dtype=np.uint8)
-    for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-        cube_idx[:-1, :-1, :-1] |= inside[dx:dx + n - 1, dy:dy + n - 1,
-                                          dz:dz + n - 1].view(np.uint8) << c
+        # case[s, i, j, k]: case of the cube whose lowest corner is (i, j, k)
+        # in block s, bit c set when corner c is inside
+        inside = slab < level
+        case = np.zeros((stop - start,) + (BLOCK,) * 3, dtype=np.uint8)
+        for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+            case |= inside[:, dx:dx + BLOCK, dy:dy + BLOCK, dz:dz + BLOCK].view(np.uint8) << c
+        clear_past(case, at, spec, 0)
 
-    # a cube is crossed unless all its corners lie on one side
-    origin = np.flatnonzero((cube_idx != 0) & (cube_idx != 255))
-    if origin.size == 0:
+        # a cube is crossed unless all its corners lie on one side; blocks
+        # interleave in the lattice's cube order, so sort the slab's cubes by
+        # flat id, and the slabs follow each other in that order
+        crossed = np.flatnonzero((case != 0) & (case != 255))
+        s, i, j, k = np.unravel_index(crossed, case.shape)
+        origin = spec.flat_id(BLOCK * at[s] + np.stack([i, j, k], axis=-1))
+        order = np.argsort(origin)
+        origin, crossed, s = origin[order], crossed[order], s[order]
+        # the cube's lowest corner, as an index into the slab's sites
+        lowest = crossed + (s * (_SIDE ** 3 - BLOCK ** 3) + i[order] * (_SIDE ** 2 - BLOCK ** 2)
+                            + j[order] * (_SIDE - BLOCK))
+
+        tri_rows = TRI_TABLE[case.reshape(-1)[crossed]]    # (a, 16)
+        tri_valid = tri_rows >= 0
+        per_cube = tri_valid.sum(axis=1)
+        edges = tri_rows[tri_valid]
+        unique_keys, first, corner_vertex = np.unique(
+            np.repeat(origin, per_cube) + edge_key[edges], return_index=True, return_inverse=True)
+
+        # interpolate one vertex per edge; a table edge always joins an
+        # inside and an outside end, so v0 != v1
+        cube = np.searchsorted(np.cumsum(per_cube), first, side="right")
+        lower = lowest[cube] + edge_site[edges[first]]
+        flat = slab.reshape(-1)
+        v0, v1 = flat[lower], flat[lower + _STRIDES[EDGE_AXIS[edges[first]]]]
+        keys.append(unique_keys)
+        crossings.append(np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP))
+        corners.append(corner_vertex.astype(np.int32))
+
+    # merge the slabs' vertices, which share the edges on the planes between
+    # slabs, into one list ordered by key
+    unique_keys, first, vertex = np.unique(np.concatenate(keys), return_index=True,
+                                           return_inverse=True)
+    if unique_keys.size == 0:
         return TriangleMesh()
+    t = np.concatenate(crossings)[first]
+    faces = np.empty(sum(map(len, corners)), dtype=np.int64)
+    done = offset = 0
+    for slab_keys, corner_vertex in zip(keys, corners):
+        faces[done:done + corner_vertex.size] = vertex[offset + corner_vertex]
+        done, offset = done + corner_vertex.size, offset + slab_keys.size
+    del keys, corners
 
-    # key each triangle corner by its global edge, axis * n^3 + flat id of
-    # the edge's lower end: the cube's origin plus a 12-entry offset table
-    tri_rows = TRI_TABLE[cube_idx.ravel()[origin]]    # (a, 16)
-    tri_valid = tri_rows >= 0
-    edge_offset = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
-    edge_key = np.repeat(origin, tri_valid.sum(axis=1)) + edge_offset[tri_rows[tri_valid]]
-    unique_keys, corner_vertex = np.unique(edge_key, return_inverse=True)
-
-    # interpolate one vertex per unique edge; a table edge always joins an
-    # inside and an outside end, so v0 != v1
+    # a vertex's position per axis, as fine_position gives its edge's ends
     axis, lower = np.divmod(unique_keys, n ** 3)
-    upper = lower + np.array([n * n, n, 1])[axis]
-    v0, v1 = values.ravel()[lower], values.ravel()[upper]
-    t = np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP)
-    p0, p1 = spec.position_of_id(lower), spec.position_of_id(upper)
-    vertices = p0 + t[:, None] * (p1 - p0)
-
-    faces = corner_vertex.reshape(-1, 3)
-    return TriangleMesh(vertices, faces)
+    vertices = np.empty((unique_keys.size, 3))
+    for a, index in enumerate(np.unravel_index(lower, (n, n, n))):
+        p0, p1 = spec.fine_position(index), spec.fine_position(index + (axis == a))
+        vertices[:, a] = p0 + t * (p1 - p0)
+    return TriangleMesh(vertices, faces.reshape(-1, 3))

@@ -10,12 +10,23 @@ fields.
 
 Fine vertices are addressed by a flat id in lexicographic order with z
 fastest; all public operations speak flat ids.
+
+The lattice is stored only in active blocks, cubes of BLOCK fine cells
+aligned to coarse cells, as OpenVDB stores a sparse volume (Museth, ACM
+TOG 2013): the blocks that hold a band site (band_grid). A block keeps its
+(BLOCK + 1)^3 sites, so it shares its face sites with its neighbors. No
+halo is needed: a filled site reads only sites of its own coarse cell, and
+a marching cube only its 8 corners, so each block fills and extracts on
+its own, and a site two blocks share gets the same value in both. Sites
+outside the active blocks read the far field, the same in every such block;
+only --dump-field builds the dense (n, n, n) array.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyField, MissingCoarseValue, NotCoarseVertex
 
@@ -66,6 +77,10 @@ class LatticeSpec:
         return -0.5 - self.margin
 
     @property
+    def blocks_per_axis(self):
+        return -(-self.fine_cells // BLOCK)
+
+    @property
     def total_fine_vertices(self):
         return self.fine_n ** 3
 
@@ -86,36 +101,203 @@ class LatticeSpec:
         return self.fine_position(self.unflatten(ids))
 
 
+# Fine cells per block edge, even so that blocks hold whole coarse cells.
+# On sphere-c64 and dense-sheets-c64 (seed 0, 2-core x86-64) peak RSS was
+# 125 and 174 MB at 8, the same at 16, and 134 and 178 MB at 32, where more
+# of each block lies off the band; fill and extract times did not differ
+# beyond noise. 16 keeps an eighth as many blocks as 8, and its blocks
+# store (17/16)^3 = 1.2 sites per site they cover, against (9/8)^3 = 1.4.
+BLOCK = 16
+_SIDE = BLOCK + 1
+# Sites per pass when locating sites in blocks; bounds the pass's temporaries
+# (about 50 bytes a site) to a couple of MB.
+_SITE_CHUNK = 1 << 15
+# the 8 corners of a cube, (0, 0, 0) first: block offsets, index parities
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+
+
 class AdaptiveGrid:
     """Field values over the fine lattice, and which sites were evaluated
-    directly (coarse from the start, refined later) rather than filled."""
+    directly (stride sites from the start, refined later) rather than
+    filled, held in blocks of BLOCK fine cells per axis.
 
-    def __init__(self, spec: LatticeSpec):
-        self.spec = spec
-        n = spec.fine_n
-        self.evaluated = np.zeros(spec.total_fine_vertices, dtype=bool)
-        self.evaluated.reshape(n, n, n)[::2, ::2, ::2] = True
-        self.values = np.full(spec.total_fine_vertices, np.nan)
+    Block (bx, by, bz) holds the (BLOCK + 1)^3 sites from fine index
+    BLOCK * (bx, by, bz) on, so neighbors both hold the sites of the face
+    they share; values[a] and evaluated[a] belong to block coords[a], in
+    ascending block flat id. When BLOCK does not divide the fine cells, the
+    last block on an axis overhangs the lattice; its sites past the last
+    plane are never evaluated, and no count, dump or mesh reads them. Sites
+    outside the stored blocks read the far field (far_field): far at the
+    stride sites, their fill elsewhere.
+    """
+
+    def __init__(self, spec: LatticeSpec, stride=2, blocks=None, far=np.nan):
+        self.spec, self.stride, self.far = spec, stride, far
+        nb = spec.blocks_per_axis
+        blocks = np.arange(nb ** 3) if blocks is None else np.asarray(blocks, dtype=np.int64)
+        self.coords = np.stack(np.unravel_index(blocks, (nb, nb, nb)), axis=-1)
+        self._slot = np.full(nb ** 3, -1, dtype=np.int64)
+        self._slot[blocks] = np.arange(blocks.size)
+        shape = (blocks.size,) + (_SIDE,) * 3
+        on_stride = (slice(None),) + (slice(None, None, stride),) * 3
+        self.values = np.full(shape, np.nan)
+        self.values[on_stride] = far
+        self.evaluated = np.zeros(shape, dtype=bool)
+        self.evaluated[on_stride] = True
+        clear_past(self.evaluated, self.coords, spec, False)
+
+    def _copies(self, ids):
+        """(rows, at) for every stored copy of the sites ids: its row in ids
+        and its index in the flat block stack."""
+        rows, at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for r, blocks, local in _holders(self.spec, ids):
+            slot = self._slot[blocks]
+            held = slot >= 0
+            rows.append(r[held])
+            at.append(((slot[held] * _SIDE + local[0][held]) * _SIDE + local[1][held]) * _SIDE
+                      + local[2][held])
+        return np.concatenate(rows), np.concatenate(at)
+
+    def _stored_copies(self, ids):
+        rows, at = self._copies(ids)
+        held = np.zeros(ids.size, dtype=bool)
+        held[rows] = True
+        if not held.all():
+            raise ValueError(f"site {ids[~held][0]} lies outside the stored blocks")
+        return rows, at
 
     def set_values(self, ids, values):
-        self.values[np.asarray(ids, dtype=np.int64)] = values
+        """Write each site's value into every stored block that holds it."""
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        rows, at = self._stored_copies(ids)
+        self.values.reshape(-1)[at] = np.broadcast_to(np.asarray(values, dtype=np.float64),
+                                                      ids.shape)[rows]
+
+    def mark_evaluated(self, ids):
+        self.evaluated.reshape(-1)[self._stored_copies(np.asarray(ids, dtype=np.int64))[1]] = True
+
+    def evaluated_at(self, ids):
+        """Evaluated flag per site; outside the stored blocks, the stride sites."""
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        rows, at = self._copies(ids)
+        out, held = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
+        out[rows], held[rows] = self.evaluated.reshape(-1)[at], True
+        out[~held] = ~np.any(self.spec.unflatten(ids[~held]) % self.stride, axis=-1)
+        return out
+
+    def _extent(self):
+        """(A, 3): the sites per axis each block owns, its lower BLOCK planes
+        (the last block: every plane it holds in the lattice), so that every
+        lattice site has one owner."""
+        nb = self.spec.blocks_per_axis
+        return np.where(self.coords == nb - 1, self.spec.fine_n - BLOCK * (nb - 1), BLOCK)
+
+    def _owned_count(self, mask):
+        extent = self._extent()
+        return sum(int(np.count_nonzero(mask[np.all(extent == e, axis=1), :e[0], :e[1], :e[2]]))
+                   for e in np.unique(extent, axis=0))
+
+    def _outside(self):
+        """(sites, stride sites) of the lattice that no stored block owns."""
+        extent = self._extent()
+        m = (self.spec.fine_n - 1) // self.stride + 1
+        return (self.spec.total_fine_vertices - int(np.prod(extent, axis=1).sum()),
+                m ** 3 - int(np.prod(-(-extent // self.stride), axis=1).sum()))
+
+    @property
+    def stored_sites(self):
+        """Lattice sites the stored blocks hold, each counted once."""
+        return self.spec.total_fine_vertices - self._outside()[0]
 
     @property
     def evaluated_count(self):
-        return int(np.count_nonzero(self.evaluated))
+        """Evaluated sites, counting the stride sites outside the stored blocks."""
+        return self._owned_count(self.evaluated) + self._outside()[1]
 
     @property
     def filled_count(self):
         """Sites holding a value without being evaluated: those
-        hierarchical_fill wrote."""
-        return int(np.count_nonzero(~self.evaluated & ~np.isnan(self.values)))
+        hierarchical_fill wrote, and the other sites outside the stored blocks."""
+        sites, stride_sites = self._outside()
+        return self._owned_count(~self.evaluated & ~np.isnan(self.values)) + sites - stride_sites
 
     def dense_values(self):
-        """Field as an (n, n, n) array; EmptyField if any site lacks a value."""
-        if np.isnan(self.values).any():
+        """Field as an (n, n, n) array; EmptyField if any site lacks a value.
+        --dump-field is its one caller: the pipeline never builds it otherwise."""
+        n, nb = self.spec.fine_n, self.spec.blocks_per_axis
+        dense = np.empty((BLOCK * nb + 1,) * 3)
+        far = far_field(self.stride, self.far)
+        for parity in _CORNERS:
+            dense[tuple(slice(p, None, 2) for p in parity)] = far[tuple(parity)]
+        windows = sliding_window_view(dense, (_SIDE,) * 3, writeable=True)
+        windows[::BLOCK, ::BLOCK, ::BLOCK][tuple(self.coords.T)] = self.values
+        dense = dense[:n, :n, :n]
+        if np.isnan(dense).any():
             raise EmptyField("field has unpopulated sites; run hierarchical_fill first")
-        n = self.spec.fine_n
-        return self.values.reshape(n, n, n)
+        return dense
+
+
+def _holders(spec, ids):
+    """Yield (rows, blocks, local) per corner of _CORNERS: the sites ids[rows]
+    that the block at that corner holds, its flat block id, and their index
+    in it per axis. Corner 0 on an axis is the block the site lies in;
+    corner 1 the one below, which holds the site only on its upper face.
+    Sites are taken _SITE_CHUNK at a time."""
+    n, nb = spec.fine_n, spec.blocks_per_axis
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    for start in range(0, ids.size, _SITE_CHUNK):
+        i, rest = np.divmod(ids[start:start + _SITE_CHUNK], n * n)
+        base, local = zip(*(np.divmod(x, BLOCK) for x in (i, *np.divmod(rest, n))))
+        on_face = [(x == 0) & (b > 0) for b, x in zip(base, local)]
+        shared = np.flatnonzero(on_face[0] | on_face[1] | on_face[2])
+        for corner in _CORNERS:
+            # beyond the last block only on the last plane of a lattice BLOCK divides
+            cand = shared if corner.any() else np.arange(i.size)
+            rows = cand[np.logical_and.reduce([on_face[a][cand] if corner[a] else
+                                               base[a][cand] < nb for a in range(3)])]
+            b = [base[a][rows] - corner[a] for a in range(3)]
+            yield rows + start, (b[0] * nb + b[1]) * nb + b[2], [local[a][rows] + BLOCK * corner[a]
+                                                                 for a in range(3)]
+
+
+def clear_past(arr, coords, spec, value):
+    """Set to value what arr, a stack of per-block site or cube arrays for the
+    blocks at coords, holds past the lattice's last plane."""
+    nb = spec.blocks_per_axis
+    kept = arr.shape[-1] - (BLOCK * nb + 1 - spec.fine_n)
+    for axis in range(3):
+        np.moveaxis(arr, axis + 1, 1)[coords[:, axis] == nb - 1, kept:] = value
+
+
+def block_slabs(coords):
+    """(start, stop) of each run of blocks that share their x block index."""
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(coords[:, 0])) + 1, [len(coords)]])
+    return zip(edges[:-1].tolist(), edges[1:].tolist())
+
+
+def far_field(stride, far):
+    """The sites outside the stored blocks by index parity, (2, 2, 2): far at
+    the stride sites, and the fill of those elsewhere."""
+    cell = np.full((3, 3, 3), np.nan)
+    evaluated = np.zeros((3, 3, 3), dtype=bool)
+    evaluated[::stride, ::stride, ::stride] = True
+    cell[evaluated] = far
+    _fill(cell, evaluated)
+    return cell[:2, :2, :2]
+
+
+def band_grid(spec, stride, band, far, level):
+    """The grid that stores the blocks holding a band site, every other site
+    reading the far field. The far field's cubes cross the level only when
+    far lies within its fill's rounding of it (cell centers of a far_cap of
+    0.1 read 0.09999999999999999); then every block is stored."""
+    inside = far_field(stride, far) < level
+    if inside.any() and not inside.all():
+        return AdaptiveGrid(spec, stride, None, far)
+    held = np.zeros(spec.blocks_per_axis ** 3, dtype=bool)
+    for _, blocks, _ in _holders(spec, band):
+        held[blocks] = True
+    return AdaptiveGrid(spec, stride, np.flatnonzero(held), far)
 
 
 # the 3x3x3 stencil around a site: (di, dj, dk) columns, lexicographic
@@ -138,7 +320,7 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
         raise NotCoarseVertex(f"id {hot_ids[outside][0]} is outside the lattice of "
                               f"{spec.total_fine_vertices} fine vertices")
     hot_ijk = spec.unflatten(hot_ids)
-    coarse = grid.evaluated[hot_ids] & ~np.any(hot_ijk % 2, axis=-1)
+    coarse = grid.evaluated_at(hot_ids) & ~np.any(hot_ijk % 2, axis=-1)
     if not coarse.all():
         raise NotCoarseVertex(f"id {hot_ids[~coarse][0]} is not an evaluated coarse vertex")
     # candidates: each hot id plus the stencil's 27 flat offsets, (H, 27),
@@ -152,9 +334,9 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     # first claiming hot vertex
     cand, first = np.unique((hot_ids[:, None] + spec.flat_id(_STENCIL.T)).ravel()[kept],
                             return_index=True)
-    fresh = ~grid.evaluated[cand]
+    fresh = ~grid.evaluated_at(cand)
     new, parents = cand[fresh], hot_ids[kept[first[fresh]] // 27]
-    grid.evaluated[new] = True
+    grid.mark_evaluated(new)
     return new, parents
 
 
@@ -169,21 +351,28 @@ def hierarchical_fill(grid: AdaptiveGrid):
     A site with k odd indices gets the mean of its 2k neighbors along its
     odd axes, for k = 1, 2, 3 in turn: edge midpoints from coarse vertices,
     then face centers from edge midpoints, then cell centers from face
-    centers. Evaluated sites are never overwritten.
+    centers. Evaluated sites are never overwritten. Those neighbors lie in
+    the site's coarse cell, so each block fills on its own, one x slab of
+    blocks at a time, and a site two blocks share reads the same values in
+    both.
     """
-    n = grid.spec.fine_n
-    evaluated = grid.evaluated.reshape(n, n, n)
-    values = grid.values.reshape(n, n, n)
+    for start, stop in block_slabs(grid.coords):
+        values, evaluated = grid.values[start:stop], grid.evaluated[start:stop]
+        if (np.isnan(values) & evaluated).any():  # coarse vertices included
+            raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
+        _fill(values, evaluated)
 
-    if np.isnan(grid.values[grid.evaluated]).any():  # coarse vertices included
-        raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
 
+def _fill(values, evaluated):
+    """hierarchical_fill's rule over the last three axes, of m sites each."""
+    m = values.shape[-1]
     for k in (1, 2, 3):
         for odd in itertools.combinations(range(3), k):
-            site = tuple(slice(1, n - 1, 2) if a in odd else slice(0, n, 2) for a in range(3))
+            site = (...,) + tuple(slice(1, m - 1, 2) if a in odd else slice(0, m, 2)
+                                  for a in range(3))
             # the site moved to its even neighbor below, then above, per odd axis
-            neighbors = [site[:a] + (side,) + site[a + 1:] for a in odd
-                         for side in (slice(0, n - 2, 2), slice(2, n, 2))]
+            neighbors = [site[:a + 1] + (side,) + site[a + 2:] for a in odd
+                         for side in (slice(0, m - 2, 2), slice(2, m, 2))]
             acc = values[neighbors[0]].copy()
             for nb in neighbors[1:]:
                 acc += values[nb]

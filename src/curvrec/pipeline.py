@@ -25,7 +25,7 @@ from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, hierarchical_fill,
+from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, hierarchical_fill,
                    refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
@@ -86,20 +86,29 @@ class PipelineConfig:
 @dataclass
 class TimingReport:
     """evaluated_queries counts the lattice sites marked evaluated, not
-    kd-tree queries: sites outside the band read far_cap without one."""
+    kd-tree queries: sites outside the band read far_cap without one.
+    nn_queries counts the rows given the nearest-point query, near_queries
+    those of them sent on to the ball query, and stored_sites the lattice
+    sites the grid's blocks hold."""
 
     patch_time: float
     udf_time: float
     evaluated_queries: int
     filled_queries: int
     total_fine_vertices: int
+    nn_queries: int
+    near_queries: int
+    stored_sites: int
 
     def lines(self):
         return [f"patch_time={self.patch_time:.3f}",
                 f"udf_time={self.udf_time:.3f}",
                 f"evaluated_queries={self.evaluated_queries}",
                 f"filled_queries={self.filled_queries}",
-                f"total_fine_vertices={self.total_fine_vertices}"]
+                f"total_fine_vertices={self.total_fine_vertices}",
+                f"nn_queries={self.nn_queries}",
+                f"near_queries={self.near_queries}",
+                f"stored_sites={self.stored_sites}"]
 
 
 @dataclass
@@ -161,10 +170,10 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
                       policy, estimator, far_cap, nn, patch, udf):
-    """UDF value per query: patch pipeline inside the radius, capped
-    nearest distance outside. nn must be exact up to max(far_cap, radii);
-    a query whose nn reads inf gets far_cap. Wall time is appended to the
-    patch and udf lists."""
+    """(UDF value per query, rows sent to the ball query): patch pipeline
+    inside the radius, capped nearest distance outside. nn must be exact up
+    to max(far_cap, radii); a query whose nn reads inf gets far_cap. Wall
+    time is appended to the patch and udf lists."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
     with stage("evaluate", udf):
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
@@ -189,7 +198,7 @@ def _evaluate_queries(index, positions, radii, sigmas, query_ids,
             patches = Patches(index.points[flat[keep]], kept, weights[keep], copies)
         with stage("evaluate", udf):
             values[rows] = estimator.estimate_batch(positions[rows], patches)
-    return values
+    return values, near_rows.size
 
 
 def _band_sites(spec, points, stride, near_bound):
@@ -208,6 +217,14 @@ def _band_sites(spec, points, stride, near_bound):
     no refined site; its corners read at least min(near_bound, far_cap),
     as do the sites filled from them, and no inside flag or crossed edge
     changes. Only field values outside the band do (--dump-field).
+
+    The grid stores only the blocks that hold a band site (band_grid). A
+    block without one holds no refined site either: a refined site lies
+    within one fine step of its hot vertex, a band site, so every block
+    that holds the refined site holds the hot vertex too. Each site of such
+    a block reads the far field, whose cubes carry no crossing unless
+    far_cap lies within rounding of the level, and then every block is
+    stored. So every crossed cube lies in a stored block.
     """
     m = (spec.fine_n - 1) // stride + 1
     step = stride * spec.fine_spacing
@@ -222,14 +239,14 @@ def _band_sites(spec, points, stride, near_bound):
     return spec.flat_id(stride * np.argwhere(band))
 
 
-def _band_queries(config, index, grid, stride, near_bound):
-    """_band_sites' (ids, positions, nn), nn exact up to max(near_bound,
-    far_cap); every other stride site gets far_cap."""
-    n = grid.spec.fine_n
-    grid.values.reshape(n, n, n)[::stride, ::stride, ::stride] = config.far_cap
-    ids = _band_sites(grid.spec, index.points, stride, near_bound)
-    positions = grid.spec.position_of_id(ids)
-    return ids, positions, index.nearest_distance_many(
+def _band_queries(config, index, spec, stride, near_bound, iso):
+    """The grid over the band's blocks (band_grid), where every other stride
+    site reads far_cap, and _band_sites' (ids, positions, nn), nn exact up
+    to max(near_bound, far_cap)."""
+    ids = _band_sites(spec, index.points, stride, near_bound)
+    grid = band_grid(spec, stride, ids, config.far_cap, iso.eps)
+    positions = spec.position_of_id(ids)
+    return grid, ids, positions, index.nearest_distance_many(
         positions, workers=config.workers, bound=max(near_bound, config.far_cap))
 
 
@@ -244,21 +261,17 @@ def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
                                  f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
 
 
-def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
-    estimator = make_estimator(config.estimator)
-    norm_cloud, transform, index, spec = _prepare(config, cloud)
-    iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
-    grid = AdaptiveGrid(spec)
-    patch, udf = [], []  # wall time per section, summed into TimingReport
+def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf):
+    """(grid, curvature field, nn rows, near rows): the band's grid with
+    every evaluated site set. The mode picks the query set; evaluate is
+    shared. The query arrays die here, before fill and extract."""
     cf = None
-
-    # The mode picks the query set; evaluate, fill and extract are shared.
     if config.baseline_mode:
         with stage("evaluate", patch):
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
-            grid.evaluated[:] = True
-            ids, positions, nn = _band_queries(config, index, grid, 1, max(config.r0, iso.eps))
+            grid, ids, positions, nn = _band_queries(config, index, spec, 1,
+                                                     max(config.r0, iso.eps), iso)
             radii = np.full(ids.size, config.r0)
             sigmas = np.zeros(ids.size)
             threshold = np.inf
@@ -266,8 +279,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         with stage("curvature", patch):
             # One prefilter serves the curvature candidates (nn <= r0) and
             # the coarse rows of evaluate (radius <= r0 * s_max).
-            ids, positions, nn = _band_queries(config, index, grid, 2,
-                                               max(config.r0 * config.s_max, iso.eps))
+            grid, ids, positions, nn = _band_queries(config, index, spec, 2,
+                                                     max(config.r0 * config.s_max, iso.eps), iso)
             cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
@@ -295,19 +308,28 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     policy = ResamplePolicy(target_count=config.target_count,
                             curvature_threshold=threshold, rng_seed=config.seed)
     with stage("evaluate"):
-        values = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                   estimator, config.far_cap, nn, patch, udf)
+        values, near_queries = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
+                                                 estimator, config.far_cap, nn, patch, udf)
         grid.set_values(ids, values)
+    return grid, cf, ids.size, near_queries
+
+
+def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
+    estimator = make_estimator(config.estimator)
+    norm_cloud, transform, index, spec = _prepare(config, cloud)
+    iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
+    patch, udf = [], []  # wall time per section, summed into TimingReport
+    grid, cf, nn_queries, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso,
+                                                         estimator, patch, udf)
     with stage("fill", udf):
         hierarchical_fill(grid)
-        dense = grid.dense_values()
 
     if config.dump_field:
         with stage("dump"):
-            save_field(dense, spec, config.dump_field)
+            save_field(grid.dense_values(), spec, config.dump_field)
 
     with stage("extract"):
-        norm_mesh = marching_cubes(dense, spec, iso)
+        norm_mesh = marching_cubes(grid.values, grid.coords, spec, iso)
     with stage("denormalize"):
         mesh = denormalize_mesh(norm_mesh, transform)
     if config.output_path:
@@ -317,7 +339,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     timing = TimingReport(
         patch_time=sum(patch), udf_time=sum(udf),
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
-        total_fine_vertices=spec.total_fine_vertices)
+        total_fine_vertices=spec.total_fine_vertices, nn_queries=nn_queries,
+        near_queries=near_queries, stored_sites=grid.stored_sites)
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
 

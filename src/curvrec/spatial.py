@@ -79,8 +79,9 @@ class SpatialIndex:
         keep = v <= r
         # v is sqrt(d2) rounded, so near r (and anywhere once r*r is
         # subnormal) it can disagree with d2 <= r*r: recompute d2 there in
-        # the tree's summation order.
-        tie = np.flatnonzero((np.abs(v - r) <= 4 * np.spacing(r)) | (r < _MIN_SEARCH))
+        # the tree's summation order. Both tests depend on the center alone.
+        slack, tiny = 4 * np.spacing(radii), radii < _MIN_SEARCH
+        tie = np.flatnonzero((np.abs(v - r) <= slack[i]) | tiny[i])
         d = self.points[j[tie]] - centers[i[tie]]
         keep[tie] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2] <= r[tie] * r[tie]
         n = len(self)

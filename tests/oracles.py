@@ -5,12 +5,16 @@ Each scalar function handles one point set (or one query and its patch)
 with plain numpy, in the most direct form of the formula.
 """
 
+import itertools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from curvrec.curvature import DEGENERATE_TRACE
 from curvrec.errors import EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
 from curvrec.extract import _T_CLAMP
+from curvrec.grid import BLOCK
 from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
@@ -138,6 +142,77 @@ def marching_cubes(field, spec, level):
         vertices[v] = p0 + t * (p1 - p0)
     faces = np.array([vertex_of[key] for key in corners], dtype=np.int64).reshape(-1, 3)
     return vertices, faces
+
+
+def dense_marching_cubes(field, spec, level):
+    """(vertices, faces) of field == level over the whole (n, n, n) lattice
+    at once: the uint8 case of every cube, one key per triangle corner
+    (axis * n^3 + flat id of the edge's lower end) and one np.unique."""
+    values = np.asarray(field, dtype=np.float64)
+    n = spec.fine_n
+    inside = values < level
+    cube_idx = np.zeros((n, n, n), dtype=np.uint8)
+    for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+        cube_idx[:-1, :-1, :-1] |= inside[dx:dx + n - 1, dy:dy + n - 1,
+                                          dz:dz + n - 1].view(np.uint8) << c
+    origin = np.flatnonzero((cube_idx != 0) & (cube_idx != 255))
+    tri_rows = TRI_TABLE[cube_idx.ravel()[origin]]
+    tri_valid = tri_rows >= 0
+    edge_offset = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
+    edge_key = np.repeat(origin, tri_valid.sum(axis=1)) + edge_offset[tri_rows[tri_valid]]
+    unique_keys, corner_vertex = np.unique(edge_key, return_inverse=True)
+    axis, lower = np.divmod(unique_keys, n ** 3)
+    upper = lower + np.array([n * n, n, 1])[axis]
+    v0, v1 = values.ravel()[lower], values.ravel()[upper]
+    t = np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP)
+    p0, p1 = spec.position_of_id(lower), spec.position_of_id(upper)
+    return p0 + t[:, None] * (p1 - p0), corner_vertex.reshape(-1, 3)
+
+
+def dense_hierarchical_fill(values, evaluated):
+    """The fill over the whole (n, n, n) lattice at once, in place: one
+    strided slice per parity class, its 2k neighbor slices summed in order."""
+    n = values.shape[0]
+    for k in (1, 2, 3):
+        for odd in itertools.combinations(range(3), k):
+            site = tuple(slice(1, n - 1, 2) if a in odd else slice(0, n, 2) for a in range(3))
+            neighbors = [site[:a] + (side,) + site[a + 1:] for a in odd
+                         for side in (slice(0, n - 2, 2), slice(2, n, 2))]
+            acc = values[neighbors[0]].copy()
+            for nb in neighbors[1:]:
+                acc += values[nb]
+            acc /= 2 * k
+            target = values[site]
+            open_sites = ~evaluated[site]
+            target[open_sites] = acc[open_sites]
+    return values
+
+
+def _padded_windows(dense, spec):
+    """The lattice padded with NaN to whole blocks, and its (nb, nb, nb,
+    BLOCK + 1, BLOCK + 1, BLOCK + 1) block windows."""
+    n, size = spec.fine_n, BLOCK * spec.blocks_per_axis + 1
+    padded = np.full((size,) * 3, np.nan if dense.dtype.kind == "f" else 0, dtype=dense.dtype)
+    padded[:n, :n, :n] = dense
+    step = (slice(None, None, BLOCK),) * 3
+    return padded, sliding_window_view(padded, (BLOCK + 1,) * 3, writeable=True)[step]
+
+
+def blocks_of(field, spec):
+    """(stack, coords): every block of a dense (n, n, n) field as
+    AdaptiveGrid stores it, past-the-lattice sites NaN."""
+    windows = _padded_windows(np.asarray(field), spec)[1]
+    nb = spec.blocks_per_axis
+    coords = np.stack(np.unravel_index(np.arange(nb ** 3), (nb,) * 3), axis=-1)
+    return windows.reshape((-1,) + windows.shape[3:]).copy(), coords
+
+
+def unblock(stack, coords, spec, dense):
+    """dense (n, n, n) with the blocks of stack, at coords, written over it."""
+    padded, windows = _padded_windows(np.asarray(dense), spec)
+    windows[tuple(np.asarray(coords).T)] = stack
+    n = spec.fine_n
+    return padded[:n, :n, :n].copy()
 
 
 def refine_with_parents(spec, evaluated, hot_ids):

@@ -121,7 +121,7 @@ def test_criterion_3_fill_affine_exactness():
         grid.set_values(ids, pos @ np.array([a, b, c]) + d)
         hierarchical_fill(grid)
         expect = all_pos @ np.array([a, b, c]) + d
-        worst = max(worst, float(np.abs(grid.values - expect).max()))
+        worst = max(worst, float(np.abs(grid.dense_values().ravel() - expect).max()))
     _verdict(3, "hierarchical fill affine-exact",
              [(f"max-err-{worst:.2e}<1e-12", worst < 1e-12)],
              time.perf_counter() - t0, 10.0)

@@ -9,6 +9,11 @@ from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 import oracles
 
 
+def extract(field, spec, iso):
+    """marching_cubes over every block of a dense field."""
+    return marching_cubes(*oracles.blocks_of(field, spec), spec, iso)
+
+
 def lattice_positions(spec):
     n = spec.fine_n
     ax = spec.domain_min + np.arange(n) * spec.fine_spacing
@@ -50,7 +55,7 @@ def test_triangle_edges_join_an_inside_and_an_outside_corner():
 def test_field_above_level_gives_empty_mesh():
     spec = LatticeSpec(coarse_cells=4, margin_cells=1)
     n = spec.fine_n
-    mesh = marching_cubes(np.ones((n, n, n)), spec, IsoSpec(eps=0.5))
+    mesh = extract(np.ones((n, n, n)), spec, IsoSpec(eps=0.5))
     assert mesh.num_vertices == 0 and mesh.num_faces == 0
 
 
@@ -60,9 +65,9 @@ def test_nan_field_rejected():
     bad = np.ones((n, n, n))
     bad[1, 1, 1] = np.nan
     with pytest.raises(EmptyField):
-        marching_cubes(bad, spec, IsoSpec(eps=0.5))
+        extract(bad, spec, IsoSpec(eps=0.5))
     with pytest.raises(ValueError):
-        marching_cubes(np.ones((3, 3, 3)), spec, IsoSpec(eps=0.5))
+        marching_cubes(np.ones((3, 3, 3)), np.zeros((1, 3)), spec, IsoSpec(eps=0.5))
 
 
 def test_single_interior_vertex_octahedron():
@@ -70,7 +75,7 @@ def test_single_interior_vertex_octahedron():
     n = spec.fine_n
     field = np.ones((n, n, n))
     field[4, 4, 4] = 0.0
-    mesh = marching_cubes(field, spec, IsoSpec(eps=0.5))
+    mesh = extract(field, spec, IsoSpec(eps=0.5))
     # 8 cubes share the low vertex; each contributes one corner triangle
     assert mesh.num_faces == 8
     assert mesh.num_vertices == 6  # octahedron corners, shared through the cache
@@ -87,7 +92,7 @@ def sphere_field(spec, radius):
 def test_sphere_two_shells_radii():
     spec = LatticeSpec(coarse_cells=24, margin_cells=2)
     eps = spec.fine_spacing / 2
-    mesh = marching_cubes(sphere_field(spec, 0.3), spec, IsoSpec(eps))
+    mesh = extract(sphere_field(spec, 0.3), spec, IsoSpec(eps))
     r = np.linalg.norm(mesh.vertices, axis=1)
     cell = spec.fine_spacing
     assert r.min() > 0.3 - eps - cell and r.max() < 0.3 + eps + cell
@@ -121,7 +126,7 @@ def test_vertices_sit_on_level_set():
     spec = LatticeSpec(coarse_cells=12, margin_cells=1)
     eps = spec.fine_spacing / 2
     field = sphere_field(spec, 0.3)
-    mesh = marching_cubes(field, spec, IsoSpec(eps))
+    mesh = extract(field, spec, IsoSpec(eps))
     interp = _vertex_edge_values(mesh, spec, field)
     assert np.abs(interp - eps).max() < 1e-6
 
@@ -129,7 +134,7 @@ def test_vertices_sit_on_level_set():
 def test_no_duplicate_vertices():
     spec = LatticeSpec(coarse_cells=16, margin_cells=1)
     field = sphere_field(spec, 0.3)
-    mesh = marching_cubes(field, spec, IsoSpec(spec.fine_spacing / 2))
+    mesh = extract(field, spec, IsoSpec(spec.fine_spacing / 2))
     order = np.lexsort(mesh.vertices.T)
     diffs = np.linalg.norm(np.diff(mesh.vertices[order], axis=0), axis=1)
     assert diffs.min() > 1e-12
@@ -138,7 +143,7 @@ def test_no_duplicate_vertices():
 def test_faces_reference_distinct_cached_vertices():
     spec = LatticeSpec(coarse_cells=10, margin_cells=1)
     field = sphere_field(spec, 0.25)
-    mesh = marching_cubes(field, spec, IsoSpec(spec.fine_spacing / 2))
+    mesh = extract(field, spec, IsoSpec(spec.fine_spacing / 2))
     f = mesh.faces
     assert np.all(f[:, 0] != f[:, 1])
     assert np.all(f[:, 1] != f[:, 2])
@@ -151,17 +156,18 @@ def test_faces_reference_distinct_cached_vertices():
 def test_deterministic():
     spec = LatticeSpec(coarse_cells=8, margin_cells=1)
     field = sphere_field(spec, 0.3)
-    a = marching_cubes(field, spec, IsoSpec(spec.fine_spacing / 2))
-    b = marching_cubes(field, spec, IsoSpec(spec.fine_spacing / 2))
+    a = extract(field, spec, IsoSpec(spec.fine_spacing / 2))
+    b = extract(field, spec, IsoSpec(spec.fine_spacing / 2))
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.faces, b.faces)
 
 
 def _assert_matches_oracle(field, spec, level):
-    mesh = marching_cubes(field, spec, IsoSpec(level))
-    vertices, faces = oracles.marching_cubes(field, spec, level)
-    assert np.array_equal(mesh.vertices, vertices)
-    assert np.array_equal(mesh.faces, faces)
+    mesh = extract(field, spec, IsoSpec(level))
+    for vertices, faces in (oracles.marching_cubes(field, spec, level),
+                            oracles.dense_marching_cubes(field, spec, level)):
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.faces, faces)
     return mesh
 
 
@@ -201,6 +207,6 @@ def test_affine_field_plane():
     pos = lattice_positions(spec)
     field = np.abs(pos[..., 2])
     eps = 0.75 * spec.fine_spacing
-    mesh = marching_cubes(field, spec, IsoSpec(eps))
+    mesh = extract(field, spec, IsoSpec(eps))
     z = mesh.vertices[:, 2]
     assert np.allclose(np.abs(z), eps, atol=1e-9 + eps * 2e-6)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
-from curvrec.grid import (AdaptiveGrid, LatticeSpec, hierarchical_fill, load_field,
+from curvrec.extract import IsoSpec, marching_cubes
+from curvrec.grid import (AdaptiveGrid, LatticeSpec, band_grid, hierarchical_fill, load_field,
                           refine_with_parents, save_field, select_hot)
 import oracles
 from oracles import coarse_queries
+
+
+def every_site(grid):
+    return np.arange(grid.spec.total_fine_vertices)
 
 
 def fresh_grid(coarse_cells=8, margin_cells=2):
@@ -55,7 +60,7 @@ def test_refine_isolated_interior():
     center = spec.flat_id(np.array([8, 8, 8]))
     new = refine_with_parents(grid, [center])[0]
     assert new.size == 26
-    assert np.all(grid.evaluated[new])
+    assert np.all(grid.evaluated_at(new))
     # idempotent
     assert refine_with_parents(grid, [center])[0].size == 0
 
@@ -79,7 +84,7 @@ def test_refine_adjacent_pair():
 
 def test_new_grid_has_exactly_the_coarse_vertices_evaluated():
     spec, grid, ids, _ = fresh_grid(coarse_cells=5, margin_cells=1)
-    assert np.array_equal(np.flatnonzero(grid.evaluated), ids)
+    assert np.array_equal(np.flatnonzero(grid.evaluated_at(every_site(grid))), ids)
 
 
 def test_refine_corner_clipped():
@@ -134,14 +139,14 @@ def test_refine_matches_enumeration_on_faces_and_corners(coarse, data):
         hot += [draw_vertex(axis, side) for axis in range(3) for side in (0, coarse)]
         hot += [draw_vertex() for _ in range(data.draw(st.integers(0, 4)))]
         hot = data.draw(st.permutations(list(dict.fromkeys(hot))), label="hot")
-        before = grid.evaluated.copy()
+        before = grid.evaluated_at(every_site(grid))
         expect_new, expect_parents = oracles.refine_with_parents(spec, before, hot)
         new, parents = refine_with_parents(grid, hot)
         assert np.array_equal(new, expect_new)
         assert np.array_equal(parents, expect_parents)
         after = before.copy()
         after[new] = True
-        assert np.array_equal(grid.evaluated, after)
+        assert np.array_equal(grid.evaluated_at(every_site(grid)), after)
 
 
 def test_select_hot():
@@ -161,7 +166,7 @@ def test_fill_affine_exact():
     n = spec.fine_n
     all_ijk = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     expect = spec.fine_position(all_ijk) @ np.array([a, b, c]) + d
-    assert np.abs(grid.values - expect).max() < 1e-12
+    assert np.abs(grid.dense_values().ravel() - expect).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +187,7 @@ def test_fill_exact_for_affine_fields_after_refinement(coarse, data):
     grid.set_values(new, affine(spec.position_of_id(new)))
     hierarchical_fill(grid)
     expect = affine(spec.position_of_id(np.arange(spec.total_fine_vertices)))
-    assert np.abs(grid.values - expect).max() < 1e-12
+    assert np.abs(grid.dense_values().ravel() - expect).max() < 1e-12
     assert grid.evaluated_count == ids.size + new.size
     assert grid.evaluated_count + grid.filled_count == spec.total_fine_vertices
 
@@ -191,7 +196,7 @@ def test_fill_constant():
     spec, grid, ids, _ = fresh_grid(coarse_cells=4, margin_cells=1)
     grid.set_values(ids, np.full(ids.size, 3.25))
     hierarchical_fill(grid)
-    assert np.all(grid.values == 3.25)
+    assert np.all(grid.dense_values() == 3.25)
     assert grid.evaluated_count + grid.filled_count == spec.total_fine_vertices
 
 
@@ -212,23 +217,26 @@ def test_fill_matches_slow_oracle_with_refined_sites():
     expect = oracles.hierarchical_fill(spec, seed)
 
     hierarchical_fill(grid)
+    values = grid.dense_values().ravel()
     for fid, v in expect.items():
-        assert grid.values[fid] == pytest.approx(v, abs=1e-12)
+        assert values[fid] == pytest.approx(v, abs=1e-12)
 
 
 def _refined_grid(coarse, data):
     """A grid with up to 6 hot vertices refined and every evaluated site set
     to a value of magnitude 1e-3 to 1e3, either sign; returns it with the
-    refined ids and the rng that drew the values."""
+    refined ids, the rng that drew the values, and the evaluated ids and
+    their values."""
     margin = data.draw(st.integers(0, min(1, (coarse - 1) // 2)), label="margin")
     spec, grid, ids, _ = fresh_grid(coarse_cells=coarse, margin_cells=margin)
     hot = data.draw(st.lists(st.sampled_from(ids.tolist()), max_size=6, unique=True),
                     label="hot")
     new = refine_with_parents(grid, hot)[0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    evaluated = np.flatnonzero(grid.evaluated)
-    grid.set_values(evaluated, _signed_magnitudes(rng, evaluated.size))
-    return grid, new, rng
+    evaluated = np.flatnonzero(grid.evaluated_at(every_site(grid)))
+    values = _signed_magnitudes(rng, evaluated.size)
+    grid.set_values(evaluated, values)
+    return grid, new, rng, evaluated, values
 
 
 def _signed_magnitudes(rng, size):
@@ -238,13 +246,11 @@ def _signed_magnitudes(rng, size):
 @settings(max_examples=40, deadline=None)
 @given(coarse=st.integers(1, 4), data=st.data())
 def test_fill_matches_oracle_bitwise(coarse, data):
-    grid, _, _ = _refined_grid(coarse, data)
-    evaluated = np.flatnonzero(grid.evaluated)
-    expect = oracles.hierarchical_fill(grid.spec, zip(evaluated.tolist(),
-                                                      grid.values[evaluated].tolist()))
+    grid, _, _, evaluated, values = _refined_grid(coarse, data)
+    expect = oracles.hierarchical_fill(grid.spec, zip(evaluated.tolist(), values.tolist()))
     hierarchical_fill(grid)
     assert len(expect) == grid.spec.total_fine_vertices
-    assert np.array_equal(grid.values, [expect[i] for i in range(len(expect))])
+    assert np.array_equal(grid.dense_values().ravel(), [expect[i] for i in range(len(expect))])
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,19 +258,107 @@ def test_fill_matches_oracle_bitwise(coarse, data):
 def test_filled_sites_never_read_refined_sites(coarse, data):
     # a refined block is closed under the fill stencil, so a per-block fill
     # needs a halo of one coarse cell and no more
-    grid, new, rng = _refined_grid(coarse, data)
+    grid, new, rng, _, _ = _refined_grid(coarse, data)
     hierarchical_fill(grid)
     before = grid.values.copy()
     grid.values[~grid.evaluated] = np.nan
     grid.set_values(new, _signed_magnitudes(rng, new.size))
     hierarchical_fill(grid)
-    assert np.array_equal(grid.values[~grid.evaluated], before[~grid.evaluated])
+    # sites past the lattice's last plane stay NaN
+    assert np.array_equal(grid.values[~grid.evaluated], before[~grid.evaluated], equal_nan=True)
     # with every site evaluated the fill writes nothing
     grid.evaluated[:] = True
-    full = _signed_magnitudes(rng, grid.values.size)
+    full = _signed_magnitudes(rng, grid.values.size).reshape(grid.values.shape)
     grid.values[:] = full
     hierarchical_fill(grid)
     assert np.array_equal(grid.values, full)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coarse=st.integers(1, 20), margin=st.integers(0, 2), baseline=st.booleans(),
+       far=st.sampled_from([0.1, 0.3, 0.7]), level=st.sampled_from([0.5, 0.1]),
+       share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+       hot=st.lists(st.tuples(*[st.integers(0, 20)] * 3), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+# margin 0 and 24 fine cells, which BLOCK does not divide; hot vertices on a
+# face, an edge and a corner of a block, and on the lattice's corners
+@example(coarse=12, margin=0, baseline=False, far=0.7, level=0.5, share=0.01,
+         hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (0, 0, 0), (12, 12, 12)], seed=0)
+# 32 fine cells, which BLOCK divides: the last plane is the last block's
+# upper face; the only band sites are hot, with refined sites on block faces
+@example(coarse=16, margin=1, baseline=False, far=0.3, level=0.5, share=0.0,
+         hot=[(8, 8, 8), (16, 8, 4), (8, 16, 16)], seed=1)
+@example(coarse=17, margin=2, baseline=True, far=0.7, level=0.5, share=0.01,
+         hot=[(8, 8, 8)], seed=2)
+# far at the level: the far field's cell centers read just below it, so
+# its cubes cross the level and every block is stored
+@example(coarse=10, margin=1, baseline=False, far=0.1, level=0.1, share=0.01,
+         hot=[(8, 0, 8)], seed=3)
+def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share, hot, seed):
+    # the grid over the band's blocks fills, dumps and extracts the same
+    # bits as the whole-lattice kernels with the band's values and far
+    # everywhere else
+    spec = LatticeSpec(coarse_cells=coarse, margin_cells=min(margin, (coarse - 1) // 2))
+    n = spec.fine_n
+    stride = 1 if baseline else 2
+    rng = np.random.default_rng(seed)
+    on_stride = np.zeros((n, n, n), dtype=bool)
+    on_stride[::stride, ::stride, ::stride] = True
+    hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64).reshape(-1, 3)
+                                          % (coarse + 1))))
+    band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
+    band = band if band.size else np.array([0])
+    grid = band_grid(spec, stride, band, far, level)
+    values = np.where(on_stride, far, np.nan).ravel()
+    evaluated = on_stride.ravel().copy()
+
+    def evaluate(ids):
+        v = rng.random(ids.size)
+        v[rng.random(ids.size) < 0.2] = level
+        grid.set_values(ids, v)
+        values[ids] = v
+
+    evaluate(band)
+    if not baseline:
+        new = refine_with_parents(grid, hot_ids)[0]
+        evaluated[new] = True
+        evaluate(new)
+    seeded = np.flatnonzero(evaluated)
+    seed_values = values[seeded]
+    hierarchical_fill(grid)
+    oracles.dense_hierarchical_fill(values.reshape(n, n, n), evaluated.reshape(n, n, n))
+    assert np.array_equal(grid.dense_values().ravel(), values)
+    assert grid.evaluated_count == seeded.size
+    assert grid.filled_count == n ** 3 - seeded.size
+
+    mesh = marching_cubes(grid.values, grid.coords, spec, IsoSpec(level))
+    expect = [oracles.dense_marching_cubes(values.reshape(n, n, n), spec, level)]
+    if n <= 25:  # the per-site oracles, where they finish quickly
+        fill = oracles.hierarchical_fill(spec, zip(seeded.tolist(), seed_values.tolist()))
+        assert np.array_equal([fill[i] for i in range(n ** 3)], values)
+        expect.append(oracles.marching_cubes(values.reshape(n, n, n), spec, level))
+    for vertices, faces in expect:
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.faces, faces)
+
+
+def test_sites_outside_the_stored_blocks_read_the_far_field():
+    spec = LatticeSpec(coarse_cells=16, margin_cells=1)   # 2 blocks per axis
+    grid = AdaptiveGrid(spec, blocks=[0], far=0.3)
+    n = spec.fine_n
+    outside = spec.flat_id(np.array([[20, 20, 20], [21, 20, 20], [17, 3, 3]]))
+    assert grid.evaluated_at(outside).tolist() == [True, False, False]
+    with pytest.raises(ValueError, match="outside the stored blocks"):
+        grid.set_values(outside[:1], 1.0)
+    hierarchical_fill(grid)
+    far = np.full((n, n, n), np.nan)
+    far[::2, ::2, ::2] = 0.3
+    on_stride = ~np.isnan(far)
+    oracles.dense_hierarchical_fill(far, on_stride)
+    assert np.array_equal(grid.dense_values(), far)
+    assert grid.stored_sites == 16 ** 3
+    assert grid.evaluated_count == np.count_nonzero(on_stride)
+    assert grid.filled_count == n ** 3 - np.count_nonzero(on_stride)
 
 
 def test_fill_never_overwrites_evaluated():
@@ -273,7 +367,7 @@ def test_fill_never_overwrites_evaluated():
     new = refine_with_parents(grid, [spec.flat_id(np.array([4, 4, 4]))])[0]
     grid.set_values(new, np.full(new.size, 7.0))
     hierarchical_fill(grid)
-    assert np.all(grid.values[new] == 7.0)
+    assert np.all(grid.dense_values().ravel()[new] == 7.0)
     assert grid.evaluated_count == ids.size + new.size
     # evaluated-count bound
     assert grid.evaluated_count <= ids.size + 26 * 1

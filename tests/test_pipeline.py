@@ -1,6 +1,8 @@
+import copy
 import functools
 import hashlib
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
                               run_pipeline)
 from curvrec.spatial import build_index
+import oracles
 from oracles import chamfer, sheet_membership
 
 
@@ -48,6 +51,9 @@ def test_reconstruct_sphere_closed_shell(sphere_cloud):
     assert 0.25 < r.min() and r.max() < 0.35
     assert timing.evaluated_queries + timing.filled_queries == timing.total_fine_vertices
     assert timing.patch_time >= 0 and timing.udf_time >= 0
+    # every query row is a band or refined site; the mesh's blocks are stored
+    assert 0 < timing.near_queries <= timing.nn_queries < timing.evaluated_queries
+    assert 0 < timing.stored_sites <= timing.total_fine_vertices
 
 
 def test_baseline_counts(sphere_cloud):
@@ -55,6 +61,7 @@ def test_baseline_counts(sphere_cloud):
     result = run_pipeline(cfg, sphere_cloud)
     assert result.timing.evaluated_queries == result.spec.total_fine_vertices
     assert result.timing.filled_queries == 0
+    assert 0 < result.timing.near_queries <= result.timing.nn_queries < result.spec.total_fine_vertices
 
 
 def test_adaptive_planar_no_hot_region(planar_cloud):
@@ -291,10 +298,11 @@ def test_point_exactly_at_query_radius_is_near():
     nn = index.nearest_distance_many(positions, bound=np.max(radii, initial=0.1))
     assert nn.tolist() == [0.25]
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
-    values = pipeline._evaluate_queries(
+    values, near = pipeline._evaluate_queries(
         index, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
         make_estimator("nearest"), 0.1, nn, [], [])
     assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
+    assert near == 1
 
 
 def test_empty_ball_at_nn_radius_keeps_far_value():
@@ -309,9 +317,10 @@ def test_empty_ball_at_nn_radius_keeps_far_value():
     assert empty.any()
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     m = positions.shape[0]
-    values = pipeline._evaluate_queries(
+    values, near = pipeline._evaluate_queries(
         index, positions, nn, np.zeros(m), np.arange(m), policy,
         make_estimator("nearest"), 1.0, nn, [], [])
+    assert near == m  # empty balls are sent to the ball query too
     assert np.array_equal(values[empty], nn[empty])
     assert np.allclose(values, nn, rtol=0, atol=1e-15)
 
@@ -364,6 +373,48 @@ def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
     dumped = (tmp_path / "bench.bin").read_bytes()
     assert dumped == (tmp_path / "adaptive.bin").read_bytes()
     assert dumped != (tmp_path / "baseline.bin").read_bytes()
+
+
+def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch):
+    # On sheets a minority of the blocks is stored, and fill and extract
+    # together with their results allocate less than a dense float64 lattice
+    # would take; only --dump-field builds that lattice, and it holds the
+    # whole-lattice kernels' field.
+    cloud = fixtures.make_fixture("sheets", count=12000, seed=0, gap=0.045, noise=0.002)
+    config = small_config(coarse_cells=64, margin_cells=3)
+    n = LatticeSpec(coarse_cells=64, margin_cells=3).fine_n
+    peaks, grids = {}, []
+
+    def traced(name, fn):
+        def run(*args):
+            if name == "fill":
+                grids.append(copy.deepcopy(args[0]))
+            tracemalloc.start()
+            try:
+                return fn(*args)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        return run
+
+    monkeypatch.setattr(pipeline, "hierarchical_fill", traced("fill", pipeline.hierarchical_fill))
+    monkeypatch.setattr(pipeline, "marching_cubes", traced("extract", pipeline.marching_cubes))
+    result = run_pipeline(config, cloud)
+    assert 0 < result.timing.stored_sites < result.spec.total_fine_vertices / 2
+    assert grids[0].values.nbytes < n ** 3 * 8
+    assert set(peaks) == {"fill", "extract"}
+    assert max(peaks.values()) < n ** 3 * 8
+
+    path = tmp_path / "field.bin"
+    dumped = run_pipeline(replace(config, dump_field=str(path)), cloud)
+    assert dumped.mesh.faces.tobytes() == result.mesh.faces.tobytes()
+    grid = grids[1]  # before its fill: the band's values, far_cap at other stride sites
+    outside = np.full((n, n, n), np.nan)
+    outside[::2, ::2, ::2] = config.far_cap
+    values = oracles.unblock(grid.values, grid.coords, grid.spec, outside)
+    evaluated = oracles.unblock(grid.evaluated, grid.coords, grid.spec, ~np.isnan(outside))
+    oracles.dense_hierarchical_fill(values, evaluated)
+    assert path.read_bytes() == values.astype("<f4").tobytes()
 
 
 def test_dump_field(sphere_cloud, tmp_path):
@@ -453,6 +504,7 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--margin-cells", "2"]) == 0
     out = capsys.readouterr().out
     assert "patch_time=" in out and "evaluated_queries=" in out
+    assert "nn_queries=" in out and "near_queries=" in out and "stored_sites=" in out
     assert mesh_path.exists()
 
     assert cli.main(["metrics", "--mesh", str(mesh_path),
