@@ -64,11 +64,14 @@ def estimate_plane_fit(q, patch) -> float:
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     cov = centered.T @ centered / pts.shape[0]
-    w, v = np.linalg.eigh(cov)
+    w = np.linalg.eigh(cov)[0]
     trace = w.sum()
     if trace < _PLANE_DEGENERACY or w[1] < _PLANE_DEGENERACY * trace:
         return nearest
-    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ v[:, 0]))
+    # the last right singular vector of the centered points is the smallest
+    # covariance eigenvector, without squaring the patch's aspect ratio
+    normal = np.linalg.svd(centered)[2][-1]
+    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ normal))
     return min(plane, nearest)
 
 
