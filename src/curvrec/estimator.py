@@ -9,16 +9,11 @@ point-to-fitted-plane clamped by the nearest-point value.
 
 import numpy as np
 
-from .patch import csr_subset, segmented_moments
+from .patch import segmented_moments
 
 # Plane fitting needs a genuinely 2D neighborhood; below this ratio of the
 # covariance trace the two smallest eigenvalues are treated as collapsed.
 _PLANE_DEGENERACY = 1e-12
-# eigh's normal is off by about rounding times the largest covariance
-# eigenvalue over the gap above the smallest; past this ratio the patch is
-# thin enough that _refined_normal turns it (4% of the patches of a
-# 50k-point sphere at coarse 64).
-_EIGH_GAP_RATIO = 16.0
 
 
 class NearestPointEstimator:
@@ -44,40 +39,10 @@ class PlaneFitEstimator:
         # covariance over the padded cardinality: centroid copies add no scatter
         cardinality = total + patches.centroid_copies
         w, v = np.linalg.eigh(scatter / cardinality[:, None, None])
+        plane = np.abs(((queries - mean) * v[:, :, 0]).sum(axis=1))
         traces = w.sum(axis=1)
         degenerate = (traces < _PLANE_DEGENERACY) | (w[:, 1] < _PLANE_DEGENERACY * traces)
-        normal = v[:, :, 0].copy()
-        thin = np.flatnonzero(~degenerate & (w[:, 2] > _EIGH_GAP_RATIO * (w[:, 1] - w[:, 0])))
-        normal[thin] = _refined_normal(patches, thin, mean[thin],
-                                       w[thin] * cardinality[thin, None], v[thin])
-        plane = np.abs(((queries - mean) * normal).sum(axis=1))
         return np.where(degenerate, nearest, np.minimum(plane, nearest))
-
-
-def _refined_normal(patches, rows, mean, eigvals, v):
-    """Unit normal of each listed patch: eigh's smallest scatter eigenvector
-    v[:, :, 0], turned to first order towards v[:, :, k] by
-    -s_0k / (eigvals_k - eigvals_0), where s_0k = (sum of w (c . v_0) c over
-    the centered entries c) . v_k. mean, eigvals and v are the rows'.
-
-    eigh's vectors carry the scatter's rounding, relative to its largest
-    eigenvalue, over the eigenvalue gap: an error that grows with the
-    square of the patch's aspect ratio (length over thickness). s_0k is
-    rounded relative to the entries' offsets c . v_0 instead, so the turned
-    normal's error grows with the aspect ratio alone. A turn of half its
-    gap or more (near-equal eigenvalues, where no normal fits better than
-    another) is dropped; centroid copies sit at the mean and add nothing."""
-    entries, offsets = csr_subset(patches.offsets, rows)
-    counts = np.diff(offsets)
-    centered = patches.points[entries] - np.repeat(mean, counts, axis=0)
-    along = np.einsum("ij,ij->i", centered, np.repeat(v[:, :, 0], counts, axis=0))
-    pull = np.add.reduceat(centered * (along * patches.weights[entries])[:, None],
-                           offsets[:-1], axis=0)
-    cross = np.einsum("ij,ijk->ik", pull, v[:, :, 1:])
-    gap = eigvals[:, 1:] - eigvals[:, :1]
-    step = np.divide(-cross, gap, out=np.zeros_like(cross), where=2 * np.abs(cross) < gap)
-    normal = v[:, :, 0] + step[:, :1] * v[:, :, 1] + step[:, 1:] * v[:, :, 2]
-    return normal / np.linalg.norm(normal, axis=1)[:, None]
 
 
 def _nearest(queries, patches, mean):

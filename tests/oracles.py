@@ -64,14 +64,11 @@ def estimate_plane_fit(q, patch) -> float:
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     cov = centered.T @ centered / pts.shape[0]
-    w = np.linalg.eigh(cov)[0]
+    w, v = np.linalg.eigh(cov)
     trace = w.sum()
     if trace < _PLANE_DEGENERACY or w[1] < _PLANE_DEGENERACY * trace:
         return nearest
-    # the last right singular vector of the centered points is the smallest
-    # covariance eigenvector, without squaring the patch's aspect ratio
-    normal = np.linalg.svd(centered)[2][-1]
-    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ normal))
+    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ v[:, 0]))
     return min(plane, nearest)
 
 

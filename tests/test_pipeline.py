@@ -110,17 +110,17 @@ def test_subsampled_mesh_bytes_independent_of_workers(sphere_cloud, tmp_path):
 # per fixture (12k points, seed 0), mode and estimator, at coarse 32, margin 2
 # ("nearest" also sets target_count 8, so its patches get subsampled).
 MESH_PINS = {
-    ("sphere", "baseline", "plane"): "4d37bfa68d11",
+    ("sphere", "baseline", "plane"): "11f2f72e1eca",
     ("sphere", "baseline", "nearest"): "a608da49500f",
-    ("sphere", "adaptive", "plane"): "9e57f835da08",
+    ("sphere", "adaptive", "plane"): "7e6a56d495b8",
     ("sphere", "adaptive", "nearest"): "fcedb2703779",
-    ("cube", "baseline", "plane"): "1d7359568fe2",
+    ("cube", "baseline", "plane"): "3c16c9fd9038",
     ("cube", "baseline", "nearest"): "987c77e58815",
-    ("cube", "adaptive", "plane"): "6e34eb311075",
+    ("cube", "adaptive", "plane"): "db46833c47f2",
     ("cube", "adaptive", "nearest"): "8e6db58beca5",
-    ("sheets", "baseline", "plane"): "75cabdd67b91",
+    ("sheets", "baseline", "plane"): "bf28266813a2",
     ("sheets", "baseline", "nearest"): "e88ec25fc9b7",
-    ("sheets", "adaptive", "plane"): "911bf2a6f2a1",
+    ("sheets", "adaptive", "plane"): "5c8886baa5e4",
     ("sheets", "adaptive", "nearest"): "620738a76dbc",
 }
 
