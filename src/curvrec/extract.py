@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyField
-from .grid import BLOCK, LatticeSpec, block_slabs, clear_past
+from .grid import (BLOCK, SIDE, SITE_STRIDES, LatticeSpec, block_slabs, clear_past,
+                   site_index)
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .model import TriangleMesh
 
 _T_CLAMP = 1e-6
-_SIDE = BLOCK + 1
-_STRIDES = np.array([_SIDE * _SIDE, _SIDE, 1])   # flat steps in a block's sites
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,14 @@ def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMe
     coords = np.asarray(blocks, dtype=np.int64).reshape(-1, 3)
     if values.size == 0:
         raise EmptyField("empty field")
-    if values.shape != (len(coords),) + (_SIDE,) * 3:
-        raise ValueError(f"field shape {values.shape} is not {len(coords)} blocks of {_SIDE}^3")
+    if values.shape != (len(coords),) + (SIDE,) * 3:
+        raise ValueError(f"field shape {values.shape} is not {len(coords)} blocks of {SIDE}^3")
     n = spec.fine_n
     level = iso.eps
     # a triangle corner's edge: its global key from the cube's flat id, and
     # its lower end's index in the slab from the cube's lowest corner
     edge_key = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
-    edge_site = EDGE_BASE @ _STRIDES
+    edge_site = EDGE_BASE @ SITE_STRIDES
     keys, crossings, corners = [], [], []
     for start, stop in block_slabs(coords):
         slab, at = values[start:stop], coords[start:stop]
@@ -96,10 +95,9 @@ def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMe
         s, i, j, k = np.unravel_index(crossed, case.shape)
         origin = spec.flat_id(BLOCK * at[s] + np.stack([i, j, k], axis=-1))
         order = np.argsort(origin)
-        origin, crossed, s = origin[order], crossed[order], s[order]
+        origin, crossed = origin[order], crossed[order]
         # the cube's lowest corner, as an index into the slab's sites
-        lowest = crossed + (s * (_SIDE ** 3 - BLOCK ** 3) + i[order] * (_SIDE ** 2 - BLOCK ** 2)
-                            + j[order] * (_SIDE - BLOCK))
+        lowest = site_index(s, i, j, k)[order]
 
         tri_rows = TRI_TABLE[case.reshape(-1)[crossed]]    # (a, 16)
         tri_valid = tri_rows >= 0
@@ -113,7 +111,7 @@ def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMe
         cube = np.searchsorted(np.cumsum(per_cube), first, side="right")
         lower = lowest[cube] + edge_site[edges[first]]
         flat = slab.reshape(-1)
-        v0, v1 = flat[lower], flat[lower + _STRIDES[EDGE_AXIS[edges[first]]]]
+        v0, v1 = flat[lower], flat[lower + SITE_STRIDES[EDGE_AXIS[edges[first]]]]
         keys.append(unique_keys)
         crossings.append(np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP))
         corners.append(corner_vertex.astype(np.int32))

@@ -108,7 +108,10 @@ class LatticeSpec:
 # beyond noise. 16 keeps an eighth as many blocks as 8, and its blocks
 # store (17/16)^3 = 1.2 sites per site they cover, against (9/8)^3 = 1.4.
 BLOCK = 16
-_SIDE = BLOCK + 1
+# a block's sites per axis; a grid stacks them as one (A, SIDE, SIDE, SIDE)
+# array, which site_index and SITE_STRIDES address flat
+SIDE = BLOCK + 1
+SITE_STRIDES = np.array([SIDE * SIDE, SIDE, 1])
 # Sites per pass when locating sites in blocks; bounds the pass's temporaries
 # (about 50 bytes a site) to a couple of MB.
 _SITE_CHUNK = 1 << 15
@@ -138,7 +141,7 @@ class AdaptiveGrid:
         self.coords = np.stack(np.unravel_index(blocks, (nb, nb, nb)), axis=-1)
         self._slot = np.full(nb ** 3, -1, dtype=np.int64)
         self._slot[blocks] = np.arange(blocks.size)
-        shape = (blocks.size,) + (_SIDE,) * 3
+        shape = (blocks.size,) + (SIDE,) * 3
         on_stride = (slice(None),) + (slice(None, None, stride),) * 3
         self.values = np.full(shape, np.nan)
         self.values[on_stride] = far
@@ -154,8 +157,7 @@ class AdaptiveGrid:
             slot = self._slot[blocks]
             held = slot >= 0
             rows.append(r[held])
-            at.append(((slot[held] * _SIDE + local[0][held]) * _SIDE + local[1][held]) * _SIDE
-                      + local[2][held])
+            at.append(site_index(slot[held], *(x[held] for x in local)))
         return np.concatenate(rows), np.concatenate(at)
 
     def _stored_copies(self, ids):
@@ -229,12 +231,17 @@ class AdaptiveGrid:
         far = far_field(self.stride, self.far)
         for parity in _CORNERS:
             dense[tuple(slice(p, None, 2) for p in parity)] = far[tuple(parity)]
-        windows = sliding_window_view(dense, (_SIDE,) * 3, writeable=True)
+        windows = sliding_window_view(dense, (SIDE,) * 3, writeable=True)
         windows[::BLOCK, ::BLOCK, ::BLOCK][tuple(self.coords.T)] = self.values
         dense = dense[:n, :n, :n]
         if np.isnan(dense).any():
             raise EmptyField("field has unpopulated sites; run hierarchical_fill first")
         return dense
+
+
+def site_index(slot, i, j, k):
+    """Index in a flattened block stack of site (i, j, k) of the block in row slot."""
+    return ((slot * SIDE + i) * SIDE + j) * SIDE + k
 
 
 def _holders(spec, ids):
