@@ -14,12 +14,12 @@ fastest; all public operations speak flat ids.
 The lattice is stored only in active blocks, cubes of BLOCK fine cells
 aligned to coarse cells, as OpenVDB stores a sparse volume (Museth, ACM
 TOG 2013): the blocks that hold a band site (band_grid). A block keeps its
-(BLOCK + 1)^3 sites, so it shares its face sites with its neighbors. No
-halo is needed: a filled site reads only sites of its own coarse cell, and
-a marching cube only its 8 corners, so each block fills and extracts on
-its own, and a site two blocks share gets the same value in both. Sites
-outside the active blocks read the far field, the same in every such block;
-only --dump-field builds the dense (n, n, n) array.
+(BLOCK + 1)^3 sites, sharing its face sites with its neighbors: a site is
+written in the block it lies in, then copied to the others. No halo is
+needed: a filled site reads only its own coarse cell, and a marching cube
+its 8 corners, so each block fills and extracts on its own, the same in
+every copy. Sites outside the active blocks read the far field, the same
+in every such block; only --dump-field builds the dense (n, n, n) array.
 """
 
 import itertools
@@ -113,7 +113,7 @@ BLOCK = 16
 SIDE = BLOCK + 1
 SITE_STRIDES = np.array([SIDE * SIDE, SIDE, 1])
 # Sites per pass when locating sites in blocks; bounds the pass's temporaries
-# (about 50 bytes a site) to a couple of MB.
+# (about 90 bytes a site) to a few MB.
 _SITE_CHUNK = 1 << 15
 # the 8 corners of a cube, (0, 0, 0) first: block offsets, index parities
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
@@ -132,6 +132,12 @@ class AdaptiveGrid:
     plane are never evaluated, and no count, dump or mesh reads them. Sites
     outside the stored blocks read the far field (far_field): far at the
     stride sites, their fill elsewhere.
+
+    A site's owner is the block it lies in, min(i // BLOCK, nb - 1) per
+    axis. A write goes to the owner, and _share_faces brings it to every
+    other stored copy when every block holding the site is stored, as
+    band_grid stores them. Writing a site whose owner is not stored raises
+    ValueError; evaluated_at reads such a site's flag by index parity.
     """
 
     def __init__(self, spec: LatticeSpec, stride=2, blocks=None, far=np.nan):
@@ -139,8 +145,8 @@ class AdaptiveGrid:
         nb = spec.blocks_per_axis
         blocks = np.arange(nb ** 3) if blocks is None else np.asarray(blocks, dtype=np.int64)
         self.coords = np.stack(np.unravel_index(blocks, (nb, nb, nb)), axis=-1)
-        self._slot = np.full(nb ** 3, -1, dtype=np.int64)
-        self._slot[blocks] = np.arange(blocks.size)
+        self._slot = np.full((nb, nb, nb), -1, dtype=np.int64)  # row per block, -1: not stored
+        self._slot[tuple(self.coords.T)] = np.arange(blocks.size)
         shape = (blocks.size,) + (SIDE,) * 3
         on_stride = (slice(None),) + (slice(None, None, stride),) * 3
         self.values = np.full(shape, np.nan)
@@ -149,41 +155,48 @@ class AdaptiveGrid:
         self.evaluated[on_stride] = True
         clear_past(self.evaluated, self.coords, spec, False)
 
-    def _copies(self, ids):
-        """(rows, at) for every stored copy of the sites ids: its row in ids
-        and its index in the flat block stack."""
-        rows, at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for r, blocks, local in _holders(self.spec, ids):
-            slot = self._slot[blocks]
-            held = slot >= 0
-            rows.append(r[held])
-            at.append(site_index(slot[held], *(x[held] for x in local)))
-        return np.concatenate(rows), np.concatenate(at)
+    def _site_index(self, ids):
+        """Each site's index in the flat block stack, in its owner, or -1 where
+        that block is not stored; _SITE_CHUNK sites at a time."""
+        n, nb = self.spec.fine_n, self.spec.blocks_per_axis
+        at = np.empty(ids.size, dtype=np.int64)
+        for start in range(0, ids.size, _SITE_CHUNK):
+            ijk = np.unravel_index(ids[start:start + _SITE_CHUNK], (n, n, n))
+            block = [np.minimum(x // BLOCK, nb - 1) for x in ijk]
+            slot = self._slot[tuple(block)]
+            at[start:start + _SITE_CHUNK] = np.where(
+                slot >= 0, site_index(slot, *(x - BLOCK * b for x, b in zip(ijk, block))), -1)
+        return at
 
-    def _stored_copies(self, ids):
-        rows, at = self._copies(ids)
-        held = np.zeros(ids.size, dtype=bool)
-        held[rows] = True
-        if not held.all():
-            raise ValueError(f"site {ids[~held][0]} lies outside the stored blocks")
-        return rows, at
+    def _share_faces(self, arr):
+        """Copy each stored block's lower face planes of arr (values or flags)
+        into the upper faces of its stored lower neighbours, one axis after
+        another, so that a site on an edge or a corner reaches every copy."""
+        for axis in range(3):
+            slot, view = np.moveaxis(self._slot, axis, 0), np.moveaxis(arr, axis + 1, 1)
+            pair = (slot[1:] >= 0) & (slot[:-1] >= 0)
+            view[slot[:-1][pair], BLOCK] = view[slot[1:][pair], 0]
+
+    def _write(self, arr, ids, values):
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        at = self._site_index(ids)
+        if (at < 0).any():
+            raise ValueError(f"site {ids[at < 0][0]} lies outside the stored blocks")
+        arr.reshape(-1)[at] = values
+        self._share_faces(arr)
 
     def set_values(self, ids, values):
-        """Write each site's value into every stored block that holds it."""
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        rows, at = self._stored_copies(ids)
-        self.values.reshape(-1)[at] = np.broadcast_to(np.asarray(values, dtype=np.float64),
-                                                      ids.shape)[rows]
+        self._write(self.values, ids, values)
 
     def mark_evaluated(self, ids):
-        self.evaluated.reshape(-1)[self._stored_copies(np.asarray(ids, dtype=np.int64))[1]] = True
+        self._write(self.evaluated, ids, True)
 
     def evaluated_at(self, ids):
-        """Evaluated flag per site; outside the stored blocks, the stride sites."""
+        """Evaluated flag per site; where its owner is not stored, by index parity."""
         ids = np.asarray(ids, dtype=np.int64).ravel()
-        rows, at = self._copies(ids)
-        out, held = np.zeros(ids.size, dtype=bool), np.zeros(ids.size, dtype=bool)
-        out[rows], held[rows] = self.evaluated.reshape(-1)[at], True
+        at = self._site_index(ids)
+        out, held = np.zeros(ids.size, dtype=bool), at >= 0
+        out[held] = self.evaluated.reshape(-1)[at[held]]
         out[~held] = ~np.any(self.spec.unflatten(ids[~held]) % self.stride, axis=-1)
         return out
 
@@ -244,29 +257,6 @@ def site_index(slot, i, j, k):
     return ((slot * SIDE + i) * SIDE + j) * SIDE + k
 
 
-def _holders(spec, ids):
-    """Yield (rows, blocks, local) per corner of _CORNERS: the sites ids[rows]
-    that the block at that corner holds, its flat block id, and their index
-    in it per axis. Corner 0 on an axis is the block the site lies in;
-    corner 1 the one below, which holds the site only on its upper face.
-    Sites are taken _SITE_CHUNK at a time."""
-    n, nb = spec.fine_n, spec.blocks_per_axis
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    for start in range(0, ids.size, _SITE_CHUNK):
-        i, rest = np.divmod(ids[start:start + _SITE_CHUNK], n * n)
-        base, local = zip(*(np.divmod(x, BLOCK) for x in (i, *np.divmod(rest, n))))
-        on_face = [(x == 0) & (b > 0) for b, x in zip(base, local)]
-        shared = np.flatnonzero(on_face[0] | on_face[1] | on_face[2])
-        for corner in _CORNERS:
-            # beyond the last block only on the last plane of a lattice BLOCK divides
-            cand = shared if corner.any() else np.arange(i.size)
-            rows = cand[np.logical_and.reduce([on_face[a][cand] if corner[a] else
-                                               base[a][cand] < nb for a in range(3)])]
-            b = [base[a][rows] - corner[a] for a in range(3)]
-            yield rows + start, (b[0] * nb + b[1]) * nb + b[2], [local[a][rows] + BLOCK * corner[a]
-                                                                 for a in range(3)]
-
-
 def clear_past(arr, coords, spec, value):
     """Set to value what arr, a stack of per-block site or cube arrays for the
     blocks at coords, holds past the lattice's last plane."""
@@ -293,17 +283,19 @@ def far_field(stride, far):
     return cell[:2, :2, :2]
 
 
-def band_grid(spec, stride, band, far, level):
-    """The grid that stores the blocks holding a band site, every other site
-    reading the far field. The far field's cubes cross the level only when
-    far lies within its fill's rounding of it (cell centers of a far_cap of
-    0.1 read 0.09999999999999999); then every block is stored."""
-    inside = far_field(stride, far) < level
-    if inside.any() and not inside.all():
-        return AdaptiveGrid(spec, stride, None, far)
-    held = np.zeros(spec.blocks_per_axis ** 3, dtype=bool)
-    for _, blocks, _ in _holders(spec, band):
-        held[blocks] = True
+def band_grid(spec, stride, band, far):
+    """The grid that stores every block holding a band site, each other site
+    reading the far field. Per axis, a site at fine index i is held by
+    blocks max((i - 1) // BLOCK, 0) through min(i // BLOCK, nb - 1): the one
+    it lies in and, on a block face, the one below."""
+    n, nb = spec.fine_n, spec.blocks_per_axis
+    held = np.zeros((nb, nb, nb), dtype=bool)
+    for start in range(0, band.size, _SITE_CHUNK):
+        ijk = np.unravel_index(band[start:start + _SITE_CHUNK], (n, n, n))
+        lo = [np.maximum((x - 1) // BLOCK, 0) for x in ijk]
+        hi = [np.minimum(x // BLOCK, nb - 1) for x in ijk]
+        for corner in _CORNERS:
+            held[tuple(hi[a] if corner[a] else lo[a] for a in range(3))] = True
     return AdaptiveGrid(spec, stride, np.flatnonzero(held), far)
 
 

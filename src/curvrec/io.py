@@ -12,6 +12,7 @@ write/read cycle is lossless.
 
 import os
 import warnings
+from array import array
 from itertools import islice
 from pathlib import Path
 
@@ -259,19 +260,20 @@ def write_mesh(mesh: TriangleMesh, path) -> None:
 
 
 def read_mesh(path) -> TriangleMesh:
-    """Read an OBJ mesh (v/f records only; the inverse of write_mesh)."""
-    vertices, faces = [], []
-    with open(path, "rb") as fh:
-        for lineno, tokens in _records(fh):
-            if tokens[0] == b"v":
-                vertices.append(_obj_vertex(tokens, path, lineno))
-            elif tokens[0] == b"f":
-                if len(tokens) != 4:
-                    raise ParseError(f"{path}:{lineno}: only triangle faces are supported")
-                corners = _numbers([t.split(b"/")[0] for t in tokens[1:]], path, lineno, int)
-                faces.append([c - 1 for c in corners])
+    """Read an OBJ mesh (v/f records only; the inverse of write_mesh), into
+    typed arrays: a Python list per record would take several times the mesh."""
+    coords, corners = array("d"), array("q")
     try:
-        return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-                            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+        with open(path, "rb") as fh:
+            for lineno, tokens in _records(fh):
+                if tokens[0] == b"v":
+                    coords.extend(_obj_vertex(tokens, path, lineno))
+                elif tokens[0] == b"f":
+                    if len(tokens) != 4:
+                        raise ParseError(f"{path}:{lineno}: only triangle faces are supported")
+                    corners.extend(c - 1 for c in _numbers([t.split(b"/")[0] for t in tokens[1:]],
+                                                           path, lineno, int))
+        return TriangleMesh(np.frombuffer(coords).reshape(-1, 3),
+                            np.frombuffer(corners, dtype=np.int64).reshape(-1, 3))
     except (ValueError, OverflowError) as exc:  # OverflowError: index beyond int64
         raise ParseError(f"{path}: {exc}") from exc

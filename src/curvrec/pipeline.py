@@ -25,7 +25,7 @@ from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, hierarchical_fill,
+from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, far_field, hierarchical_fill,
                    refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
@@ -62,7 +62,7 @@ class PipelineConfig:
     dump_field: str | None = None
 
     def __post_init__(self):  # a bad setting fails before any file is read
-        LatticeSpec(coarse_cells=self.coarse_cells, margin_cells=self.margin_cells)
+        spec = LatticeSpec(coarse_cells=self.coarse_cells, margin_cells=self.margin_cells)
         RadiusSchedule(0.0, 0.0, 0.0, 0.0, s_max=self.s_max, s_min=self.s_min,
                        alpha=self.alpha, beta=self.beta, r0=self.r0)
         check_threshold(self.refine_threshold)
@@ -71,8 +71,10 @@ class PipelineConfig:
         if not self.far_cap > 0:
             raise ValueError("far_cap must be positive")
         ResamplePolicy(target_count=self.target_count, rng_seed=self.seed)
-        if self.iso_eps is not None:
-            IsoSpec(self.iso_eps)
+        level, far = self.iso(spec).eps, float(far_field(2, self.far_cap).min())
+        if not level < far:  # the far field outside the band's blocks would cross it
+            raise ValueError(f"offset level {level!r} must lie below far_cap's far field, "
+                             f"{far!r} for far_cap {self.far_cap!r}")
         if not self.sample_count > 0:
             raise ValueError("sample_count must be positive")
         if not (self.workers == -1 or self.workers >= 1):
@@ -81,6 +83,10 @@ class PipelineConfig:
             folder = os.path.dirname(getattr(self, name) or "")
             if folder and not os.path.isdir(folder):
                 raise ValueError(f"{name} directory {folder!r} does not exist")
+
+    def iso(self, spec):
+        """The offset level: iso_eps, or else half a fine cell edge."""
+        return IsoSpec(self.iso_eps) if self.iso_eps is not None else IsoSpec.half_cell(spec)
 
 
 @dataclass
@@ -222,9 +228,8 @@ def _band_sites(spec, points, stride, near_bound):
     block without one holds no refined site either: a refined site lies
     within one fine step of its hot vertex, a band site, so every block
     that holds the refined site holds the hot vertex too. Each site of such
-    a block reads the far field, whose cubes carry no crossing unless
-    far_cap lies within rounding of the level, and then every block is
-    stored. So every crossed cube lies in a stored block.
+    a block reads the far field, which PipelineConfig keeps above the level,
+    so its cubes carry no crossing: every crossed cube lies in a stored block.
     """
     m = (spec.fine_n - 1) // stride + 1
     step = stride * spec.fine_spacing
@@ -239,12 +244,12 @@ def _band_sites(spec, points, stride, near_bound):
     return spec.flat_id(stride * np.argwhere(band))
 
 
-def _band_queries(config, index, spec, stride, near_bound, iso):
+def _band_queries(config, index, spec, stride, near_bound):
     """The grid over the band's blocks (band_grid), where every other stride
     site reads far_cap, and _band_sites' (ids, positions, nn), nn exact up
     to max(near_bound, far_cap)."""
     ids = _band_sites(spec, index.points, stride, near_bound)
-    grid = band_grid(spec, stride, ids, config.far_cap, iso.eps)
+    grid = band_grid(spec, stride, ids, config.far_cap)
     positions = spec.position_of_id(ids)
     return grid, ids, positions, index.nearest_distance_many(
         positions, workers=config.workers, bound=max(near_bound, config.far_cap))
@@ -271,7 +276,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
             grid, ids, positions, nn = _band_queries(config, index, spec, 1,
-                                                     max(config.r0, iso.eps), iso)
+                                                     max(config.r0, iso.eps))
             radii = np.full(ids.size, config.r0)
             sigmas = np.zeros(ids.size)
             threshold = np.inf
@@ -280,7 +285,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             # One prefilter serves the curvature candidates (nn <= r0) and
             # the coarse rows of evaluate (radius <= r0 * s_max).
             grid, ids, positions, nn = _band_queries(config, index, spec, 2,
-                                                     max(config.r0 * config.s_max, iso.eps), iso)
+                                                     max(config.r0 * config.s_max, iso.eps))
             cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
@@ -317,7 +322,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
     estimator = make_estimator(config.estimator)
     norm_cloud, transform, index, spec = _prepare(config, cloud)
-    iso = IsoSpec(config.iso_eps) if config.iso_eps is not None else IsoSpec.half_cell(spec)
+    iso = config.iso(spec)
     patch, udf = [], []  # wall time per section, summed into TimingReport
     grid, cf, nn_queries, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso,
                                                          estimator, patch, udf)

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
 from curvrec.extract import IsoSpec, marching_cubes
-from curvrec.grid import (AdaptiveGrid, LatticeSpec, band_grid, hierarchical_fill, load_field,
-                          refine_with_parents, save_field, select_hot)
+from curvrec.grid import (BLOCK, AdaptiveGrid, LatticeSpec, band_grid, hierarchical_fill,
+                          load_field, refine_with_parents, save_field, select_hot)
 import oracles
 from oracles import coarse_queries
 
@@ -276,7 +278,7 @@ def test_filled_sites_never_read_refined_sites(coarse, data):
 
 @settings(max_examples=30, deadline=None)
 @given(coarse=st.integers(1, 20), margin=st.integers(0, 2), baseline=st.booleans(),
-       far=st.sampled_from([0.1, 0.3, 0.7]), level=st.sampled_from([0.5, 0.1]),
+       far=st.sampled_from([0.1, 0.3, 0.7]), level=st.sampled_from([0.05, 0.1, 0.5]),
        share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
        hot=st.lists(st.tuples(*[st.integers(0, 20)] * 3), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -286,18 +288,15 @@ def test_filled_sites_never_read_refined_sites(coarse, data):
          hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (0, 0, 0), (12, 12, 12)], seed=0)
 # 32 fine cells, which BLOCK divides: the last plane is the last block's
 # upper face; the only band sites are hot, with refined sites on block faces
-@example(coarse=16, margin=1, baseline=False, far=0.3, level=0.5, share=0.0,
+@example(coarse=16, margin=1, baseline=False, far=0.3, level=0.1, share=0.0,
          hot=[(8, 8, 8), (16, 8, 4), (8, 16, 16)], seed=1)
 @example(coarse=17, margin=2, baseline=True, far=0.7, level=0.5, share=0.01,
          hot=[(8, 8, 8)], seed=2)
-# far at the level: the far field's cell centers read just below it, so
-# its cubes cross the level and every block is stored
-@example(coarse=10, margin=1, baseline=False, far=0.1, level=0.1, share=0.01,
-         hot=[(8, 0, 8)], seed=3)
 def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share, hot, seed):
     # the grid over the band's blocks fills, dumps and extracts the same
     # bits as the whole-lattice kernels with the band's values and far
-    # everywhere else
+    # everywhere else, at a level below far (PipelineConfig refuses others)
+    assume(level < far)
     spec = LatticeSpec(coarse_cells=coarse, margin_cells=min(margin, (coarse - 1) // 2))
     n = spec.fine_n
     stride = 1 if baseline else 2
@@ -308,7 +307,7 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
                                           % (coarse + 1))))
     band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
     band = band if band.size else np.array([0])
-    grid = band_grid(spec, stride, band, far, level)
+    grid = band_grid(spec, stride, band, far)
     values = np.where(on_stride, far, np.nan).ravel()
     evaluated = on_stride.ravel().copy()
 
@@ -346,10 +345,15 @@ def test_sites_outside_the_stored_blocks_read_the_far_field():
     spec = LatticeSpec(coarse_cells=16, margin_cells=1)   # 2 blocks per axis
     grid = AdaptiveGrid(spec, blocks=[0], far=0.3)
     n = spec.fine_n
-    outside = spec.flat_id(np.array([[20, 20, 20], [21, 20, 20], [17, 3, 3]]))
-    assert grid.evaluated_at(outside).tolist() == [True, False, False]
-    with pytest.raises(ValueError, match="outside the stored blocks"):
-        grid.set_values(outside[:1], 1.0)
+    # (16, 3, 3) lies on block 0's upper face, but its owner, block (1, 0, 0),
+    # is not stored
+    outside = spec.flat_id(np.array([[20, 20, 20], [21, 20, 20], [17, 3, 3], [16, 3, 3]]))
+    assert grid.evaluated_at(outside).tolist() == [True, False, False, False]
+    for site in outside[[0, 3]]:
+        with pytest.raises(ValueError, match=f"site {site} lies outside the stored blocks"):
+            grid.set_values([site], 1.0)
+        with pytest.raises(ValueError, match=f"site {site} lies outside the stored blocks"):
+            grid.mark_evaluated([site])
     hierarchical_fill(grid)
     far = np.full((n, n, n), np.nan)
     far[::2, ::2, ::2] = 0.3
@@ -359,6 +363,74 @@ def test_sites_outside_the_stored_blocks_read_the_far_field():
     assert grid.stored_sites == 16 ** 3
     assert grid.evaluated_count == np.count_nonzero(on_stride)
     assert grid.filled_count == n ** 3 - np.count_nonzero(on_stride)
+
+
+def _assert_faces_agree(grid):
+    """Each stored block's upper face equals its stored upper neighbour's
+    lower face, in values and in flags."""
+    row = {tuple(c): a for a, c in enumerate(grid.coords.tolist())}
+    for a, c in enumerate(grid.coords.tolist()):
+        for axis in range(3):
+            b = row.get(tuple(c[:axis]) + (c[axis] + 1,) + tuple(c[axis + 1:]))
+            if b is not None:
+                for arr in (grid.values, grid.evaluated):
+                    assert np.array_equal(np.take(arr[a], BLOCK, axis), np.take(arr[b], 0, axis),
+                                          equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse=st.integers(9, 20), baseline=st.booleans(),
+       share=st.sampled_from([0.0, 0.01, 0.1]),
+       hot=st.lists(st.tuples(*[st.one_of(st.sampled_from([8, 16]), st.integers(0, 20))] * 3),
+                    min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+# hot vertices on a block face, edge and corner; the last plane at 32 fine
+# cells is the last block's upper face
+@example(coarse=16, baseline=False, share=0.0, hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (16, 16, 16)],
+         seed=0)
+@example(coarse=12, baseline=True, share=0.0, hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8)], seed=1)
+def test_every_stored_copy_of_a_site_agrees(coarse, baseline, share, hot, seed):
+    # at least 2 blocks per axis; writes reach a site's owner, and the face
+    # exchange brings them to its other stored copies
+    spec = LatticeSpec(coarse_cells=coarse, margin_cells=1)
+    n, stride = spec.fine_n, 1 if baseline else 2
+    rng = np.random.default_rng(seed)
+    on_stride = np.zeros((n, n, n), dtype=bool)
+    on_stride[::stride, ::stride, ::stride] = True
+    hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64) % (coarse + 1))))
+    band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
+    grid = band_grid(spec, stride, band, 0.3)
+    grid.set_values(band, rng.random(band.size))
+    _assert_faces_agree(grid)
+    if not baseline:
+        new = refine_with_parents(grid, hot_ids)[0]
+        _assert_faces_agree(grid)
+        grid.set_values(new, rng.random(new.size))
+        _assert_faces_agree(grid)
+        assert grid.evaluated_at(new).all()
+
+
+def test_site_lookups_stay_within_a_few_bytes_per_site():
+    # every fine site of 13 fine planes of a coarse-128 lattice, 859k ids, in
+    # the blocks of a band of 7 coarse planes. Measured 11.4 (set_values) and
+    # 19.0 (evaluated_at) bytes per id; an unchunked lookup takes 97, the
+    # lookup of every holder that preceded the owner lookup 39.
+    spec = LatticeSpec(coarse_cells=128, margin_cells=3)
+    n, m = spec.fine_n, spec.coarse_cells + 1
+    band = np.sort(spec.flat_id(2 * np.stack(np.meshgrid(
+        np.arange(m), np.arange(m), np.arange(60, 67), indexing="ij"), axis=-1).reshape(-1, 3)))
+    grid = band_grid(spec, 2, band, 0.1)
+    ids = (np.arange(n * n)[:, None] * n + np.arange(120, 133)).ravel()
+    values = np.random.default_rng(0).random(ids.size)
+    for call, bound in ((lambda: grid.set_values(ids, values), 16),
+                        (lambda: grid.evaluated_at(ids), 24)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * ids.size
 
 
 def test_fill_never_overwrites_evaluated():

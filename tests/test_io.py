@@ -259,6 +259,15 @@ def test_read_mesh_rejects_non_numeric_records(tmp_path):
     p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n")
     with pytest.raises(ParseError, match=r"m\.obj:4: "):
         read_mesh(p)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 1\n")
+    with pytest.raises(ParseError, match=r"m\.obj:4: only triangle faces are supported"):
+        read_mesh(p)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99999999999999999999\n")
+    with pytest.raises(ParseError, match=r"m\.obj: "):
+        read_mesh(p)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
+    with pytest.raises(ParseError, match=r"m\.obj: face index out of range"):
+        read_mesh(p)
 
 
 def test_records_skip_undecodable_comments_and_unknown_keywords(tmp_path):

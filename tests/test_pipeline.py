@@ -7,13 +7,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import sample_mesh
 from curvrec.errors import NoCurvatureSamples
 from curvrec.estimator import make_estimator
-from curvrec.grid import LatticeSpec
+from curvrec.grid import LatticeSpec, far_field
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
@@ -192,18 +192,21 @@ def _whole_lattice_band(spec, points, stride, near_bound):
 @given(shape=st.sampled_from(["sphere", "cube", "sheets"]), coarse=st.integers(10, 24),
        margin=st.integers(1, 3), r0=st.sampled_from([0.018, 0.03]),
        far_cap=st.floats(0.01, 0.3),
-       iso_eps=st.one_of(st.none(), st.floats(0.001, 0.4)), baseline=st.booleans())
-# an offset level above r0 * s_max (0.0243), then one above far_cap as well
+       iso_eps=st.one_of(st.none(), st.floats(0.001, 0.3)), baseline=st.booleans())
+# an offset level above r0 * s_max (0.0243), then one just below far_cap as well
 @example(shape="sphere", coarse=24, margin=2, r0=0.018, far_cap=0.3, iso_eps=0.05,
          baseline=False)
-@example(shape="cube", coarse=24, margin=3, r0=0.018, far_cap=0.05, iso_eps=0.08,
+@example(shape="cube", coarse=24, margin=3, r0=0.018, far_cap=0.05, iso_eps=0.0499,
          baseline=False)
 @example(shape="sheets", coarse=16, margin=2, r0=0.03, far_cap=0.3, iso_eps=None,
          baseline=True)
 def test_far_band_leaves_mesh_bytes_unchanged(shape, coarse, margin, r0, far_cap, iso_eps,
                                               baseline):
     # Lattice sites outside the band read far_cap without an nn query; the
-    # mesh must equal a run that queries every site.
+    # mesh must equal a run that queries every site. PipelineConfig refuses
+    # a level at or above far_cap's far field.
+    level = iso_eps if iso_eps is not None else LatticeSpec(coarse, margin).fine_spacing / 2
+    assume(level < far_field(2, far_cap).min())
     config = small_config(coarse_cells=coarse, margin_cells=margin, r0=r0,
                           far_cap=far_cap, iso_eps=iso_eps, baseline_mode=baseline)
     banded = _mesh_or_error(config, _band_cloud(shape))
@@ -434,6 +437,24 @@ def test_stage_tagged_errors(tmp_path):
     assert getattr(exc_info.value, "stage", None) == "curvature"
 
 
+# a level above far_cap (the mesh came out empty); far_cap at the level, its
+# far field's cell centers just below it (every far cell added a shell:
+# 53,328 faces against 9,512 at the default level); half a fine cell above it
+@pytest.mark.parametrize("coarse, far_cap, iso_eps, message", [
+    (24, 0.05, 0.08, "offset level 0.08 must lie below far_cap's far field, "
+                    "0.049999999999999996 for far_cap 0.05"),
+    (20, 0.1, 0.1, "offset level 0.1 must lie below far_cap's far field, "
+                   "0.09999999999999999 for far_cap 0.1"),
+    (6, 0.1, None, "offset level 0.125 must lie below far_cap's far field, "
+                   "0.09999999999999999 for far_cap 0.1"),
+])
+def test_level_the_far_field_can_cross_is_refused(sphere_cloud, coarse, far_cap, iso_eps,
+                                                  message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_pipeline(small_config(coarse_cells=coarse, far_cap=far_cap, iso_eps=iso_eps),
+                     sphere_cloud)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.01])
 def test_iso_eps_must_be_positive(sphere_cloud, eps):
     with pytest.raises(ValueError, match="offset level must be positive"):
@@ -633,6 +654,8 @@ _BAD_SETTINGS = [
     (["--far-cap", "-1"], "far_cap must be positive"),
     (["--target-count", "0"], "target_count must be positive"),
     (["--iso-eps", "0"], "offset level must be positive"),
+    (["--iso-eps", "0.1"], "offset level 0.1 must lie below far_cap's far field, "
+                           "0.09999999999999999 for far_cap 0.1"),
     (["--workers", "0"], "workers must be -1 (every CPU) or at least 1, not 0"),
     (["--coarse-cells", "4", "--margin-cells", "3"], "coarse_cells must exceed twice the margin"),
     (["--margin-cells", "-1"], "margin_cells must be nonnegative"),
