@@ -131,6 +131,6 @@ def _segmented_variation(points, counts):
     """Surface variation per segment of a concatenated point array."""
     offsets = np.concatenate([[0], np.cumsum(counts)])
     total, _, scatter = patch.segmented_moments(points, offsets, np.ones(len(points)))
-    w = np.maximum(np.linalg.eigvalsh(scatter / total[:, None, None]), 0.0)
+    w = np.maximum(patch.symmetric_eigen(scatter / total)[0], 0.0)
     totals = w.sum(axis=1)
     return np.where(totals < DEGENERATE_TRACE, 0.0, w[:, 0] / np.maximum(totals, DEGENERATE_TRACE))

@@ -9,7 +9,7 @@ point-to-fitted-plane clamped by the nearest-point value.
 
 import numpy as np
 
-from .patch import segmented_moments
+from .patch import segmented_moments, symmetric_eigen
 
 # Plane fitting needs a genuinely 2D neighborhood; below this ratio of the
 # covariance trace the two smallest eigenvalues are treated as collapsed.
@@ -38,8 +38,8 @@ class PlaneFitEstimator:
         nearest = _nearest(queries, patches, mean)
         # covariance over the padded cardinality: centroid copies add no scatter
         cardinality = total + patches.centroid_copies
-        w, v = np.linalg.eigh(scatter / cardinality[:, None, None])
-        plane = np.abs(((queries - mean) * v[:, :, 0]).sum(axis=1))
+        w, normal = symmetric_eigen(scatter / cardinality)
+        plane = np.abs(((queries - mean) * normal).sum(axis=1))
         traces = w.sum(axis=1)
         degenerate = (traces < _PLANE_DEGENERACY) | (w[:, 1] < _PLANE_DEGENERACY * traces)
         return np.where(degenerate, nearest, np.minimum(plane, nearest))

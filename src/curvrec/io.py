@@ -130,10 +130,13 @@ def _read_xyz_records(path) -> PointCloud:
 
 
 def _read_obj_points(path) -> PointCloud:
+    """The OBJ's `v` records, collected in a typed array as read_mesh does."""
+    coords = array("d")
     with open(path, "rb") as fh:
-        points = [_obj_vertex(tokens, path, lineno)
-                  for lineno, tokens in _records(fh) if tokens[0] == b"v"]
-    return _finish_cloud(points, None, path)
+        for lineno, tokens in _records(fh):
+            if tokens[0] == b"v":
+                coords.extend(_obj_vertex(tokens, path, lineno))
+    return _finish_cloud(np.frombuffer(coords), None, path)
 
 
 _PLY_FLOAT_TYPES = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}

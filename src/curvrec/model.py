@@ -121,5 +121,6 @@ def normalize_cloud(cloud: PointCloud):
 
 
 def denormalize_mesh(mesh: TriangleMesh, transform: NormalizationTransform) -> TriangleMesh:
-    """Map mesh vertices back through the inverse transform; faces unchanged."""
-    return TriangleMesh(transform.invert(mesh.vertices), mesh.faces.copy())
+    """Map mesh vertices back through the inverse transform. The result shares
+    mesh.faces, which no stage writes to, so a run holds one face array."""
+    return TriangleMesh(transform.invert(mesh.vertices), mesh.faces)

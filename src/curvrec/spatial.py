@@ -44,9 +44,10 @@ _MIN_SEARCH = 1e-150
 # Centers per block of ball-query and patch work. Results never depend on
 # it; it bounds the memory a block holds, which grows with it: the ball
 # query's pairs (24 bytes each, found at the block's largest radius) and
-# curvature's (E, 3, 3) outer products. On dense-sheets-c64
-# (400k points, 2-core x86-64) peak RSS was 351 MB at 8192, 255 at 4096,
-# 212 at 2048 and 213 at 1024, so 2048 is the largest block at that floor.
+# the patch moments' (10, E) per-entry terms (80 bytes an entry). On
+# dense-sheets-c64 (400k points, 2-core x86-64), when curvature still built
+# (E, 3, 3) outer products, peak RSS was 351 MB at 8192, 255 at 4096, 212 at
+# 2048 and 213 at 1024, so 2048 is the largest block at that floor.
 CHUNK = 2048
 
 

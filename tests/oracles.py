@@ -55,7 +55,10 @@ def estimate_plane_fit(q, patch) -> float:
 
     The plane passes through the patch centroid with the smallest
     covariance eigenvector as normal. Collinear or coincident patches
-    (no unique plane) fall back to the nearest-point value.
+    (no unique plane) fall back to the nearest-point value. The normal is
+    the last right singular vector of the centred points: its rounding
+    grows with the patch's aspect ratio, where the covariance's grows with
+    its square.
     """
     pts = np.asarray(patch, dtype=np.float64).reshape(-1, 3)
     nearest = estimate_nearest_point(q, patch)
@@ -63,12 +66,12 @@ def estimate_plane_fit(q, patch) -> float:
         return nearest
     centroid = pts.mean(axis=0)
     centered = pts - centroid
-    cov = centered.T @ centered / pts.shape[0]
-    w, v = np.linalg.eigh(cov)
+    w = np.linalg.eigvalsh(centered.T @ centered / pts.shape[0])
     trace = w.sum()
     if trace < _PLANE_DEGENERACY or w[1] < _PLANE_DEGENERACY * trace:
         return nearest
-    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ v[:, 0]))
+    normal = np.linalg.svd(centered)[2][-1]
+    plane = abs(float((np.asarray(q, dtype=np.float64) - centroid) @ normal))
     return min(plane, nearest)
 
 

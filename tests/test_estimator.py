@@ -203,6 +203,12 @@ def _row_points(rng, n, kind):
 # the trace test reads the covariance over the padded cardinality: 2.6e-12
 # over the 3 points, under 1e-12 once the 9 centroid copies count
 @example(seed=2, target=12, rows=[(3, "tiny", False)])
+# row 6 is three points about 100 times thinner across than along: a normal
+# read off the covariance by eigh is off by rounding times that ratio squared
+@example(seed=934, target=6, rows=[(3, "scattered", False), (20, "scattered", False),
+                                   (30, "scattered", False), (30, "scattered", False),
+                                   (30, "collinear", False), (30, "collinear", False),
+                                   (3, "scattered", True), (2, "scattered", False)])
 def test_weighted_csr_estimate_matches_padded_oracle(seed, target, rows):
     # Each row's patch is padded or subsampled by weights in the pipeline,
     # and by building the target_count points in the oracle; the estimates

@@ -115,6 +115,18 @@ def test_obj_points(tmp_path):
     assert len(cloud) == 2
 
 
+def test_obj_points_are_the_mesh_vertices(tmp_path):
+    rng = np.random.default_rng(0)
+    p = tmp_path / "m.obj"
+    write_mesh(TriangleMesh(rng.normal(size=(40, 3)), rng.permutation(39).reshape(13, 3)), p)
+    with open(p, "a") as fh:
+        fh.write("vt 0.5 0.5\n# v 9 9 9\nv 1e-05 -0.0 5e-324 1\n")
+    assert np.array_equal(read_point_cloud(p).points, read_mesh(p).vertices)
+    p.write_text("v 0 0 0\nv 1 0\n")
+    with pytest.raises(ParseError, match=r"m\.obj:2: vertex record needs 3 coordinates"):
+        read_point_cloud(p)
+
+
 def test_format_detection(tmp_path):
     with pytest.raises(UnsupportedFormat):
         read_point_cloud(tmp_path / "x.unknown")

@@ -59,7 +59,7 @@ def test_denormalize_identity_and_roundtrip():
     ident = NormalizationTransform(scale=1.0, translation=np.zeros(3))
     out = denormalize_mesh(tri, ident)
     assert np.array_equal(out.vertices, tri.vertices)
-    assert np.array_equal(out.faces, tri.faces)
+    assert out.faces is tri.faces  # shared, not copied
 
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(50, 3)) * 7.0 + [3, -1, 4]

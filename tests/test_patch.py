@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvrec.model import PointCloud
-from curvrec.patch import (ResamplePolicy, _order_in_segments, csr_subset, pad_weights, resample,
-                           segmented_moments, splitmix64)
+from curvrec.patch import (GAP_RATIO, SYM3, ResamplePolicy, _order_in_segments, csr_subset,
+                           pad_weights, resample, segmented_moments, splitmix64, symmetric_eigen)
 from curvrec.spatial import build_index
 from oracles import resample as resample_oracle
 from oracles import splitmix64 as splitmix64_oracle
@@ -227,3 +228,72 @@ def test_pad_weights_leave_oversized_rows_to_resample():
     assert weights[:7].tolist() == [0] * 7 and copies[0] == 0
     got = padded(points[:9], offsets, np.array([0.0, 0.0]), policy)[1]
     assert np.array_equal(got, resample_oracle(points[7:9], 0.0, policy))
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _sym3_entries(m):
+    """The (6, S) SYM3 entries of the (S, 3, 3) matrices m."""
+    i, j = np.array(SYM3).T
+    return m[:, i, j].T
+
+
+def _point_sets(rng):
+    """Centred point sets of every spectrum symmetric_eigen must handle."""
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+    n = int(rng.integers(3, 40))
+    sets = [rng.normal(size=(n, 3)) * rng.uniform(0.01, 1.0, size=3) @ rot,  # random PSD
+            np.zeros((n, 3)),                                              # rank 0
+            np.outer(rng.normal(size=n), rng.normal(size=3)),              # rank 1
+            rng.normal(size=(n, 2)) @ rng.normal(size=(2, 3)),             # rank 2
+            np.column_stack([rng.normal(size=(n, 2)), np.zeros(n)]),       # exactly planar
+            corners, corners @ rot,                                        # triple root
+            corners * [1, 1, 2] @ rot, corners * [1, 2, 2] @ rot]          # double roots
+    return [p - p.mean(axis=0) for p in sets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-4, 4))
+def test_symmetric_eigen_matches_lapack(seed, exponent):
+    # covariances from 1e-8 to 1e8, every kind in one batch so that the rows
+    # sent to eigh are interleaved with the closed-form ones
+    rng = np.random.default_rng(seed)
+    sets = [p * 10.0 ** exponent for p in _point_sets(rng)]
+    cov = np.array([p.T @ p / len(p) for p in sets])
+    w, v = symmetric_eigen(_sym3_entries(cov))
+    ref_w, ref_v = np.linalg.eigh(cov)
+    trace = np.trace(cov, axis1=1, axis2=2)
+    assert (np.abs(w - ref_w) <= 64 * EPS * trace[:, None]).all()
+    gaps = np.diff(ref_w, axis=1)
+    lapack = gaps.min(axis=1) < GAP_RATIO / 2 * trace
+    assert np.array_equal(w[lapack], ref_w[lapack])
+    assert np.array_equal(v[lapack], ref_v[lapack, :, 0])
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=4 * EPS)
+    # where the smallest eigenvalue is well apart, the normal agrees with the
+    # SVD of the points to rounding over that gap
+    gap = gaps[:, 0] / np.maximum(trace, np.finfo(float).tiny)
+    for p, normal, g in zip(sets, v, gap):
+        if g >= 0.1:
+            svd_normal = np.linalg.svd(p)[2][-1]
+            assert np.linalg.norm(np.cross(normal, svd_normal)) <= 64 * EPS / g
+    # an exactly planar set reads exactly 0 and the exact normal
+    assert w[4, 0] == 0.0 and abs(v[4, 2]) == 1.0
+
+
+def test_segmented_moments_match_the_centred_scatter():
+    # spread 0.01 far from the origin, with weights, in segments of 1 to 30 entries
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 30, size=50)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    points = rng.normal(size=(offsets[-1], 3)) * 0.01 + 1e3
+    weights = rng.integers(1, 5, size=offsets[-1])
+    total, mean, scatter = segmented_moments(points, offsets, weights)
+    for s, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        p, w = points[a:b], weights[a:b]
+        m = (p * w[:, None]).sum(axis=0) / w.sum()
+        c = ((p - m) * w[:, None]).T @ (p - m)
+        assert total[s] == w.sum()
+        assert np.abs(mean[s] - m).max() <= 1e3 * 4 * EPS
+        assert np.abs(_sym3_entries(c[None])[:, 0] - scatter[:, s]).max() <= 64 * EPS * 1e-4 * w.sum()

@@ -110,18 +110,18 @@ def test_subsampled_mesh_bytes_independent_of_workers(sphere_cloud, tmp_path):
 # per fixture (12k points, seed 0), mode and estimator, at coarse 32, margin 2
 # ("nearest" also sets target_count 8, so its patches get subsampled).
 MESH_PINS = {
-    ("sphere", "baseline", "plane"): "11f2f72e1eca",
-    ("sphere", "baseline", "nearest"): "a608da49500f",
-    ("sphere", "adaptive", "plane"): "7e6a56d495b8",
-    ("sphere", "adaptive", "nearest"): "fcedb2703779",
-    ("cube", "baseline", "plane"): "3c16c9fd9038",
-    ("cube", "baseline", "nearest"): "987c77e58815",
-    ("cube", "adaptive", "plane"): "db46833c47f2",
-    ("cube", "adaptive", "nearest"): "8e6db58beca5",
-    ("sheets", "baseline", "plane"): "bf28266813a2",
-    ("sheets", "baseline", "nearest"): "e88ec25fc9b7",
-    ("sheets", "adaptive", "plane"): "5c8886baa5e4",
-    ("sheets", "adaptive", "nearest"): "620738a76dbc",
+    ("sphere", "baseline", "plane"): "6090f88100b1",
+    ("sphere", "baseline", "nearest"): "89b4353a6d5f",
+    ("sphere", "adaptive", "plane"): "9280a11f6922",
+    ("sphere", "adaptive", "nearest"): "005d41c74796",
+    ("cube", "baseline", "plane"): "b7ad11481092",
+    ("cube", "baseline", "nearest"): "0639a1975442",
+    ("cube", "adaptive", "plane"): "542cc07b727e",
+    ("cube", "adaptive", "nearest"): "075d1ed4ec17",
+    ("sheets", "baseline", "plane"): "936ed4562d3a",
+    ("sheets", "baseline", "nearest"): "dba736d4f2f0",
+    ("sheets", "adaptive", "plane"): "65985e54a0d6",
+    ("sheets", "adaptive", "nearest"): "bf6d6e32906d",
 }
 
 
