@@ -54,8 +54,8 @@ _ROW, _COL = np.array(SYM3).T
 #   the trace, 134 eps from 1e-3 to 1e-2 and 1642 eps from 1e-4 to 1e-3;
 #   eigh's within 5 eps throughout;
 # - normals, against the SVD of 11k dense-sheets patches' weighted centred points
-#   (sine of the angle): closed form 412 eps, eigh 148 eps for gaps of 1e-2 to 1e-1;
-#   closed form 4456 eps, eigh 601 eps from 1e-3 to 1e-2.
+#   (sine of the angle), binned by l1 - l0: closed form 412 eps, eigh 148 eps from
+#   1e-2 to 1e-1 of the trace; closed form 4456 eps, eigh 601 eps from 1e-3 to 1e-2.
 # Below 1e-2 eigh is the more accurate. The share sent to it barely moves with the
 # ratio (8.4% of sphere rows and 9.4% of dense ones at 1e-2, 7.4% and 8.7% at
 # 1e-4): most are one- and two-point patches, whose double root at 0 no ratio admits.
@@ -124,7 +124,7 @@ def segmented_moments(points, offsets, weights):
     first entry), and the scatter is sum w d d^T - (sum w d)(sum w d)^T / total:
     shifting by a point of the patch keeps that cancellation at the patch's own
     scale. (Shifting by the query instead, up to a radius away, flipped the plane
-    fit's degeneracy test on 3 two-entry patches of sphere-c64.) Every sum is an
+    fit's degeneracy test on 4 two-entry patches of sphere-c64.) Every sum is an
     np.add.reduceat over one segment, so it does not depend on the other
     segments in the call."""
     starts, counts = offsets[:-1], np.diff(offsets)

@@ -267,7 +267,7 @@ def test_symmetric_eigen_matches_lapack(seed, exponent):
     trace = np.trace(cov, axis1=1, axis2=2)
     assert (np.abs(w - ref_w) <= 64 * EPS * trace[:, None]).all()
     gaps = np.diff(ref_w, axis=1)
-    lapack = gaps.min(axis=1) < GAP_RATIO / 2 * trace
+    lapack = gaps.min(axis=1) <= GAP_RATIO / 2 * trace  # the zero matrix included
     assert np.array_equal(w[lapack], ref_w[lapack])
     assert np.array_equal(v[lapack], ref_v[lapack, :, 0])
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=4 * EPS)
