@@ -84,12 +84,13 @@ class CurvatureField:
 
 
 def curvature_field(cloud, index, query_positions, r0, query_ids=None,
-                    workers=1, nn=None) -> CurvatureField:
+                    workers=1, nn=None, pairs=None) -> CurvatureField:
     """Surface variation of the r0-ball around each query position.
 
     query_ids, when given, labels the sigma entries (defaults to the
     positional index). nn, when given, is each position's nearest-point
     distance, exact at least up to r0 (see nearest_distance_many's bound).
+    pairs, when given, receives each ball-query block's kept pair count.
     Regions with fewer than 3 points are skipped; raises
     NoCurvatureSamples when that leaves nothing.
     """
@@ -107,9 +108,9 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
 
     # Ball query and moments per block of candidates, which bounds memory.
     ids, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start in range(0, candidates.size, spatial.CHUNK):
-        rows = candidates[start:start + spatial.CHUNK]
-        flat, offsets = index.radius_query_flat(positions[rows], r0)
+    for start, stop, flat, offsets in spatial.ball_blocks(index, positions[candidates], r0,
+                                                          pairs):
+        rows = candidates[start:stop]
         counts = np.diff(offsets)
         keep = counts >= 3
         ids.append(query_ids[rows[keep]])

@@ -14,6 +14,7 @@ modes run the same evaluate, fill and extract.
 """
 
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -95,7 +96,9 @@ class TimingReport:
     kd-tree queries: sites outside the band read far_cap without one.
     nn_queries counts the rows given the nearest-point query, near_queries
     those of them sent on to the ball query, and stored_sites the lattice
-    sites the grid's blocks hold."""
+    sites the grid's blocks hold. ball_pairs counts the (center, point)
+    pairs the curvature and evaluate ball queries kept, over ball_blocks
+    blocks. peak_rss_mb is the process's peak resident memory so far."""
 
     patch_time: float
     udf_time: float
@@ -105,6 +108,9 @@ class TimingReport:
     nn_queries: int
     near_queries: int
     stored_sites: int
+    ball_pairs: int
+    ball_blocks: int
+    peak_rss_mb: float
 
     def lines(self):
         return [f"patch_time={self.patch_time:.3f}",
@@ -114,7 +120,10 @@ class TimingReport:
                 f"total_fine_vertices={self.total_fine_vertices}",
                 f"nn_queries={self.nn_queries}",
                 f"near_queries={self.near_queries}",
-                f"stored_sites={self.stored_sites}"]
+                f"stored_sites={self.stored_sites}",
+                f"ball_pairs={self.ball_pairs}",
+                f"ball_blocks={self.ball_blocks}",
+                f"peak_rss_mb={self.peak_rss_mb:.1f}"]
 
 
 @dataclass
@@ -141,6 +150,21 @@ def stage(name, bucket=None):
     finally:
         if bucket is not None:
             bucket.append(time.perf_counter() - t0)
+
+
+def _peak_rss_mb():
+    """This process's peak resident set in MB: VmHWM from /proc/self/status,
+    else ru_maxrss, which on Linux can hold a parent's peak from before exec."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024 / 1e6
+    except OSError:
+        pass
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else kB
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
 def _load_cloud(config, cloud):
@@ -175,20 +199,25 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, nn, patch, udf):
+                      policy, estimator, far_cap, nn, patch, udf, pairs=None):
     """(UDF value per query, rows sent to the ball query): patch pipeline
     inside the radius, capped nearest distance outside. nn must be exact up
     to max(far_cap, radii); a query whose nn reads inf gets far_cap. Wall
-    time is appended to the patch and udf lists."""
+    time is appended to the patch and udf lists, and each ball-query
+    block's kept pair count to pairs when it is given."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
     with stage("evaluate", udf):
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
     near_rows = np.flatnonzero(nn <= radii)
 
-    for start in range(0, near_rows.size, spatial.CHUNK):
-        rows = near_rows[start:start + spatial.CHUNK]
-        with stage("evaluate", patch):
-            flat, offsets = index.radius_query_flat(positions[rows], radii[rows])
+    blocks = spatial.ball_blocks(index, positions[near_rows], radii[near_rows], pairs)
+    while True:
+        with stage("evaluate", patch):  # the block's ball query runs in next()
+            block = next(blocks, None)
+            if block is None:
+                break
+            start, stop, flat, offsets = block
+            rows = near_rows[start:stop]
             # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
             # a query whose ball came back empty keeps its far value.
             hit = np.diff(offsets) > 0
@@ -255,21 +284,22 @@ def _band_queries(config, index, spec, stride, near_bound):
         positions, workers=config.workers, bound=max(near_bound, config.far_cap))
 
 
-def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
+def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None, pairs=None):
     """curvature_field over the coarse lattice, naming an r0 that finds samples if it fails."""
     try:
         return curvature_field(norm_cloud, index, positions, config.r0, query_ids=ids,
-                               workers=config.workers, nn=nn)
+                               workers=config.workers, nn=nn, pairs=pairs)
     except NoCurvatureSamples as exc:
         h = spec.coarse_spacing  # every point is within half a cell diagonal of a site
         raise NoCurvatureSamples(f"{exc}; the coarse spacing is {h:g}, and r0 >= "
                                  f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
 
 
-def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf):
+def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf, pairs):
     """(grid, curvature field, nn rows, near rows): the band's grid with
-    every evaluated site set. The mode picks the query set; evaluate is
-    shared. The query arrays die here, before fill and extract."""
+    every evaluated site set, each ball-query block's kept pair count
+    appended to pairs. The mode picks the query set; evaluate is shared.
+    The query arrays die here, before fill and extract."""
     cf = None
     if config.baseline_mode:
         with stage("evaluate", patch):
@@ -286,7 +316,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             # the coarse rows of evaluate (radius <= r0 * s_max).
             grid, ids, positions, nn = _band_queries(config, index, spec, 2,
                                                      max(config.r0 * config.s_max, iso.eps))
-            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
+            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn, pairs)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -314,7 +344,8 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
                             curvature_threshold=threshold, rng_seed=config.seed)
     with stage("evaluate"):
         values, near_queries = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                                 estimator, config.far_cap, nn, patch, udf)
+                                                 estimator, config.far_cap, nn, patch, udf,
+                                                 pairs)
         grid.set_values(ids, values)
     return grid, cf, ids.size, near_queries
 
@@ -324,8 +355,9 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     norm_cloud, transform, index, spec = _prepare(config, cloud)
     iso = config.iso(spec)
     patch, udf = [], []  # wall time per section, summed into TimingReport
+    pairs = []  # kept pairs per ball-query block
     grid, cf, nn_queries, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso,
-                                                         estimator, patch, udf)
+                                                         estimator, patch, udf, pairs)
     with stage("fill", udf):
         hierarchical_fill(grid)
 
@@ -345,7 +377,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         patch_time=sum(patch), udf_time=sum(udf),
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
         total_fine_vertices=spec.total_fine_vertices, nn_queries=nn_queries,
-        near_queries=near_queries, stored_sites=grid.stored_sites)
+        near_queries=near_queries, stored_sites=grid.stored_sites,
+        ball_pairs=sum(pairs), ball_blocks=len(pairs), peak_rss_mb=_peak_rss_mb())
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
 

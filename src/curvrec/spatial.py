@@ -12,19 +12,21 @@ nodes and 0.93 s without, with identical distances; building the index
 over the 400k-point dense-sheets cloud took 0.29 s against 0.23 s, and
 its coarse ball queries took the same time either way (2-core x86-64).
 
-Ball queries run as one dual-tree traversal per block: a small kd-tree
-over the block's centers, matched against the point tree by
-sparse_distance_matrix, whose pairs come back as flat arrays.
+Ball queries run as one dual-tree traversal per block of centers
+(ball_blocks): a small kd-tree over the block's centers, matched against
+the point tree by sparse_distance_matrix, whose pairs come back as flat
+arrays.
 query_ball_point returns one Python list per center, and flattening
 those lists into CSR arrays cost as much as the search; on sphere-c64's
 evaluate blocks the lists took 0.69 s and the dual tree 0.44 s for the
 same indices (2-core x86-64).
 
 Each block is one search on the calling thread. Splitting a block's
-centers over two threads took sphere-c64's 71 ball blocks from 0.54 s
-to 0.45 s (median of 8 alternating pairs), a share too small to show in
-the whole run at workers=2: 2.94 s with the split, 2.91 s without
-(median of 10 alternating pairs, 5 won each way; 2-core x86-64).
+centers over two threads took sphere-c64's 71 ball blocks (2048 centers
+each) from 0.54 s to 0.45 s (median of 8 alternating pairs), a share too
+small to show in the whole run at workers=2: 2.94 s with the split,
+2.91 s without (median of 10 alternating pairs, 5 won each way; 2-core
+x86-64).
 """
 
 import numpy as np
@@ -41,14 +43,22 @@ _BOUND_PAD = 1.0 + 1e-9
 # relative pad, so the searched radius never drops below this floor.
 _MIN_SEARCH = 1e-150
 
-# Centers per block of ball-query and patch work. Results never depend on
-# it; it bounds the memory a block holds, which grows with it: the ball
-# query's pairs (24 bytes each, found at the block's largest radius) and
-# the patch moments' (10, E) per-entry terms (80 bytes an entry). On
-# dense-sheets-c64 (400k points, 2-core x86-64), when curvature still built
-# (E, 3, 3) outer products, peak RSS was 351 MB at 8192, 255 at 4096, 212 at
-# 2048 and 213 at 1024, so 2048 is the largest block at that floor.
-CHUNK = 2048
+# Ball-query blocks hold about PAIR_BUDGET kept pairs (see ball_blocks).
+# Results never depend on a block's size; its memory does, and grows with
+# its pairs, not its centers: the pairs found at the block's largest radius
+# (24 bytes each) and the patch moments' (10, E) terms (80 bytes an entry).
+# On dense-sheets-c64 (400k points, seed 0, 2-core x86-64), blocks of 2048
+# centers found ~676k pairs each and the run peaked at 173.8 MB in
+# curvature and evaluate, against ~130 MB for reading its file. With this
+# budget the peak is 133.5-135.6 MB, set at the write, and 2**16 pushes
+# evaluate to 144 MB. Its 272 blocks cost ~0.17 s more than 2048-center
+# blocks in curvature and evaluate (median of 10 in-process pairs, ~5%).
+# sphere-c64 (~15 pairs a center) peaks at ~127 MB either way. Without the
+# cap at twice the last block, a block after a sparse one (the band's edge)
+# can find many budgets' worth of pairs: dense-sheets-c64 peaked at 150 MB.
+PAIR_BUDGET = 1 << 15
+FIRST_BLOCK = 256
+MIN_BLOCK = 16
 
 
 class SpatialIndex:
@@ -109,6 +119,30 @@ class SpatialIndex:
         d = np.asarray(d, dtype=np.float64)
         d[d > bound] = np.inf
         return d
+
+
+def ball_blocks(index, centers, radii, pairs=None):
+    """index.radius_query_flat over consecutive blocks of centers, yielding
+    (start, stop, flat, offsets) for centers[start:stop]; radii may be
+    scalar or per-center. pairs, when given, is a list that receives each
+    block's kept pair count.
+
+    The first block holds FIRST_BLOCK centers. Each next block holds
+    PAIR_BUDGET times the centers per kept pair of the block just done,
+    at least MIN_BLOCK and at most twice as many centers as that block.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:1])
+    start, size = 0, FIRST_BLOCK
+    while start < len(centers):
+        stop = min(start + size, len(centers))
+        flat, offsets = index.radius_query_flat(centers[start:stop], radii[start:stop])
+        if pairs is not None:
+            pairs.append(int(offsets[-1]))
+        yield start, stop, flat, offsets
+        rows = stop - start
+        size = min(2 * rows, max(MIN_BLOCK, PAIR_BUDGET * rows // max(int(offsets[-1]), 1)))
+        start = stop
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

@@ -113,6 +113,13 @@ def resample(points, sigma, policy, query_id=0, point_ids=None):
     return np.concatenate([pts, fill], axis=0)
 
 
+def obj_text(vertices, faces):
+    """OBJ text of a mesh as `v`/`f` lines, each coordinate formatted on
+    its own as its shortest round-trip text (%r)."""
+    return "".join(["v %r %r %r\n" % tuple(v) for v in np.asarray(vertices).tolist()]
+                   + ["f %d %d %d\n" % tuple(f) for f in (np.asarray(faces) + 1).tolist()])
+
+
 def marching_cubes(field, spec, level):
     """(vertices, faces) of field == level, one cube at a time.
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from curvrec import cli
 from curvrec.errors import ParseError, ReconstructionError, UnsupportedFormat
-from curvrec.io import (_WRITE_BLOCK, _bulk_xyz, _read_xyz_records, read_mesh,
+from curvrec.io import (_WRITE_BLOCK, _bulk_xyz, _read_xyz_records, _vertex_lines, read_mesh,
                         read_point_cloud, write_mesh, write_point_cloud)
 from curvrec.model import PointCloud, TriangleMesh
+import oracles
 
 
 def test_xyz_basic(tmp_path):
@@ -183,11 +184,32 @@ def test_writers_match_per_row_text_across_blocks(tmp_path):
     faces = rng.integers(0, n, size=(n, 3))
     mesh_path, cloud_path = tmp_path / "m.obj", tmp_path / "c.xyz"
     write_mesh(TriangleMesh(verts, faces), mesh_path)
-    assert mesh_path.read_text() == "".join(
-        ["v %r %r %r\n" % tuple(v) for v in verts.tolist()]
-        + ["f %d %d %d\n" % tuple(f) for f in (faces + 1).tolist()])
+    assert mesh_path.read_text() == oracles.obj_text(verts, faces)
     write_point_cloud(PointCloud(verts), cloud_path)
     assert cloud_path.read_text() == "".join("%r %r %r\n" % tuple(v) for v in verts.tolist())
+
+
+def test_write_mesh_formats_repeated_coordinates_as_each_one_alone(tmp_path):
+    # write_mesh formats each distinct bit pattern of a block once; every
+    # coordinate still prints as its own %r: 0.0 beside -0.0, subnormals,
+    # values repeated within a block and across a block boundary
+    n = _WRITE_BLOCK + 5
+    rng = np.random.default_rng(3)
+    pool = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 0.1 + 0.2, 1e16, 0.125, -0.125],
+                           rng.normal(size=8)])
+    verts = rng.choice(pool, size=(n, 3))
+    verts[_WRITE_BLOCK - 1:_WRITE_BLOCK + 1] = [[0.0, -0.0, 5e-324], [-0.0, 0.0, 5e-324]]
+    faces = rng.integers(0, n, size=(50, 3))
+    p = tmp_path / "m.obj"
+    write_mesh(TriangleMesh(verts, faces), p)
+    assert p.read_text() == oracles.obj_text(verts, faces)
+    assert "v 0.0 -0.0 5e-324\nv -0.0 0.0 5e-324\n" in p.read_text()
+    # a mesh holds finite coordinates only, but the block formatter gives
+    # nan (any payload), inf and -inf their own text too
+    other_nan = np.array([0x7FF8000000000001, -1], dtype=np.int64).view(np.float64)
+    block = np.array([[np.nan, np.inf, -np.inf], [other_nan[0], -0.0, 0.0],
+                      [other_nan[1], 5e-324, np.inf], [np.nan, np.nan, -np.inf]])
+    assert _vertex_lines(block) == oracles.obj_text(block, np.empty((0, 3), dtype=np.int64))
 
 
 def test_mesh_roundtrip_random(tmp_path):

@@ -54,6 +54,18 @@ def test_reconstruct_sphere_closed_shell(sphere_cloud):
     # every query row is a band or refined site; the mesh's blocks are stored
     assert 0 < timing.near_queries <= timing.nn_queries < timing.evaluated_queries
     assert 0 < timing.stored_sites <= timing.total_fine_vertices
+    assert timing.ball_pairs >= timing.ball_blocks > 0 and timing.peak_rss_mb > 0
+
+
+def test_peak_rss_falls_back_to_ru_maxrss(monkeypatch):
+    # off Linux there is no /proc/self/status; ru_maxrss covers this
+    # process's peak too, and on Linux any larger peak from before exec
+    status = pipeline._peak_rss_mb()
+
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+    monkeypatch.setattr(pipeline, "open", no_proc, raising=False)
+    assert 0 < status <= pipeline._peak_rss_mb() + 1.0
 
 
 def test_baseline_counts(sphere_cloud):
@@ -153,18 +165,22 @@ def test_output_is_closed_edge_manifold(shape, coarse, extra):
 
 def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
     # a wide r0 and target_count 16 send ~1000 patches through the seeded
-    # subsample, so chunk edges cut between padded and subsampled rows; the
-    # curvature stage streams its candidates through the same blocks
+    # subsample, so block edges cut between padded and subsampled rows; the
+    # curvature stage streams its candidates through the same blocks. A
+    # budget of 97 pairs gives blocks of MIN_BLOCK rows; 2**40 grows each
+    # block to twice the last.
     cfg = small_config(coarse_cells=20, r0=0.04, target_count=16)
-    meshes, fields = [], []
-    for chunk in (8192, 97):
-        monkeypatch.setattr(spatial, "CHUNK", chunk)
+    meshes, fields, blocks = [], [], []
+    for budget in (2 ** 40, 97):
+        monkeypatch.setattr(spatial, "PAIR_BUDGET", budget)
         result = run_pipeline(cfg, sphere_cloud)
+        blocks.append(result.timing.ball_blocks)
         meshes.append(result.mesh.vertices.tobytes() + result.mesh.faces.tobytes())
         cf = result.curvature
         fields.append((cf.ids, cf.sigma, np.array([cf.p10, cf.p40, cf.p60, cf.p90])))
     assert meshes[0] == meshes[1]
     assert all(np.array_equal(a, b) for a, b in zip(*fields))
+    assert blocks[0] < blocks[1]
 
 
 @functools.cache
@@ -526,6 +542,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "patch_time=" in out and "evaluated_queries=" in out
     assert "nn_queries=" in out and "near_queries=" in out and "stored_sites=" in out
+    assert "ball_pairs=" in out and "ball_blocks=" in out and "peak_rss_mb=" in out
     assert mesh_path.exists()
 
     assert cli.main(["metrics", "--mesh", str(mesh_path),

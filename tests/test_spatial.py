@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from curvrec import spatial
 from curvrec.errors import EmptyCloud
 from curvrec.model import PointCloud
-from curvrec.spatial import build_index
+from curvrec.spatial import ball_blocks, build_index
 
 
 def brute_ball(points, center, r):
@@ -192,3 +193,55 @@ def test_ball_query_equals_brute_force_closed_ball(case):
     flat, offsets = idx.radius_query_flat(centers, radii)
     assert np.array_equal(flat, want_flat)
     assert np.array_equal(offsets, want_offsets)
+
+
+def joined_blocks(idx, centers, radii):
+    """ball_blocks' results joined into one (flat, offsets), and the block
+    sizes; each block must cover the centers right after the last."""
+    flats, offsets, sizes, pairs = [], [np.zeros(1, dtype=np.int64)], [], []
+    for start, stop, flat, block_offsets in ball_blocks(idx, centers, radii, pairs):
+        assert start == sum(sizes) and stop > start
+        assert block_offsets.shape == (stop - start + 1,) and block_offsets[-1] == flat.size
+        flats.append(flat)
+        offsets.append(offsets[-1][-1] + block_offsets[1:])
+        sizes.append(stop - start)
+    assert sum(sizes) == len(centers) and pairs == [f.size for f in flats]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + flats), np.concatenate(offsets), sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ball_case(), scalar=st.booleans(), budget=st.integers(1, 64),
+       first=st.integers(1, 8), least=st.integers(1, 4))
+def test_ball_blocks_join_to_one_query(case, scalar, budget, first, least):
+    # per-center radii (some equal to a point's distance) or one scalar
+    # radius, no centers at all, and blocks from one center up
+    points, centers, radii = case
+    radii = radii[0] if scalar and len(radii) else radii
+    idx = build_index(PointCloud(points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial, "PAIR_BUDGET", budget)
+        mp.setattr(spatial, "FIRST_BLOCK", first)
+        mp.setattr(spatial, "MIN_BLOCK", least)
+        flat, offsets, sizes = joined_blocks(idx, centers, radii)
+    want_flat, want_offsets = idx.radius_query_flat(centers, radii)
+    assert np.array_equal(flat, want_flat)
+    assert np.array_equal(offsets, want_offsets)
+
+
+def test_ball_blocks_follow_the_density():
+    # a sparse cloud with a dense cluster: blocks double over the sparse
+    # centers, shrink to the pair budget in the cluster and grow back
+    rng = np.random.default_rng(4)
+    points = np.vstack([rng.random((5000, 3)), 0.4 + 0.2 * rng.random((10000, 3))])
+    centers = np.vstack([rng.random((3000, 3)), 0.45 + 0.1 * rng.random((1500, 3)),
+                         rng.random((3000, 3))])
+    idx = build_index(PointCloud(points))
+    flat, offsets, sizes = joined_blocks(idx, centers, 0.05)
+    want_flat, want_offsets = idx.radius_query_flat(centers, 0.05)
+    assert np.array_equal(flat, want_flat)
+    assert np.array_equal(offsets, want_offsets)
+    assert sizes[0] == spatial.FIRST_BLOCK
+    kept = np.diff(offsets[np.cumsum([0] + sizes)])
+    for a, b, pairs in zip(sizes, sizes[1:-1], kept):
+        assert b == min(2 * a, max(spatial.MIN_BLOCK, spatial.PAIR_BUDGET * a // max(pairs, 1)))
+    assert max(sizes) >= 4 * spatial.FIRST_BLOCK and min(sizes[:-1]) < spatial.FIRST_BLOCK / 2
