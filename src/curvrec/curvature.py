@@ -84,14 +84,12 @@ class CurvatureField:
 
 
 def curvature_field(cloud, index, query_positions, r0, query_ids=None,
-                    workers=1, nn=None, pairs=None) -> CurvatureField:
+                    workers=1, nn=None) -> CurvatureField:
     """Surface variation of the r0-ball around each query position.
 
     query_ids, when given, labels the sigma entries (defaults to the
     positional index). nn, when given, is each position's nearest-point
-    distance, exact at least up to r0 (see nearest_distance_many's bound).
-    pairs, when given, receives each ball-query block's kept pair count.
-    Regions with fewer than 3 points are skipped; raises
+    distance. Regions with fewer than 3 points are skipped; raises
     NoCurvatureSamples when that leaves nothing.
     """
     if r0 <= 0:
@@ -103,13 +101,12 @@ def curvature_field(cloud, index, query_positions, r0, query_ids=None,
 
     # Cheap prefilter: only positions with any point inside r0 need a ball query.
     if nn is None:
-        nn = index.nearest_distance_many(positions, workers=workers, bound=r0)
+        nn = index.nearest_distance_many(positions, workers=workers)
     candidates = np.flatnonzero(nn <= r0)
 
     # Ball query and moments per block of candidates, which bounds memory.
     ids, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start, stop, flat, offsets in spatial.ball_blocks(index, positions[candidates], r0,
-                                                          pairs):
+    for start, stop, flat, offsets in spatial.ball_blocks(index, positions[candidates], r0):
         rows = candidates[start:stop]
         counts = np.diff(offsets)
         keep = counts >= 3

@@ -136,8 +136,8 @@ class AdaptiveGrid:
     A site's owner is the block it lies in, min(i // BLOCK, nb - 1) per
     axis. A write goes to the owner, and _share_faces brings it to every
     other stored copy when every block holding the site is stored, as
-    band_grid stores them. Writing a site whose owner is not stored raises
-    ValueError; evaluated_at reads such a site's flag by index parity.
+    band_grid stores them. Writing or reading the flag of a site whose
+    owner is not stored raises ValueError.
     """
 
     def __init__(self, spec: LatticeSpec, stride=2, blocks=None, far=np.nan):
@@ -177,12 +177,16 @@ class AdaptiveGrid:
             pair = (slot[1:] >= 0) & (slot[:-1] >= 0)
             view[slot[:-1][pair], BLOCK] = view[slot[1:][pair], 0]
 
-    def _write(self, arr, ids, values):
+    def _stored_index(self, ids):
+        """_site_index, raising ValueError for a site whose owner is not stored."""
         ids = np.asarray(ids, dtype=np.int64).ravel()
         at = self._site_index(ids)
         if (at < 0).any():
             raise ValueError(f"site {ids[at < 0][0]} lies outside the stored blocks")
-        arr.reshape(-1)[at] = values
+        return at
+
+    def _write(self, arr, ids, values):
+        arr.reshape(-1)[self._stored_index(ids)] = values
         self._share_faces(arr)
 
     def set_values(self, ids, values):
@@ -192,13 +196,8 @@ class AdaptiveGrid:
         self._write(self.evaluated, ids, True)
 
     def evaluated_at(self, ids):
-        """Evaluated flag per site; where its owner is not stored, by index parity."""
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        at = self._site_index(ids)
-        out, held = np.zeros(ids.size, dtype=bool), at >= 0
-        out[held] = self.evaluated.reshape(-1)[at[held]]
-        out[~held] = ~np.any(self.spec.unflatten(ids[~held]) % self.stride, axis=-1)
-        return out
+        """Evaluated flag per site."""
+        return self.evaluated.reshape(-1)[self._stored_index(ids)]
 
     def _extent(self):
         """(A, 3): the sites per axis each block owns, its lower BLOCK planes

@@ -76,6 +76,9 @@ class PipelineConfig:
         if not level < far:  # the far field outside the band's blocks would cross it
             raise ValueError(f"offset level {level!r} must lie below far_cap's far field, "
                              f"{far!r} for far_cap {self.far_cap!r}")
+        if not level < spec.margin:  # else the shell is cut open at the lattice boundary
+            raise ValueError(f"offset level {level!r} must lie below the lattice margin, "
+                             f"{spec.margin!r} for margin_cells {self.margin_cells}")
         if not self.sample_count > 0:
             raise ValueError("sample_count must be positive")
         if not (self.workers == -1 or self.workers >= 1):
@@ -94,11 +97,12 @@ class PipelineConfig:
 class TimingReport:
     """evaluated_queries counts the lattice sites marked evaluated, not
     kd-tree queries: sites outside the band read far_cap without one.
-    nn_queries counts the rows given the nearest-point query, near_queries
-    those of them sent on to the ball query, and stored_sites the lattice
-    sites the grid's blocks hold. ball_pairs counts the (center, point)
-    pairs the curvature and evaluate ball queries kept, over ball_blocks
-    blocks. peak_rss_mb is the process's peak resident memory so far."""
+    nn_queries counts the rows the run's index gave the nearest-point
+    query, near_queries those of them sent on to the ball query, and
+    stored_sites the lattice sites the grid's blocks hold. ball_pairs
+    counts the (center, point) pairs the index's ball queries kept, over
+    ball_blocks calls. peak_rss_mb is the process's peak resident memory
+    so far."""
 
     patch_time: float
     udf_time: float
@@ -199,18 +203,16 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, nn, patch, udf, pairs=None):
+                      policy, estimator, far_cap, nn, patch, udf):
     """(UDF value per query, rows sent to the ball query): patch pipeline
-    inside the radius, capped nearest distance outside. nn must be exact up
-    to max(far_cap, radii); a query whose nn reads inf gets far_cap. Wall
-    time is appended to the patch and udf lists, and each ball-query
-    block's kept pair count to pairs when it is given."""
+    inside the radius, capped nearest distance outside. Wall time is
+    appended to the patch and udf lists."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
     with stage("evaluate", udf):
         values = np.minimum(nn, far_cap)  # near rows are overwritten below
     near_rows = np.flatnonzero(nn <= radii)
 
-    blocks = spatial.ball_blocks(index, positions[near_rows], radii[near_rows], pairs)
+    blocks = spatial.ball_blocks(index, positions[near_rows], radii[near_rows])
     while True:
         with stage("evaluate", patch):  # the block's ball query runs in next()
             block = next(blocks, None)
@@ -275,30 +277,27 @@ def _band_sites(spec, points, stride, near_bound):
 
 def _band_queries(config, index, spec, stride, near_bound):
     """The grid over the band's blocks (band_grid), where every other stride
-    site reads far_cap, and _band_sites' (ids, positions, nn), nn exact up
-    to max(near_bound, far_cap)."""
+    site reads far_cap, and _band_sites' (ids, positions, nn)."""
     ids = _band_sites(spec, index.points, stride, near_bound)
     grid = band_grid(spec, stride, ids, config.far_cap)
     positions = spec.position_of_id(ids)
-    return grid, ids, positions, index.nearest_distance_many(
-        positions, workers=config.workers, bound=max(near_bound, config.far_cap))
+    return grid, ids, positions, index.nearest_distance_many(positions, workers=config.workers)
 
 
-def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None, pairs=None):
+def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
     """curvature_field over the coarse lattice, naming an r0 that finds samples if it fails."""
     try:
         return curvature_field(norm_cloud, index, positions, config.r0, query_ids=ids,
-                               workers=config.workers, nn=nn, pairs=pairs)
+                               workers=config.workers, nn=nn)
     except NoCurvatureSamples as exc:
         h = spec.coarse_spacing  # every point is within half a cell diagonal of a site
         raise NoCurvatureSamples(f"{exc}; the coarse spacing is {h:g}, and r0 >= "
                                  f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
 
 
-def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf, pairs):
-    """(grid, curvature field, nn rows, near rows): the band's grid with
-    every evaluated site set, each ball-query block's kept pair count
-    appended to pairs. The mode picks the query set; evaluate is shared.
+def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf):
+    """(grid, curvature field, near rows): the band's grid with every
+    evaluated site set. The mode picks the query set; evaluate is shared.
     The query arrays die here, before fill and extract."""
     cf = None
     if config.baseline_mode:
@@ -316,7 +315,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf,
             # the coarse rows of evaluate (radius <= r0 * s_max).
             grid, ids, positions, nn = _band_queries(config, index, spec, 2,
                                                      max(config.r0 * config.s_max, iso.eps))
-            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn, pairs)
+            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -333,9 +332,8 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf,
             # close layers), so they keep the nominal radius.
             radii[~has_sigma] = np.minimum(radii[~has_sigma], config.r0)
             new_pos = spec.position_of_id(new_ids)
-            nn = np.concatenate([nn, index.nearest_distance_many(
-                new_pos, workers=config.workers,
-                bound=np.max(radii[ids.size:], initial=config.far_cap))])
+            new_nn = index.nearest_distance_many(new_pos, workers=config.workers)
+            nn = np.concatenate([nn, new_nn])
             ids = np.concatenate([ids, new_ids])
             positions = np.vstack([positions, new_pos])
             threshold = cf.percentile_value(config.resample_threshold)
@@ -344,10 +342,9 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf,
                             curvature_threshold=threshold, rng_seed=config.seed)
     with stage("evaluate"):
         values, near_queries = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                                 estimator, config.far_cap, nn, patch, udf,
-                                                 pairs)
+                                                 estimator, config.far_cap, nn, patch, udf)
         grid.set_values(ids, values)
-    return grid, cf, ids.size, near_queries
+    return grid, cf, near_queries
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
@@ -355,9 +352,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     norm_cloud, transform, index, spec = _prepare(config, cloud)
     iso = config.iso(spec)
     patch, udf = [], []  # wall time per section, summed into TimingReport
-    pairs = []  # kept pairs per ball-query block
-    grid, cf, nn_queries, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso,
-                                                         estimator, patch, udf, pairs)
+    grid, cf, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso, estimator,
+                                             patch, udf)
     with stage("fill", udf):
         hierarchical_fill(grid)
 
@@ -376,9 +372,9 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     timing = TimingReport(
         patch_time=sum(patch), udf_time=sum(udf),
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
-        total_fine_vertices=spec.total_fine_vertices, nn_queries=nn_queries,
+        total_fine_vertices=spec.total_fine_vertices, nn_queries=index.nn_rows,
         near_queries=near_queries, stored_sites=grid.stored_sites,
-        ball_pairs=sum(pairs), ball_blocks=len(pairs), peak_rss_mb=_peak_rss_mb())
+        ball_pairs=index.ball_pairs, ball_blocks=index.ball_calls, peak_rss_mb=_peak_rss_mb())
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
 

@@ -2,15 +2,15 @@
 
 Backed by scipy's kd-tree, which is exact: radius queries return the
 closed ball (distance <= r) and nearest queries the true minimum, so
-results are interchangeable with brute force. Queries are read-only.
+results are interchangeable with brute force. Queries leave the tree as
+it is; they only add to the index's counters.
 workers reaches only scipy's native threads in the nearest query.
 
-The kd-tree is built with compact_nodes=False: shrinking each node's box
-to its points' range makes far queries slower here, not faster. On
-sphere-c64's coarse sites the bounded tree query took 2.03 s with compact
-nodes and 0.93 s without, with identical distances; building the index
-over the 400k-point dense-sheets cloud took 0.29 s against 0.23 s, and
-its coarse ball queries took the same time either way (2-core x86-64).
+The kd-tree is built with compact_nodes=False. On the band's nn and ball
+queries (seed 0, in-process, 10 alternating pairs, 2-core x86-64) the
+index work took 0.71 s without compact nodes and 0.75 s with on
+sphere-c64 (7 pairs won without), and 2.38 against 2.27 s on
+dense-sheets-c64 (5 won each way); whole runs did not tell them apart.
 
 Ball queries run as one dual-tree traversal per block of centers
 (ball_blocks): a small kd-tree over the block's centers, matched against
@@ -21,12 +21,10 @@ those lists into CSR arrays cost as much as the search; on sphere-c64's
 evaluate blocks the lists took 0.69 s and the dual tree 0.44 s for the
 same indices (2-core x86-64).
 
-Each block is one search on the calling thread. Splitting a block's
-centers over two threads took sphere-c64's 71 ball blocks (2048 centers
-each) from 0.54 s to 0.45 s (median of 8 alternating pairs), a share too
-small to show in the whole run at workers=2: 2.94 s with the split,
-2.91 s without (median of 10 alternating pairs, 5 won each way; 2-core
-x86-64).
+Each block is one search on the calling thread: splitting its centers
+over two threads made no difference to a whole run at workers=2 (2.94 s
+with the split, 2.91 s without, median of 10 alternating pairs on
+sphere-c64, 2-core x86-64).
 """
 
 import numpy as np
@@ -35,12 +33,8 @@ from scipy.spatial import cKDTree
 from .errors import EmptyCloud
 from .model import PointCloud
 
-# cKDTree drops a neighbour unless its squared distance is strictly below
-# the squared upper bound, so bounded queries search a slightly larger
-# ball and trim it back to the closed one.
-_BOUND_PAD = 1.0 + 1e-9
-# Below about 1e-154 the squared bound is subnormal, too coarse to hold the
-# relative pad, so the searched radius never drops below this floor.
+# Below about 1e-154 a squared radius is subnormal, too coarse to hold the
+# ball test, so a ball smaller than this has every pair rechecked.
 _MIN_SEARCH = 1e-150
 
 # Ball-query blocks hold about PAIR_BUDGET kept pairs (see ball_blocks).
@@ -62,13 +56,19 @@ MIN_BLOCK = 16
 
 
 class SpatialIndex:
-    """Immutable kd-partition over the points of one PointCloud."""
+    """kd-partition over the points of one PointCloud.
+
+    It counts the work it answers: nn_rows, the rows given the nearest
+    query; ball_calls, the ball queries; and ball_pairs, the (center,
+    point) pairs they kept.
+    """
 
     def __init__(self, points):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.shape[0] == 0:
             raise EmptyCloud("cannot index an empty cloud")
         self._tree = cKDTree(self.points, leafsize=16, compact_nodes=False)
+        self.nn_rows = self.ball_calls = self.ball_pairs = 0
 
     def __len__(self):
         return self.points.shape[0]
@@ -99,6 +99,8 @@ class SpatialIndex:
         key = np.sort(i[keep] * n + j[keep])
         offsets = np.zeros(len(centers) + 1, dtype=np.int64)
         np.cumsum(np.bincount(key // n, minlength=len(centers)), out=offsets[1:])
+        self.ball_calls += 1
+        self.ball_pairs += key.size
         return key % n, offsets
 
     def radius_query_many(self, centers, radii):
@@ -106,26 +108,17 @@ class SpatialIndex:
         flat, offsets = self.radius_query_flat(centers, radii)
         return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
-    def nearest_distance_many(self, queries, workers=1, bound=np.inf):
-        """Nearest-point distance per query, inf where it exceeds bound.
-
-        Equal to the unbounded distance wherever that is <= bound (closed
-        ball); a finite bound prunes the kd-tree search.
-        """
-        if not bound > 0:
-            raise ValueError("bound must be positive")
-        d, _ = self._tree.query(np.asarray(queries, dtype=np.float64), workers=workers,
-                                distance_upper_bound=max(bound * _BOUND_PAD, _MIN_SEARCH))
-        d = np.asarray(d, dtype=np.float64)
-        d[d > bound] = np.inf
-        return d
+    def nearest_distance_many(self, queries, workers=1):
+        """Exact nearest-point distance per query."""
+        queries = np.asarray(queries, dtype=np.float64)
+        self.nn_rows += len(queries)
+        return self._tree.query(queries, workers=workers)[0]
 
 
-def ball_blocks(index, centers, radii, pairs=None):
+def ball_blocks(index, centers, radii):
     """index.radius_query_flat over consecutive blocks of centers, yielding
     (start, stop, flat, offsets) for centers[start:stop]; radii may be
-    scalar or per-center. pairs, when given, is a list that receives each
-    block's kept pair count.
+    scalar or per-center.
 
     The first block holds FIRST_BLOCK centers. Each next block holds
     PAIR_BUDGET times the centers per kept pair of the block just done,
@@ -137,8 +130,6 @@ def ball_blocks(index, centers, radii, pairs=None):
     while start < len(centers):
         stop = min(start + size, len(centers))
         flat, offsets = index.radius_query_flat(centers[start:stop], radii[start:stop])
-        if pairs is not None:
-            pairs.append(int(offsets[-1]))
         yield start, stop, flat, offsets
         rows = stop - start
         size = min(2 * rows, max(MIN_BLOCK, PAIR_BUDGET * rows // max(int(offsets[-1]), 1)))

@@ -115,7 +115,7 @@ def test_far_examples():
         positions = np.asarray(queries, dtype=float).reshape(-1, 3)
         m = positions.shape[0]
         radii = np.full(m, 1e-9)
-        nn = index.nearest_distance_many(positions, bound=np.max(radii, initial=far_cap))
+        nn = index.nearest_distance_many(positions)
         return pipeline._evaluate_queries(
             index, positions, radii, np.zeros(m), np.arange(m), policy,
             make_estimator("nearest"), far_cap, nn, [], [])[0]

@@ -8,10 +8,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import sample_mesh
-from curvrec.errors import NoCurvatureSamples
+from curvrec.errors import NoCurvatureSamples, ReconstructionError
 from curvrec.estimator import make_estimator
 from curvrec.grid import LatticeSpec, far_field
 from curvrec.model import PointCloud
@@ -163,6 +165,72 @@ def test_output_is_closed_edge_manifold(shape, coarse, extra):
     assert np.all(_edge_uses(mesh.faces) == 2)
 
 
+def _links_are_single_cycles(faces):
+    """Every vertex's link (the far edges of its faces) is one cycle: with
+    every edge used twice each link is a union of cycles, so one connected
+    component per vertex."""
+    nv = int(faces.max()) + 1
+    # node v * nv + u: vertex u in v's link; each face corner links its two others
+    corner = faces.ravel()
+    ends = faces[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    nodes, pair = np.unique(corner[:, None] * nv + ends, return_inverse=True)
+    pair = pair.reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pair)), (pair[:, 0], pair[:, 1])), shape=(nodes.size,) * 2)
+    return connected_components(graph, directed=False)[0] == np.unique(corner).size
+
+
+@st.composite
+def _hostile_cloud(draw):
+    """A fixture shape with noise, duplicate points, a collinear run and far
+    outliers, from 3 to a few thousand points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["sphere", "cube", "sheets"]))
+    points = fixtures.make_fixture(shape, count=draw(st.integers(3, 5000)),
+                                   seed=int(rng.integers(2 ** 31))).points
+    points = points + rng.normal(scale=draw(st.sampled_from([0.0, 0.002, 0.02])),
+                                 size=points.shape)
+    extra = [points[rng.integers(len(points), size=draw(st.integers(0, 50)))]]
+    a, b = points[rng.integers(len(points), size=2)]
+    extra.append(a + np.linspace(0, 1, draw(st.integers(0, 40)))[:, None] * (b - a))
+    far = rng.normal(size=(draw(st.integers(0, 3)), 3))  # 1 to 10 away from the origin
+    extra.append(far * rng.uniform(1, 10, (len(far), 1)) / np.linalg.norm(far, axis=1)[:, None])
+    return PointCloud(np.vstack([points] + extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=_hostile_cloud(), coarse=st.integers(8, 24), margin=st.integers(0, 3),
+       baseline=st.booleans(), estimator=st.sampled_from(["plane", "nearest"]))
+def test_hostile_clouds_give_a_closed_shell_or_a_staged_error(cloud, coarse, margin, baseline,
+                                                             estimator):
+    # ROADMAP item 6: every run either raises a ReconstructionError naming
+    # its stage or returns a closed edge-manifold shell whose bytes do not
+    # depend on the worker count or on the ball-query block size
+    try:
+        config = small_config(coarse_cells=coarse, margin_cells=margin,
+                              baseline_mode=baseline, estimator=estimator)
+    except ValueError:
+        assume(False)
+    try:
+        mesh = run_pipeline(config, cloud).mesh
+    except ReconstructionError as exc:
+        assert exc.stage
+        return
+    if mesh.num_faces:
+        assert np.all(_edge_uses(mesh.faces) == 2)
+        assert _links_are_single_cycles(mesh.faces)
+    blobs = [mesh.vertices.tobytes() + mesh.faces.tobytes()]
+    blobs.append(_mesh_bytes(replace(config, workers=2), cloud))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial, "PAIR_BUDGET", 97)
+        blobs.append(_mesh_bytes(config, cloud))
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _mesh_bytes(config, cloud):
+    mesh = run_pipeline(config, cloud).mesh
+    return mesh.vertices.tobytes() + mesh.faces.tobytes()
+
+
 def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
     # a wide r0 and target_count 16 send ~1000 patches through the seeded
     # subsample, so block edges cut between padded and subsampled rows; the
@@ -220,9 +288,11 @@ def test_far_band_leaves_mesh_bytes_unchanged(shape, coarse, margin, r0, far_cap
                                               baseline):
     # Lattice sites outside the band read far_cap without an nn query; the
     # mesh must equal a run that queries every site. PipelineConfig refuses
-    # a level at or above far_cap's far field.
-    level = iso_eps if iso_eps is not None else LatticeSpec(coarse, margin).fine_spacing / 2
+    # a level at or above far_cap's far field, or the lattice margin.
+    spec = LatticeSpec(coarse, margin)
+    level = iso_eps if iso_eps is not None else spec.fine_spacing / 2
     assume(level < far_field(2, far_cap).min())
+    assume(level < spec.margin)
     config = small_config(coarse_cells=coarse, margin_cells=margin, r0=r0,
                           far_cap=far_cap, iso_eps=iso_eps, baseline_mode=baseline)
     banded = _mesh_or_error(config, _band_cloud(shape))
@@ -310,11 +380,11 @@ def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypat
 
 
 def test_point_exactly_at_query_radius_is_near():
-    # 0.25 and 0.0625 are exact; far_cap < radius makes the nn bound the radius
+    # 0.25 and 0.0625 are exact; far_cap lies below the radius
     cloud = PointCloud(np.array([[0.25, 0.0, 0.0]]))
     index = build_index(cloud)
     positions, radii = np.zeros((1, 3)), np.array([0.25])
-    nn = index.nearest_distance_many(positions, bound=np.max(radii, initial=0.1))
+    nn = index.nearest_distance_many(positions)
     assert nn.tolist() == [0.25]
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values, near = pipeline._evaluate_queries(
@@ -469,6 +539,23 @@ def test_level_the_far_field_can_cross_is_refused(sphere_cloud, coarse, far_cap,
     with pytest.raises(ValueError, match=re.escape(message)):
         run_pipeline(small_config(coarse_cells=coarse, far_cap=far_cap, iso_eps=iso_eps),
                      sphere_cloud)
+
+
+# The lattice boundary lies the margin away from the cloud, so a level at
+# or beyond it cuts the shell open there: on the 12k cube at coarse 16,
+# margin 1 and r0 0.05, level 0.08 left 708 edges used once (level 0.07:
+# none), and margin 0 at coarse 20 left 5,421.
+@pytest.mark.parametrize("coarse, margin, iso_eps, message", [
+    (16, 1, 0.08, "offset level 0.08 must lie below the lattice margin, "
+                  "0.07142857142857142 for margin_cells 1"),
+    (16, 1, 1 / 14, "offset level 0.07142857142857142 must lie below the lattice margin, "
+                    "0.07142857142857142 for margin_cells 1"),
+    (20, 0, None, "offset level 0.0125 must lie below the lattice margin, "
+                  "0.0 for margin_cells 0"),
+])
+def test_level_at_or_beyond_the_margin_is_refused(coarse, margin, iso_eps, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_config(coarse_cells=coarse, margin_cells=margin, r0=0.05, iso_eps=iso_eps)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.01])
@@ -676,6 +763,11 @@ _BAD_SETTINGS = [
     (["--workers", "0"], "workers must be -1 (every CPU) or at least 1, not 0"),
     (["--coarse-cells", "4", "--margin-cells", "3"], "coarse_cells must exceed twice the margin"),
     (["--margin-cells", "-1"], "margin_cells must be nonnegative"),
+    (["--margin-cells", "0"], "offset level 0.001953125 must lie below the lattice margin, "
+                              "0.0 for margin_cells 0"),
+    (["--iso-eps", "0.02459016393442623"], "offset level 0.02459016393442623 must lie below "
+                                           "the lattice margin, 0.02459016393442623 for "
+                                           "margin_cells 3"),
     (["--s-min", "1.5"], "need s_min < 1 < s_max"),
     (["--s-max", "0.9"], "need s_min < 1 < s_max"),
     (["--s-max", "inf"], "s_max must be finite, not inf"),

@@ -118,34 +118,32 @@ def test_batched_flat_matches_many():
     assert idx.radius_query_many(np.empty((0, 3)), 0.1) == []
 
 
-def test_bounded_nearest_closed_ball():
-    # 0.25 and 0.0625 are exact: the point sits exactly on the bound
-    idx = build_index(PointCloud(np.array([[0.25, 0.0, 0.0]])))
-    q = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    assert idx.nearest_distance_many(q, bound=0.25)[0] == 0.25
-    assert idx.nearest_distance_many(q, bound=0.25)[1] == np.inf
-    assert idx.nearest_distance_many(q[:1], bound=np.nextafter(0.25, 0)).tolist() == [np.inf]
-    with pytest.raises(ValueError):
-        idx.nearest_distance_many(q, bound=0.0)
-
-
 _coords = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
                  elements=st.floats(-1, 1, allow_subnormal=False))
 
 
 @settings(max_examples=200, deadline=None)
-@given(points=_coords, queries=_coords, bound=st.floats(1e-6, 2.0))
+@given(points=_coords, queries=_coords)
 # a nearest distance whose square is subnormal
-@example(points=np.zeros((1, 3)), queries=np.full((1, 3), 1.28058713e-158), bound=1.0)
-def test_bounded_nearest_equals_trimmed_unbounded(points, queries, bound):
-    idx = build_index(PointCloud(points))
-    unbounded = idx.nearest_distance_many(queries)
-    got = idx.nearest_distance_many(queries, bound=bound)
-    assert np.array_equal(got, np.where(unbounded <= bound, unbounded, np.inf))
-    # a bound set to a distance the tree returned keeps that distance
-    b = unbounded[0]
-    if b > 0:
-        assert idx.nearest_distance_many(queries[:1], bound=b)[0] == b
+@example(points=np.zeros((1, 3)), queries=np.full((1, 3), 1.28058713e-158))
+def test_nearest_equals_brute_force(points, queries):
+    d = points[None, :, :] - queries[:, None, :]
+    d2 = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+    got = build_index(PointCloud(points)).nearest_distance_many(queries)
+    assert np.array_equal(got, np.sqrt(d2.min(axis=1)))
+
+
+def test_index_counts_the_work_it_answers():
+    rng = np.random.default_rng(5)
+    idx = build_index(PointCloud(rng.random((500, 3))))
+    assert (idx.nn_rows, idx.ball_calls, idx.ball_pairs) == (0, 0, 0)
+    idx.nearest_distance_many(rng.random((7, 3)))
+    idx.nearest_distance_many(rng.random((5, 3)), workers=2)
+    kept = [idx.radius_query_flat(rng.random((9, 3)), 0.2)[1][-1],
+            idx.radius_query_flat(np.empty((0, 3)), 0.1)[1][-1],
+            sum(map(len, idx.radius_query_many(rng.random((4, 3)), 0.3)))]
+    assert (idx.nn_rows, idx.ball_calls, idx.ball_pairs) == (12, 3, sum(kept))
+    assert kept[0] > 0 and kept[2] > 0
 
 
 def brute_flat(points, centers, radii):
@@ -196,17 +194,20 @@ def test_ball_query_equals_brute_force_closed_ball(case):
 
 
 def joined_blocks(idx, centers, radii):
-    """ball_blocks' results joined into one (flat, offsets), and the block
-    sizes; each block must cover the centers right after the last."""
-    flats, offsets, sizes, pairs = [], [np.zeros(1, dtype=np.int64)], [], []
-    for start, stop, flat, block_offsets in ball_blocks(idx, centers, radii, pairs):
+    """ball_blocks' results joined into one (flat, offsets), the block
+    sizes and each block's kept pairs, read from its own offsets; each
+    block must cover the centers right after the last."""
+    flats, offsets, sizes, kept = [], [np.zeros(1, dtype=np.int64)], [], []
+    for start, stop, flat, block_offsets in ball_blocks(idx, centers, radii):
         assert start == sum(sizes) and stop > start
         assert block_offsets.shape == (stop - start + 1,) and block_offsets[-1] == flat.size
         flats.append(flat)
         offsets.append(offsets[-1][-1] + block_offsets[1:])
         sizes.append(stop - start)
-    assert sum(sizes) == len(centers) and pairs == [f.size for f in flats]
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + flats), np.concatenate(offsets), sizes
+        kept.append(int(block_offsets[-1]))
+    assert sum(sizes) == len(centers)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + flats)
+    return flat, np.concatenate(offsets), sizes, kept
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,7 +223,7 @@ def test_ball_blocks_join_to_one_query(case, scalar, budget, first, least):
         mp.setattr(spatial, "PAIR_BUDGET", budget)
         mp.setattr(spatial, "FIRST_BLOCK", first)
         mp.setattr(spatial, "MIN_BLOCK", least)
-        flat, offsets, sizes = joined_blocks(idx, centers, radii)
+        flat, offsets = joined_blocks(idx, centers, radii)[:2]
     want_flat, want_offsets = idx.radius_query_flat(centers, radii)
     assert np.array_equal(flat, want_flat)
     assert np.array_equal(offsets, want_offsets)
@@ -236,12 +237,11 @@ def test_ball_blocks_follow_the_density():
     centers = np.vstack([rng.random((3000, 3)), 0.45 + 0.1 * rng.random((1500, 3)),
                          rng.random((3000, 3))])
     idx = build_index(PointCloud(points))
-    flat, offsets, sizes = joined_blocks(idx, centers, 0.05)
+    flat, offsets, sizes, kept = joined_blocks(idx, centers, 0.05)
     want_flat, want_offsets = idx.radius_query_flat(centers, 0.05)
     assert np.array_equal(flat, want_flat)
     assert np.array_equal(offsets, want_offsets)
     assert sizes[0] == spatial.FIRST_BLOCK
-    kept = np.diff(offsets[np.cumsum([0] + sizes)])
     for a, b, pairs in zip(sizes, sizes[1:-1], kept):
         assert b == min(2 * a, max(spatial.MIN_BLOCK, spatial.PAIR_BUDGET * a // max(pairs, 1)))
     assert max(sizes) >= 4 * spatial.FIRST_BLOCK and min(sizes[:-1]) < spatial.FIRST_BLOCK / 2
