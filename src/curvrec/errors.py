@@ -37,6 +37,10 @@ class MissingCoarseValue(ReconstructionError):
     """Fill started before every coarse/refined site had a value."""
 
 
+class EmptyMesh(ReconstructionError):
+    """Marching cubes crossed no cell: no site reads below the offset level."""
+
+
 class EmptyField(ReconstructionError):
     """Distance field is empty or not fully populated."""
 

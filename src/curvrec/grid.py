@@ -138,6 +138,9 @@ class AdaptiveGrid:
     other stored copy when every block holding the site is stored, as
     band_grid stores them. Writing or reading the flag of a site whose
     owner is not stored raises ValueError.
+
+    evaluated_count counts the evaluated lattice sites as they are marked:
+    every stride site, stored or not, plus each site mark_evaluated flags.
     """
 
     def __init__(self, spec: LatticeSpec, stride=2, blocks=None, far=np.nan):
@@ -154,6 +157,7 @@ class AdaptiveGrid:
         self.evaluated = np.zeros(shape, dtype=bool)
         self.evaluated[on_stride] = True
         clear_past(self.evaluated, self.coords, spec, False)
+        self.evaluated_count = ((spec.fine_n - 1) // stride + 1) ** 3
 
     def _site_index(self, ids):
         """Each site's index in the flat block stack, in its owner, or -1 where
@@ -185,55 +189,33 @@ class AdaptiveGrid:
             raise ValueError(f"site {ids[at < 0][0]} lies outside the stored blocks")
         return at
 
-    def _write(self, arr, ids, values):
-        arr.reshape(-1)[self._stored_index(ids)] = values
-        self._share_faces(arr)
-
     def set_values(self, ids, values):
-        self._write(self.values, ids, values)
+        self.values.reshape(-1)[self._stored_index(ids)] = values
+        self._share_faces(self.values)
 
     def mark_evaluated(self, ids):
-        self._write(self.evaluated, ids, True)
+        at, flags = self._stored_index(ids), self.evaluated.reshape(-1)
+        self.evaluated_count += np.unique(at[~flags[at]]).size
+        flags[at] = True
+        self._share_faces(self.evaluated)
 
     def evaluated_at(self, ids):
         """Evaluated flag per site."""
         return self.evaluated.reshape(-1)[self._stored_index(ids)]
 
-    def _extent(self):
-        """(A, 3): the sites per axis each block owns, its lower BLOCK planes
-        (the last block: every plane it holds in the lattice), so that every
-        lattice site has one owner."""
-        nb = self.spec.blocks_per_axis
-        return np.where(self.coords == nb - 1, self.spec.fine_n - BLOCK * (nb - 1), BLOCK)
-
-    def _owned_count(self, mask):
-        extent = self._extent()
-        return sum(int(np.count_nonzero(mask[np.all(extent == e, axis=1), :e[0], :e[1], :e[2]]))
-                   for e in np.unique(extent, axis=0))
-
-    def _outside(self):
-        """(sites, stride sites) of the lattice that no stored block owns."""
-        extent = self._extent()
-        m = (self.spec.fine_n - 1) // self.stride + 1
-        return (self.spec.total_fine_vertices - int(np.prod(extent, axis=1).sum()),
-                m ** 3 - int(np.prod(-(-extent // self.stride), axis=1).sum()))
-
     @property
     def stored_sites(self):
-        """Lattice sites the stored blocks hold, each counted once."""
-        return self.spec.total_fine_vertices - self._outside()[0]
-
-    @property
-    def evaluated_count(self):
-        """Evaluated sites, counting the stride sites outside the stored blocks."""
-        return self._owned_count(self.evaluated) + self._outside()[1]
+        """Lattice sites the stored blocks own: per axis, a block's lower
+        BLOCK planes (the last block: every plane it holds in the lattice)."""
+        nb = self.spec.blocks_per_axis
+        owned = np.where(self.coords == nb - 1, self.spec.fine_n - BLOCK * (nb - 1), BLOCK)
+        return int(np.prod(owned, axis=1).sum())
 
     @property
     def filled_count(self):
-        """Sites holding a value without being evaluated: those
-        hierarchical_fill wrote, and the other sites outside the stored blocks."""
-        sites, stride_sites = self._outside()
-        return self._owned_count(~self.evaluated & ~np.isnan(self.values)) + sites - stride_sites
+        """Sites that are not evaluated: hierarchical_fill gives them their
+        value, or the far field does outside the stored blocks."""
+        return self.spec.total_fine_vertices - self.evaluated_count
 
     def dense_values(self):
         """Field as an (n, n, n) array; EmptyField if any site lacks a value.

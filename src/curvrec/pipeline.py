@@ -3,9 +3,9 @@
 Stages: read, normalize, index, curvature field over the coarse lattice,
 percentile-driven radius schedule, hot-region refinement, CSR patches
 weighted to target_count, UDF estimation with far-field capping,
-hierarchical fill, offset-level marching cubes, denormalize. Timing
-splits into patch_time (curvature, radius modulation, query addition,
-extraction, resampling) and udf_time (estimation plus fill interpolation).
+hierarchical fill, offset-level marching cubes, denormalize. Each stage
+adds its wall time to the run's TimingReport, and the index its nn and
+ball query time.
 
 baseline_mode changes only the query set: every fine vertex that can
 reach the mesh, at the fixed radius r0, without curvature (the
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io, spatial
 from .curvature import CurvatureField, check_threshold, curvature_field
-from .errors import NoCurvatureSamples, ReconstructionError
+from .errors import EmptyMesh, NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
 from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, far_field, hierarchical_fill,
@@ -95,8 +95,11 @@ class PipelineConfig:
 
 @dataclass
 class TimingReport:
-    """evaluated_queries counts the lattice sites marked evaluated, not
-    kd-tree queries: sites outside the band read far_cap without one.
+    """stage_s holds each stage's wall time in run order; stages never nest,
+    so they sum to nearly the run's. nn_s and ball_s are the index's query
+    times, within them. evaluated_queries counts the lattice sites marked
+    evaluated, not kd-tree queries: sites outside the band read far_cap
+    without one.
     nn_queries counts the rows the run's index gave the nearest-point
     query, near_queries those of them sent on to the ball query, and
     stored_sites the lattice sites the grid's blocks hold. ball_pairs
@@ -104,8 +107,9 @@ class TimingReport:
     ball_blocks calls. peak_rss_mb is the process's peak resident memory
     so far."""
 
-    patch_time: float
-    udf_time: float
+    stage_s: dict
+    nn_s: float
+    ball_s: float
     evaluated_queries: int
     filled_queries: int
     total_fine_vertices: int
@@ -117,8 +121,9 @@ class TimingReport:
     peak_rss_mb: float
 
     def lines(self):
-        return [f"patch_time={self.patch_time:.3f}",
-                f"udf_time={self.udf_time:.3f}",
+        return [f"{name}_s={t:.3f}" for name, t in self.stage_s.items()] + [
+                f"nn_s={self.nn_s:.3f}",
+                f"ball_s={self.ball_s:.3f}",
                 f"evaluated_queries={self.evaluated_queries}",
                 f"filled_queries={self.filled_queries}",
                 f"total_fine_vertices={self.total_fine_vertices}",
@@ -141,9 +146,9 @@ class PipelineResult:
 
 
 @contextmanager
-def stage(name, bucket=None):
-    """Tag a ReconstructionError raised inside with the stage name, and
-    append the elapsed wall time to bucket (a list) when one is given."""
+def stage(name, times=None):
+    """Tag a ReconstructionError raised inside with the stage name, and add
+    the elapsed wall time to times[name] when a dict is given."""
     t0 = time.perf_counter()
     try:
         yield
@@ -152,8 +157,8 @@ def stage(name, bucket=None):
             exc.stage = name
         raise
     finally:
-        if bucket is not None:
-            bucket.append(time.perf_counter() - t0)
+        if times is not None:
+            times[name] = times.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _peak_rss_mb():
@@ -171,21 +176,21 @@ def _peak_rss_mb():
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-def _load_cloud(config, cloud):
+def _load_cloud(config, cloud, times=None):
     if cloud is not None:
         return cloud
     if config.input_path is None:
         raise ValueError("config.input_path is required when no cloud is passed")
-    with stage("read"):
+    with stage("read", times):
         return io.read_point_cloud(config.input_path)
 
 
-def _prepare(config, cloud):
+def _prepare(config, cloud, times=None):
     """The run prefix every command shares: read, normalize, index, lattice."""
-    cloud = _load_cloud(config, cloud)
-    with stage("normalize"):
+    cloud = _load_cloud(config, cloud, times)
+    with stage("normalize", times):
         norm_cloud, transform = normalize_cloud(cloud)
-    with stage("index"):
+    with stage("index", times):
         index = build_index(norm_cloud)
     spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     return norm_cloud, transform, index, spec
@@ -203,38 +208,29 @@ def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
 
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
-                      policy, estimator, far_cap, nn, patch, udf):
+                      policy, estimator, far_cap, nn):
     """(UDF value per query, rows sent to the ball query): patch pipeline
-    inside the radius, capped nearest distance outside. Wall time is
-    appended to the patch and udf lists."""
+    inside the radius, capped nearest distance outside."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), nn.shape)
-    with stage("evaluate", udf):
-        values = np.minimum(nn, far_cap)  # near rows are overwritten below
+    values = np.minimum(nn, far_cap)  # near rows are overwritten below
     near_rows = np.flatnonzero(nn <= radii)
-
-    blocks = spatial.ball_blocks(index, positions[near_rows], radii[near_rows])
-    while True:
-        with stage("evaluate", patch):  # the block's ball query runs in next()
-            block = next(blocks, None)
-            if block is None:
-                break
-            start, stop, flat, offsets = block
-            rows = near_rows[start:stop]
-            # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
-            # a query whose ball came back empty keeps its far value.
-            hit = np.diff(offsets) > 0
-            rows, offsets = rows[hit], offsets[np.r_[True, hit]]
-            weights, copies = pad_weights(offsets, sigmas[rows], policy)
-            big = np.flatnonzero(np.diff(offsets) > policy.target_count)
-            if big.size:  # one subsample over the block's oversized patches
-                entries, big_offsets = csr_subset(offsets, big)
-                weights[entries[resample(flat[entries], big_offsets, policy,
-                                         query_ids[rows[big]])]] = 1
-            keep = weights > 0
-            kept = np.concatenate([[0], np.cumsum(keep)])[offsets]
-            patches = Patches(index.points[flat[keep]], kept, weights[keep], copies)
-        with stage("evaluate", udf):
-            values[rows] = estimator.estimate_batch(positions[rows], patches)
+    for start, stop, flat, offsets in spatial.ball_blocks(index, positions[near_rows],
+                                                          radii[near_rows]):
+        rows = near_rows[start:stop]
+        # sqrt(d2) <= r and the ball's d2 <= r*r can round apart at d == r;
+        # a query whose ball came back empty keeps its far value.
+        hit = np.diff(offsets) > 0
+        rows, offsets = rows[hit], offsets[np.r_[True, hit]]
+        weights, copies = pad_weights(offsets, sigmas[rows], policy)
+        big = np.flatnonzero(np.diff(offsets) > policy.target_count)
+        if big.size:  # one subsample over the block's oversized patches
+            entries, big_offsets = csr_subset(offsets, big)
+            weights[entries[resample(flat[entries], big_offsets, policy,
+                                     query_ids[rows[big]])]] = 1
+        keep = weights > 0
+        kept = np.concatenate([[0], np.cumsum(keep)])[offsets]
+        patches = Patches(index.points[flat[keep]], kept, weights[keep], copies)
+        values[rows] = estimator.estimate_batch(positions[rows], patches)
     return values, near_rows.size
 
 
@@ -295,13 +291,21 @@ def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
                                  f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
 
 
-def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf):
+def _near_boundary_rows(spec, ids, nn, radii):
+    """Rows within their radius of a point whose site lies on a lattice face;
+    a function, so that its (N, 3) temporaries die before evaluate runs."""
+    near = np.flatnonzero(nn <= radii)
+    ijk = spec.unflatten(ids[near])
+    return near[np.any((ijk == 0) | (ijk == spec.fine_n - 1), axis=1)]
+
+
+def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
     """(grid, curvature field, near rows): the band's grid with every
     evaluated site set. The mode picks the query set; evaluate is shared.
     The query arrays die here, before fill and extract."""
     cf = None
     if config.baseline_mode:
-        with stage("evaluate", patch):
+        with stage("evaluate", times):
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
             grid, ids, positions, nn = _band_queries(config, index, spec, 1,
@@ -310,7 +314,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             sigmas = np.zeros(ids.size)
             threshold = np.inf
     else:
-        with stage("curvature", patch):
+        with stage("curvature", times):
             # One prefilter serves the curvature candidates (nn <= r0) and
             # the coarse rows of evaluate (radius <= r0 * s_max).
             grid, ids, positions, nn = _band_queries(config, index, spec, 2,
@@ -319,10 +323,10 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
-        with stage("refine", patch):
+        with stage("refine", times):
             hot = select_hot(cf, cf.percentile_value(config.refine_threshold))
             new_ids, parents = refine_with_parents(grid, hot)
-        with stage("evaluate", patch):
+        with stage("evaluate", times):
             # hot parents always have entries, so only coarse rows can miss
             sigmas, has_sigma = _sigma_lookup(cf, np.concatenate([ids, parents]))
             radii = schedule_radius(sched, sigmas)
@@ -338,39 +342,46 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, patch, udf)
             positions = np.vstack([positions, new_pos])
             threshold = cf.percentile_value(config.resample_threshold)
 
-    policy = ResamplePolicy(target_count=config.target_count,
-                            curvature_threshold=threshold, rng_seed=config.seed)
-    with stage("evaluate"):
+    with stage("evaluate", times):
+        # A site on the lattice's outer faces lies at least the margin from
+        # every point, and reads min(nn, far_cap): a ball past the margin
+        # would let the plane fit extrapolate below the level there.
+        radii[_near_boundary_rows(spec, ids, nn, radii)] = 0.0
+        policy = ResamplePolicy(target_count=config.target_count,
+                                curvature_threshold=threshold, rng_seed=config.seed)
         values, near_queries = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                                 estimator, config.far_cap, nn, patch, udf)
+                                                 estimator, config.far_cap, nn)
         grid.set_values(ids, values)
     return grid, cf, near_queries
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
     estimator = make_estimator(config.estimator)
-    norm_cloud, transform, index, spec = _prepare(config, cloud)
+    times = {}  # wall time per stage, in run order
+    norm_cloud, transform, index, spec = _prepare(config, cloud, times)
     iso = config.iso(spec)
-    patch, udf = [], []  # wall time per section, summed into TimingReport
     grid, cf, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso, estimator,
-                                             patch, udf)
-    with stage("fill", udf):
+                                             times)
+    with stage("fill", times):
         hierarchical_fill(grid)
 
     if config.dump_field:
-        with stage("dump"):
+        with stage("dump", times):
             save_field(grid.dense_values(), spec, config.dump_field)
 
-    with stage("extract"):
+    with stage("extract", times):
         norm_mesh = marching_cubes(grid.values, grid.coords, spec, iso)
-    with stage("denormalize"):
+        if not norm_mesh.num_faces:
+            raise EmptyMesh(f"marching cubes crossed no cell: no site reads below the "
+                            f"level {iso.eps:g} at fine spacing {spec.fine_spacing:g}")
+    with stage("denormalize", times):
         mesh = denormalize_mesh(norm_mesh, transform)
     if config.output_path:
-        with stage("write"):
+        with stage("write", times):
             io.write_mesh(mesh, config.output_path)
 
     timing = TimingReport(
-        patch_time=sum(patch), udf_time=sum(udf),
+        stage_s=times, nn_s=index.nn_s, ball_s=index.ball_s,
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
         total_fine_vertices=spec.total_fine_vertices, nn_queries=index.nn_rows,
         near_queries=near_queries, stored_sites=grid.stored_sites,

@@ -3,7 +3,7 @@
 Backed by scipy's kd-tree, which is exact: radius queries return the
 closed ball (distance <= r) and nearest queries the true minimum, so
 results are interchangeable with brute force. Queries leave the tree as
-it is; they only add to the index's counters.
+it is; they only add to the index's counters and clocks.
 workers reaches only scipy's native threads in the nearest query.
 
 The kd-tree is built with compact_nodes=False. On the band's nn and ball
@@ -26,6 +26,8 @@ over two threads made no difference to a whole run at workers=2 (2.94 s
 with the split, 2.91 s without, median of 10 alternating pairs on
 sphere-c64, 2-core x86-64).
 """
+
+from time import perf_counter
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,7 +62,8 @@ class SpatialIndex:
 
     It counts the work it answers: nn_rows, the rows given the nearest
     query; ball_calls, the ball queries; and ball_pairs, the (center,
-    point) pairs they kept.
+    point) pairs they kept. nn_s and ball_s are the wall time those
+    queries took.
     """
 
     def __init__(self, points):
@@ -69,6 +72,7 @@ class SpatialIndex:
             raise EmptyCloud("cannot index an empty cloud")
         self._tree = cKDTree(self.points, leafsize=16, compact_nodes=False)
         self.nn_rows = self.ball_calls = self.ball_pairs = 0
+        self.nn_s = self.ball_s = 0.0
 
     def __len__(self):
         return self.points.shape[0]
@@ -80,6 +84,7 @@ class SpatialIndex:
         flat[offsets[i]:offsets[i + 1]]. Point j is in ball i when
         (dx*dx + dy*dy) + dz*dz <= r_i*r_i, the kd-tree's own test.
         """
+        t0 = perf_counter()
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape[:1])
         # One search at the largest radius, then each pair against its own.
@@ -101,6 +106,7 @@ class SpatialIndex:
         np.cumsum(np.bincount(key // n, minlength=len(centers)), out=offsets[1:])
         self.ball_calls += 1
         self.ball_pairs += key.size
+        self.ball_s += perf_counter() - t0
         return key % n, offsets
 
     def radius_query_many(self, centers, radii):
@@ -110,9 +116,12 @@ class SpatialIndex:
 
     def nearest_distance_many(self, queries, workers=1):
         """Exact nearest-point distance per query."""
+        t0 = perf_counter()
         queries = np.asarray(queries, dtype=np.float64)
         self.nn_rows += len(queries)
-        return self._tree.query(queries, workers=workers)[0]
+        distances = self._tree.query(queries, workers=workers)[0]
+        self.nn_s += perf_counter() - t0
+        return distances
 
 
 def ball_blocks(index, centers, radii):

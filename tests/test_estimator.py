@@ -118,7 +118,7 @@ def test_far_examples():
         nn = index.nearest_distance_many(positions)
         return pipeline._evaluate_queries(
             index, positions, radii, np.zeros(m), np.arange(m), policy,
-            make_estimator("nearest"), far_cap, nn, [], [])[0]
+            make_estimator("nearest"), far_cap, nn)[0]
 
     assert estimate_far([0.0, 0, 0], far_cap=0.1).tolist() == [0.0]
     assert estimate_far([10.0, 0, 0], far_cap=0.1)[0] == pytest.approx(0.1)
@@ -227,7 +227,7 @@ def test_weighted_csr_estimate_matches_padded_oracle(seed, target, rows):
     for name, oracle in (("plane", plane_oracle), ("nearest", nearest_oracle)):
         got = pipeline._evaluate_queries(
             _FixedBalls(points, flat, offsets), queries, np.ones(m), sigmas, query_ids,
-            policy, make_estimator(name), 1.0, np.zeros(m), [], [])[0]
+            policy, make_estimator(name), 1.0, np.zeros(m))[0]
         expect = [oracle(q, resample_oracle(p, s, policy, query_id=i, point_ids=ids))
                   for q, p, s, i, ids in zip(queries, patches, sigmas, query_ids,
                                              np.split(flat, offsets[1:-1]))]

@@ -341,6 +341,20 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
         assert np.array_equal(mesh.faces, faces)
 
 
+def test_evaluated_count_counts_each_newly_marked_site_once():
+    # the count is kept as sites are marked: overlapping marks, repeats and
+    # stride sites, already evaluated, add nothing
+    spec = LatticeSpec(coarse_cells=8, margin_cells=1)
+    grid = AdaptiveGrid(spec)
+    n = spec.fine_n
+    ids = np.random.default_rng(3).integers(0, n ** 3, 400)
+    grid.mark_evaluated(ids[:250])
+    grid.mark_evaluated(ids[150:])
+    fresh = np.count_nonzero(np.any(spec.unflatten(np.unique(ids)) % 2, axis=1))
+    assert grid.evaluated_count == ((n + 1) // 2) ** 3 + fresh
+    assert grid.filled_count == n ** 3 - grid.evaluated_count
+
+
 def test_sites_outside_the_stored_blocks_read_the_far_field():
     spec = LatticeSpec(coarse_cells=16, margin_cells=1)   # 2 blocks per axis
     grid = AdaptiveGrid(spec, blocks=[0], far=0.3)

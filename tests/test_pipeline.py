@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import re
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -13,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import sample_mesh
-from curvrec.errors import NoCurvatureSamples, ReconstructionError
+from curvrec.errors import EmptyMesh, NoCurvatureSamples, ReconstructionError
 from curvrec.estimator import make_estimator
 from curvrec.grid import LatticeSpec, far_field
 from curvrec.model import PointCloud
@@ -52,11 +53,37 @@ def test_reconstruct_sphere_closed_shell(sphere_cloud):
     r = np.linalg.norm(mesh.vertices, axis=1)
     assert 0.25 < r.min() and r.max() < 0.35
     assert timing.evaluated_queries + timing.filled_queries == timing.total_fine_vertices
-    assert timing.patch_time >= 0 and timing.udf_time >= 0
+    assert list(timing.stage_s) == ["normalize", "index", "curvature", "refine", "evaluate",
+                                    "fill", "extract", "denormalize"]
+    assert min(timing.stage_s.values()) >= 0
     # every query row is a band or refined site; the mesh's blocks are stored
     assert 0 < timing.near_queries <= timing.nn_queries < timing.evaluated_queries
     assert 0 < timing.stored_sites <= timing.total_fine_vertices
     assert timing.ball_pairs >= timing.ball_blocks > 0 and timing.peak_rss_mb > 0
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_stage_times_cover_the_run_in_order(sphere_cloud, tmp_path, baseline):
+    # stages do not nest, so their times sum to nearly the measured wall
+    # time; the index's query time is spent inside them
+    path = tmp_path / "cloud.xyz"
+    io.write_point_cloud(sphere_cloud, path)
+    config = small_config(coarse_cells=40, input_path=str(path),
+                          output_path=str(tmp_path / "mesh.obj"), baseline_mode=baseline)
+    t0 = time.perf_counter()
+    timing = run_pipeline(config).timing
+    wall = time.perf_counter() - t0
+    assert wall >= 0.1
+    middle = ["evaluate"] if baseline else ["curvature", "refine", "evaluate"]
+    assert list(timing.stage_s) == ["read", "normalize", "index", *middle, "fill",
+                                    "extract", "denormalize", "write"]
+    total = sum(timing.stage_s.values())
+    assert 0.95 * wall <= total <= wall
+    assert 0 < timing.nn_s <= total and 0 < timing.ball_s <= total
+    keys = [line.split("=")[0] for line in timing.lines()]
+    assert keys[:len(timing.stage_s) + 2] == [f"{name}_s" for name in timing.stage_s] + [
+        "nn_s", "ball_s"]
+    assert "patch_time" not in keys and "udf_time" not in keys
 
 
 def test_peak_rss_falls_back_to_ru_maxrss(monkeypatch):
@@ -165,6 +192,31 @@ def test_output_is_closed_edge_manifold(shape, coarse, extra):
     assert np.all(_edge_uses(mesh.faces) == 2)
 
 
+@pytest.mark.parametrize("baseline", [False, True])
+def test_ball_past_the_margin_keeps_the_shell_closed(baseline):
+    # r0 * s_max = 0.108 passes the margin, 0.0714: balls of the lattice's
+    # boundary sites hold points, but those sites must read their capped
+    # nn distance, not a plane fit extrapolated below the level
+    cloud = fixtures.make_fixture("cube", count=12000, seed=0)
+    config = small_config(coarse_cells=16, margin_cells=1, r0=0.08, baseline_mode=baseline)
+    mesh = run_pipeline(config, cloud).mesh
+    assert mesh.num_faces > 0
+    assert np.all(_edge_uses(mesh.faces) == 2)
+
+
+def test_no_site_below_the_level_raises_empty_mesh():
+    # every point lies farther than the level (0.0208) from every fine site
+    # (nearest 0.0220), so baseline mode crosses no cell
+    cloud = PointCloud(np.array([
+        [0.25612091107964696, 0.08469178083875384, -0.5],
+        [-0.07447946947954287, 0.5, -0.16234215327569568],
+        [-0.3586291022430652, -0.5, 0.38576741614792376]]))
+    config = small_config(coarse_cells=14, margin_cells=1, baseline_mode=True)
+    with pytest.raises(EmptyMesh, match="no site reads below the level 0.0208") as info:
+        run_pipeline(config, cloud)
+    assert info.value.stage == "extract"
+
+
 def _links_are_single_cycles(faces):
     """Every vertex's link (the far edges of its faces) is one cycle: with
     every edge used twice each link is a union of cycles, so one connected
@@ -215,9 +267,9 @@ def test_hostile_clouds_give_a_closed_shell_or_a_staged_error(cloud, coarse, mar
     except ReconstructionError as exc:
         assert exc.stage
         return
-    if mesh.num_faces:
-        assert np.all(_edge_uses(mesh.faces) == 2)
-        assert _links_are_single_cycles(mesh.faces)
+    assert mesh.num_faces > 0
+    assert np.all(_edge_uses(mesh.faces) == 2)
+    assert _links_are_single_cycles(mesh.faces)
     blobs = [mesh.vertices.tobytes() + mesh.faces.tobytes()]
     blobs.append(_mesh_bytes(replace(config, workers=2), cloud))
     with pytest.MonkeyPatch.context() as mp:
@@ -260,7 +312,7 @@ def _band_cloud(shape):
 def _mesh_or_error(config, cloud):
     try:
         mesh = run_pipeline(config, cloud).mesh
-    except NoCurvatureSamples as exc:
+    except (NoCurvatureSamples, EmptyMesh) as exc:
         return str(exc)
     return mesh.vertices.tobytes() + mesh.faces.tobytes()
 
@@ -389,7 +441,7 @@ def test_point_exactly_at_query_radius_is_near():
     policy = ResamplePolicy(target_count=4, curvature_threshold=0.5)
     values, near = pipeline._evaluate_queries(
         index, positions, radii, np.zeros(1), np.zeros(1, dtype=np.int64), policy,
-        make_estimator("nearest"), 0.1, nn, [], [])
+        make_estimator("nearest"), 0.1, nn)
     assert values.tolist() == [0.25]  # a far query would read far_cap = 0.1
     assert near == 1
 
@@ -408,7 +460,7 @@ def test_empty_ball_at_nn_radius_keeps_far_value():
     m = positions.shape[0]
     values, near = pipeline._evaluate_queries(
         index, positions, nn, np.zeros(m), np.arange(m), policy,
-        make_estimator("nearest"), 1.0, nn, [], [])
+        make_estimator("nearest"), 1.0, nn)
     assert near == m  # empty balls are sent to the ball query too
     assert np.array_equal(values[empty], nn[empty])
     assert np.allclose(values, nn, rtol=0, atol=1e-15)
@@ -450,7 +502,7 @@ def test_bench_reports(sphere_cloud):
     assert result.baseline_timing.evaluated_queries == (2 * 12 + 1) ** 3
     assert result.adaptive_metrics.cd > 0
     text = "\n".join(result.lines())
-    assert "adaptive.patch_time=" in text and "query_ratio=" in text
+    assert "adaptive.evaluate_s=" in text and "query_ratio=" in text
 
 
 def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
@@ -627,7 +679,7 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--output", str(mesh_path), "--coarse-cells", "16",
                      "--margin-cells", "2"]) == 0
     out = capsys.readouterr().out
-    assert "patch_time=" in out and "evaluated_queries=" in out
+    assert "evaluate_s=" in out and "evaluated_queries=" in out
     assert "nn_queries=" in out and "near_queries=" in out and "stored_sites=" in out
     assert "ball_pairs=" in out and "ball_blocks=" in out and "peak_rss_mb=" in out
     assert mesh_path.exists()

@@ -137,13 +137,24 @@ def test_index_counts_the_work_it_answers():
     rng = np.random.default_rng(5)
     idx = build_index(PointCloud(rng.random((500, 3))))
     assert (idx.nn_rows, idx.ball_calls, idx.ball_pairs) == (0, 0, 0)
+    assert (idx.nn_s, idx.ball_s) == (0.0, 0.0)
+    clocks = [(0.0, 0.0)]
     idx.nearest_distance_many(rng.random((7, 3)))
+    clocks.append((idx.nn_s, idx.ball_s))
     idx.nearest_distance_many(rng.random((5, 3)), workers=2)
-    kept = [idx.radius_query_flat(rng.random((9, 3)), 0.2)[1][-1],
-            idx.radius_query_flat(np.empty((0, 3)), 0.1)[1][-1],
-            sum(map(len, idx.radius_query_many(rng.random((4, 3)), 0.3)))]
+    clocks.append((idx.nn_s, idx.ball_s))
+    kept = []
+    for centers, radius in ((rng.random((9, 3)), 0.2), (np.empty((0, 3)), 0.1)):
+        kept.append(idx.radius_query_flat(centers, radius)[1][-1])
+        clocks.append((idx.nn_s, idx.ball_s))
+    kept.append(sum(map(len, idx.radius_query_many(rng.random((4, 3)), 0.3))))
+    clocks.append((idx.nn_s, idx.ball_s))
     assert (idx.nn_rows, idx.ball_calls, idx.ball_pairs) == (12, 3, sum(kept))
     assert kept[0] > 0 and kept[2] > 0
+    # each query adds to its own clock and leaves the other as it was
+    nn_s, ball_s = np.array(clocks).T
+    assert np.all(np.diff(nn_s[:3]) > 0) and np.all(np.diff(nn_s[2:]) == 0)
+    assert np.all(np.diff(ball_s[:3]) == 0) and np.all(np.diff(ball_s[2:]) > 0)
 
 
 def brute_flat(points, centers, radii):
