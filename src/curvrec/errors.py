@@ -13,6 +13,10 @@ class DegenerateExtent(ReconstructionError):
     """Bounding box has zero diagonal (all points coincident)."""
 
 
+class FarOutlier(ReconstructionError):
+    """A few far points squash the rest of the normalized cloud under one coarse cell."""
+
+
 class ParseError(ReconstructionError):
     """Malformed cloud/mesh file; message carries the line or byte offset."""
 

@@ -65,75 +65,93 @@ def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMe
         raise EmptyField("empty field")
     if values.shape != (len(coords),) + (SIDE,) * 3:
         raise ValueError(f"field shape {values.shape} is not {len(coords)} blocks of {SIDE}^3")
+    slabs = [_slab_vertices(values[start:stop], coords[start:stop], spec, iso.eps)
+             for start, stop in block_slabs(coords)]
+
+    # merge the slabs' vertices, which share the edges on the planes between
+    # slabs, into one list ordered by key; both slabs give a shared edge the
+    # same crossing, since every stored copy of a site holds the same value
+    unique_keys = np.concatenate([slab_keys for slab_keys, _, _ in slabs])
+    if unique_keys.size == 0:
+        return TriangleMesh()
+    unique_keys.sort()
+    unique_keys = unique_keys[np.r_[True, unique_keys[1:] != unique_keys[:-1]]]
+    t = np.empty(unique_keys.size)
+    faces = np.empty(sum(corner_vertex.size for _, _, corner_vertex in slabs), dtype=np.int64)
+    done = faces.size
+    while slabs:  # from the last slab back, freeing each slab's arrays once merged
+        slab_keys, crossings, corner_vertex = slabs.pop()
+        vertex = np.searchsorted(unique_keys, slab_keys)
+        t[vertex] = crossings
+        done -= corner_vertex.size
+        faces[done:done + corner_vertex.size] = vertex[corner_vertex]
+
     n = spec.fine_n
-    level = iso.eps
+    # a vertex's position per axis, as fine_position gives its edge's ends,
+    # one axis at a time from the last
+    axis, lower = np.divmod(unique_keys, n ** 3)
+    del unique_keys
+    vertices = np.empty((axis.size, 3))
+    for a in (2, 1, 0):
+        lower, index = np.divmod(lower, n)
+        p0 = spec.fine_position(index)
+        index += axis == a
+        step = spec.fine_position(index)
+        step -= p0
+        step *= t
+        step += p0  # p0 + t * (p1 - p0)
+        vertices[:, a] = step
+    return TriangleMesh(vertices, faces.reshape(-1, 3))
+
+
+def _slab_vertices(slab, at, spec, level):
+    """(edge keys, crossings, corners) of one slab of blocks, slab its
+    values and at its block coordinates: the ascending keys of the edges
+    its crossed cubes' triangles use, each edge's crossing as a fraction of
+    the edge from its lower end, and per triangle corner, in face order,
+    its edge's index in those keys."""
+    n = spec.fine_n
     # a triangle corner's edge: its global key from the cube's flat id, and
     # its lower end's index in the slab from the cube's lowest corner
     edge_key = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
     edge_site = EDGE_BASE @ SITE_STRIDES
-    keys, crossings, corners = [], [], []
-    for start, stop in block_slabs(coords):
-        slab, at = values[start:stop], coords[start:stop]
-        if np.isnan(slab).any():  # allowed past the lattice's last plane
-            unset = np.isnan(slab)
-            clear_past(unset, at, spec, False)
-            if unset.any():
-                raise EmptyField("field has unpopulated (NaN) sites")
+    if np.isnan(slab).any():  # allowed past the lattice's last plane
+        unset = np.isnan(slab)
+        clear_past(unset, at, spec, False)
+        if unset.any():
+            raise EmptyField("field has unpopulated (NaN) sites")
 
-        # case[s, i, j, k]: case of the cube whose lowest corner is (i, j, k)
-        # in block s, bit c set when corner c is inside
-        inside = slab < level
-        case = np.zeros((stop - start,) + (BLOCK,) * 3, dtype=np.uint8)
-        for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-            case |= inside[:, dx:dx + BLOCK, dy:dy + BLOCK, dz:dz + BLOCK].view(np.uint8) << c
-        clear_past(case, at, spec, 0)
+    # case[s, i, j, k]: case of the cube whose lowest corner is (i, j, k)
+    # in block s, bit c set when corner c is inside
+    inside = slab < level
+    case = np.zeros((len(at),) + (BLOCK,) * 3, dtype=np.uint8)
+    for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+        case |= inside[:, dx:dx + BLOCK, dy:dy + BLOCK, dz:dz + BLOCK].view(np.uint8) << c
+    clear_past(case, at, spec, 0)
 
-        # a cube is crossed unless all its corners lie on one side; blocks
-        # interleave in the lattice's cube order, so sort the slab's cubes by
-        # flat id, and the slabs follow each other in that order
-        crossed = np.flatnonzero((case != 0) & (case != 255))
-        s, i, j, k = np.unravel_index(crossed, case.shape)
-        origin = spec.flat_id(BLOCK * at[s] + np.stack([i, j, k], axis=-1))
-        order = np.argsort(origin)
-        origin, crossed = origin[order], crossed[order]
-        # the cube's lowest corner, as an index into the slab's sites
-        lowest = site_index(s, i, j, k)[order]
+    # a cube is crossed unless all its corners lie on one side; blocks
+    # interleave in the lattice's cube order, so sort the slab's cubes by
+    # flat id, and the slabs follow each other in that order
+    crossed = np.flatnonzero((case != 0) & (case != 255))
+    s, i, j, k = np.unravel_index(crossed, case.shape)
+    origin = spec.flat_id(BLOCK * at[s] + np.stack([i, j, k], axis=-1))
+    order = np.argsort(origin)
+    origin, crossed = origin[order], crossed[order]
+    # the cube's lowest corner, as an index into the slab's sites
+    lowest = site_index(s, i, j, k)[order]
 
-        tri_rows = TRI_TABLE[case.reshape(-1)[crossed]]    # (a, 16)
-        tri_valid = tri_rows >= 0
-        per_cube = tri_valid.sum(axis=1)
-        edges = tri_rows[tri_valid]
-        unique_keys, first, corner_vertex = np.unique(
-            np.repeat(origin, per_cube) + edge_key[edges], return_index=True, return_inverse=True)
+    tri_rows = TRI_TABLE[case.reshape(-1)[crossed]]    # (a, 16)
+    tri_valid = tri_rows >= 0
+    per_cube = tri_valid.sum(axis=1)
+    edges = tri_rows[tri_valid]
+    keys, first, corner_vertex = np.unique(
+        np.repeat(origin, per_cube) + edge_key[edges], return_index=True, return_inverse=True)
 
-        # interpolate one vertex per edge; a table edge always joins an
-        # inside and an outside end, so v0 != v1
-        cube = np.searchsorted(np.cumsum(per_cube), first, side="right")
-        lower = lowest[cube] + edge_site[edges[first]]
-        flat = slab.reshape(-1)
-        v0, v1 = flat[lower], flat[lower + SITE_STRIDES[EDGE_AXIS[edges[first]]]]
-        keys.append(unique_keys)
-        crossings.append(np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP))
-        corners.append(corner_vertex.astype(np.int32))
-
-    # merge the slabs' vertices, which share the edges on the planes between
-    # slabs, into one list ordered by key
-    unique_keys, first, vertex = np.unique(np.concatenate(keys), return_index=True,
-                                           return_inverse=True)
-    if unique_keys.size == 0:
-        return TriangleMesh()
-    t = np.concatenate(crossings)[first]
-    faces = np.empty(sum(map(len, corners)), dtype=np.int64)
-    done = offset = 0
-    for slab_keys, corner_vertex in zip(keys, corners):
-        faces[done:done + corner_vertex.size] = vertex[offset + corner_vertex]
-        done, offset = done + corner_vertex.size, offset + slab_keys.size
-    del keys, corners
-
-    # a vertex's position per axis, as fine_position gives its edge's ends
-    axis, lower = np.divmod(unique_keys, n ** 3)
-    vertices = np.empty((unique_keys.size, 3))
-    for a, index in enumerate(np.unravel_index(lower, (n, n, n))):
-        p0, p1 = spec.fine_position(index), spec.fine_position(index + (axis == a))
-        vertices[:, a] = p0 + t * (p1 - p0)
-    return TriangleMesh(vertices, faces.reshape(-1, 3))
+    # interpolate one vertex per edge; a table edge always joins an
+    # inside and an outside end, so v0 != v1
+    cube = np.searchsorted(np.cumsum(per_cube), first, side="right")
+    lower = lowest[cube] + edge_site[edges[first]]
+    flat = slab.reshape(-1)
+    v0, v1 = flat[lower], flat[lower + SITE_STRIDES[EDGE_AXIS[edges[first]]]]
+    return (keys, np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP),
+            corner_vertex.astype(np.int32))

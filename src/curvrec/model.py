@@ -69,7 +69,9 @@ class NormalizationTransform:
         return (as_points(pts) + self.translation) * self.scale
 
     def invert(self, pts):
-        return as_points(pts) / self.scale - self.translation
+        out = as_points(pts) / self.scale
+        out -= self.translation  # in place: a mesh's vertices can set the run's peak
+        return out
 
 
 @dataclass

@@ -17,13 +17,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import io, spatial
 from .curvature import CurvatureField, check_threshold, curvature_field
-from .errors import EmptyMesh, NoCurvatureSamples, ReconstructionError
+from .errors import EmptyMesh, FarOutlier, NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
 from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, far_field, hierarchical_fill,
@@ -37,6 +37,15 @@ from .spatial import build_index
 
 # Queries farther than this from every point read this UDF value.
 FAR_CAP_DEFAULT = 0.10
+# Rows per evaluate chunk. Results never depend on it: a row's value
+# depends on that row alone. The chunk bounds evaluate's per-row
+# temporaries (positions, nn, radii, sigmas, the boundary test) and its
+# ball blocks, which restart at spatial.FIRST_BLOCK centers each chunk.
+# In-process runs (seed 0, 2-core x86-64) peaked at 116.8-117.7 MB on
+# sphere-c64 and 132.7-132.8 MB on dense-sheets-c64 at 2**15, about the
+# same at 2**13, and at 118.7 and 135.1 MB at 2**17; all rows at once took
+# 127.7 and 140.6 MB. Wall time did not differ beyond noise.
+EVAL_CHUNK = 1 << 15
 
 
 @dataclass
@@ -105,9 +114,10 @@ class TimingReport:
     stored_sites the lattice sites the grid's blocks hold. ball_pairs
     counts the (center, point) pairs the index's ball queries kept, over
     ball_blocks calls. peak_rss_mb is the process's peak resident memory
-    so far."""
+    so far, and stage_peak_mb that peak at each stage's end, in run order."""
 
     stage_s: dict
+    stage_peak_mb: dict
     nn_s: float
     ball_s: float
     evaluated_queries: int
@@ -132,7 +142,8 @@ class TimingReport:
                 f"stored_sites={self.stored_sites}",
                 f"ball_pairs={self.ball_pairs}",
                 f"ball_blocks={self.ball_blocks}",
-                f"peak_rss_mb={self.peak_rss_mb:.1f}"]
+                f"peak_rss_mb={self.peak_rss_mb:.1f}"] + [
+                f"{name}_peak_mb={mb:.1f}" for name, mb in self.stage_peak_mb.items()]
 
 
 @dataclass
@@ -145,10 +156,27 @@ class PipelineResult:
     curvature: CurvatureField | None = None
 
 
+@dataclass
+class StageLog:
+    """Per stage, in the order stages first run: s, its wall time summed
+    over its runs, and peak_mb, the process's peak RSS at its last end.
+
+    The kernel's RSS counters are approximate (per-CPU batches of pages),
+    so a VmHWM reading can fall a fraction of a MB below an earlier one;
+    each peak is the largest reading so far."""
+
+    s: dict = field(default_factory=dict)
+    peak_mb: dict = field(default_factory=dict)
+
+    def peak_so_far(self):
+        return max([_peak_rss_mb(), *self.peak_mb.values()])
+
+
 @contextmanager
 def stage(name, times=None):
-    """Tag a ReconstructionError raised inside with the stage name, and add
-    the elapsed wall time to times[name] when a dict is given."""
+    """Tag a ReconstructionError raised inside with the stage name and, when
+    a StageLog is given, add the elapsed wall time to times.s[name] and
+    record the peak RSS so far in times.peak_mb[name]."""
     t0 = time.perf_counter()
     try:
         yield
@@ -158,7 +186,8 @@ def stage(name, times=None):
         raise
     finally:
         if times is not None:
-            times[name] = times.get(name, 0.0) + time.perf_counter() - t0
+            times.s[name] = times.s.get(name, 0.0) + time.perf_counter() - t0
+            times.peak_mb[name] = times.peak_so_far()
 
 
 def _peak_rss_mb():
@@ -188,12 +217,31 @@ def _load_cloud(config, cloud, times=None):
 def _prepare(config, cloud, times=None):
     """The run prefix every command shares: read, normalize, index, lattice."""
     cloud = _load_cloud(config, cloud, times)
+    spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     with stage("normalize", times):
         norm_cloud, transform = normalize_cloud(cloud)
+        _check_spread(cloud, norm_cloud, spec)
     with stage("index", times):
         index = build_index(norm_cloud)
-    spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     return norm_cloud, transform, index, spec
+
+
+def _check_spread(cloud, norm_cloud, spec):
+    """FarOutlier when the normalized points' 1st-99th percentile extent is
+    under one coarse cell on every axis: normalization fits the bounding
+    box, so a few far points squash the rest below what the lattice
+    resolves, and the mesh would come out a silent fragment."""
+    h, extent = spec.coarse_spacing, []
+    for column in norm_cloud.points.T:  # an axis at a time: one column's copy at most
+        low, high = np.percentile(column, [1, 99])
+        if high - low >= h:
+            return
+        extent.append(high - low)
+    farthest = np.linalg.norm(cloud.points - np.median(cloud.points, axis=0), axis=1).max()
+    raise FarOutlier(
+        f"the normalized cloud's 1st-99th percentile extent is "
+        f"({', '.join(f'{e:.3g}' for e in extent)}), under the coarse spacing {h:.3g} "
+        f"on every axis: its farthest point lies {farthest:.6g} from the median point")
 
 
 def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
@@ -271,13 +319,11 @@ def _band_sites(spec, points, stride, near_bound):
     return spec.flat_id(stride * np.argwhere(band))
 
 
-def _band_queries(config, index, spec, stride, near_bound):
-    """The grid over the band's blocks (band_grid), where every other stride
-    site reads far_cap, and _band_sites' (ids, positions, nn)."""
+def _band(config, index, spec, stride, near_bound):
+    """_band_sites' ids, and the grid over their blocks (band_grid), where
+    every other stride site reads far_cap."""
     ids = _band_sites(spec, index.points, stride, near_bound)
-    grid = band_grid(spec, stride, ids, config.far_cap)
-    positions = spec.position_of_id(ids)
-    return grid, ids, positions, index.nearest_distance_many(positions, workers=config.workers)
+    return band_grid(spec, stride, ids, config.far_cap), ids
 
 
 def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
@@ -292,72 +338,100 @@ def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
 
 
 def _near_boundary_rows(spec, ids, nn, radii):
-    """Rows within their radius of a point whose site lies on a lattice face;
-    a function, so that its (N, 3) temporaries die before evaluate runs."""
-    near = np.flatnonzero(nn <= radii)
-    ijk = spec.unflatten(ids[near])
-    return near[np.any((ijk == 0) | (ijk == spec.fine_n - 1), axis=1)]
+    """Rows within their radius of a point whose site lies on a lattice face."""
+    face = np.zeros(ids.size, dtype=bool)
+    for index in np.unravel_index(ids, (spec.fine_n,) * 3):
+        face |= (index == 0) | (index == spec.fine_n - 1)
+    return np.flatnonzero(face & (nn <= radii))
+
+
+def _evaluate_rows(config, index, spec, ids, keys, nn, radius_of, policy, estimator):
+    """(UDF value per site of ids, rows sent to the ball query), EVAL_CHUNK
+    rows at a time: each chunk's positions, radii and sigmas exist only
+    while it runs. radius_of(keys) gives the rows' (radii, sigmas); nn holds
+    every row's nearest distance, or is None to query it per chunk."""
+    values = np.empty(ids.size)
+    near_queries = 0
+    for start in range(0, ids.size, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        positions = spec.position_of_id(ids[rows])
+        row_nn = nn[rows] if nn is not None else index.nearest_distance_many(
+            positions, workers=config.workers)
+        radii, sigmas = radius_of(keys[rows])
+        # A site on the lattice's outer faces lies at least the margin from
+        # every point, and reads min(nn, far_cap): a ball past the margin
+        # would let the plane fit extrapolate below the level there.
+        radii[_near_boundary_rows(spec, ids[rows], row_nn, radii)] = 0.0
+        values[rows], near = _evaluate_queries(index, positions, radii, sigmas, ids[rows],
+                                               policy, estimator, config.far_cap, row_nn)
+        near_queries += near
+    return values, near_queries
 
 
 def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
     """(grid, curvature field, near rows): the band's grid with every
     evaluated site set. The mode picks the query set; evaluate is shared.
-    The query arrays die here, before fill and extract."""
+
+    Each query set is a stream of (site ids, sigma keys, nn) that
+    _evaluate_rows runs a chunk at a time: the coarse band sites, keyed by
+    their own ids, with the nn the curvature stage took for them; then the
+    refined sites, keyed by their parents, whose nn it queries itself.
+    """
     cf = None
     if config.baseline_mode:
         with stage("evaluate", times):
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
-            grid, ids, positions, nn = _band_queries(config, index, spec, 1,
-                                                     max(config.r0, iso.eps))
-            radii = np.full(ids.size, config.r0)
-            sigmas = np.zeros(ids.size)
-            threshold = np.inf
+            grid, ids = _band(config, index, spec, 1, max(config.r0, iso.eps))
+        streams = [(ids, ids, None)]
+        threshold = np.inf
+
+        def radius_of(keys):
+            return np.full(keys.size, config.r0), np.zeros(keys.size)
     else:
         with stage("curvature", times):
             # One prefilter serves the curvature candidates (nn <= r0) and
             # the coarse rows of evaluate (radius <= r0 * s_max).
-            grid, ids, positions, nn = _band_queries(config, index, spec, 2,
-                                                     max(config.r0 * config.s_max, iso.eps))
+            grid, ids = _band(config, index, spec, 2, max(config.r0 * config.s_max, iso.eps))
+            positions = spec.position_of_id(ids)
+            nn = index.nearest_distance_many(positions, workers=config.workers)
             cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
+            del positions
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
         with stage("refine", times):
             hot = select_hot(cf, cf.percentile_value(config.refine_threshold))
             new_ids, parents = refine_with_parents(grid, hot)
-        with stage("evaluate", times):
-            # hot parents always have entries, so only coarse rows can miss
-            sigmas, has_sigma = _sigma_lookup(cf, np.concatenate([ids, parents]))
+        # hot parents always have entries, so only coarse rows can miss
+        streams = [(ids, ids, nn), (new_ids, parents, None)]
+        threshold = cf.percentile_value(config.resample_threshold)
+
+        def radius_of(keys):
+            sigmas, has_sigma = _sigma_lookup(cf, keys)
             radii = schedule_radius(sched, sigmas)
             # Queries whose initial region was empty carry no curvature
             # evidence; extracting wider than r0 there can only reach
             # geometry the curvature stage never saw (and can straddle
             # close layers), so they keep the nominal radius.
             radii[~has_sigma] = np.minimum(radii[~has_sigma], config.r0)
-            new_pos = spec.position_of_id(new_ids)
-            new_nn = index.nearest_distance_many(new_pos, workers=config.workers)
-            nn = np.concatenate([nn, new_nn])
-            ids = np.concatenate([ids, new_ids])
-            positions = np.vstack([positions, new_pos])
-            threshold = cf.percentile_value(config.resample_threshold)
+            return radii, sigmas
 
     with stage("evaluate", times):
-        # A site on the lattice's outer faces lies at least the margin from
-        # every point, and reads min(nn, far_cap): a ball past the margin
-        # would let the plane fit extrapolate below the level there.
-        radii[_near_boundary_rows(spec, ids, nn, radii)] = 0.0
         policy = ResamplePolicy(target_count=config.target_count,
                                 curvature_threshold=threshold, rng_seed=config.seed)
-        values, near_queries = _evaluate_queries(index, positions, radii, sigmas, ids, policy,
-                                                 estimator, config.far_cap, nn)
-        grid.set_values(ids, values)
+        near_queries = 0
+        for ids, keys, nn in streams:
+            values, near = _evaluate_rows(config, index, spec, ids, keys, nn, radius_of,
+                                          policy, estimator)
+            grid.set_values(ids, values)
+            near_queries += near
     return grid, cf, near_queries
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
     estimator = make_estimator(config.estimator)
-    times = {}  # wall time per stage, in run order
+    times = StageLog()
     norm_cloud, transform, index, spec = _prepare(config, cloud, times)
     iso = config.iso(spec)
     grid, cf, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso, estimator,
@@ -381,11 +455,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             io.write_mesh(mesh, config.output_path)
 
     timing = TimingReport(
-        stage_s=times, nn_s=index.nn_s, ball_s=index.ball_s,
+        stage_s=times.s, stage_peak_mb=times.peak_mb, nn_s=index.nn_s, ball_s=index.ball_s,
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
         total_fine_vertices=spec.total_fine_vertices, nn_queries=index.nn_rows,
         near_queries=near_queries, stored_sites=grid.stored_sites,
-        ball_pairs=index.ball_pairs, ball_blocks=index.ball_calls, peak_rss_mb=_peak_rss_mb())
+        ball_pairs=index.ball_pairs, ball_blocks=index.ball_calls,
+        peak_rss_mb=times.peak_so_far())
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
 

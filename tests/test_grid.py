@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from curvrec import grid as grid_module
 from curvrec.curvature import CurvatureField
 from curvrec.errors import EmptyField, MissingCoarseValue, NotCoarseVertex
 from curvrec.extract import IsoSpec, marching_cubes
@@ -143,7 +144,9 @@ def test_refine_matches_enumeration_on_faces_and_corners(coarse, data):
         hot = data.draw(st.permutations(list(dict.fromkeys(hot))), label="hot")
         before = grid.evaluated_at(every_site(grid))
         expect_new, expect_parents = oracles.refine_with_parents(spec, before, hot)
-        new, parents = refine_with_parents(grid, hot)
+        with pytest.MonkeyPatch.context() as mp:  # chunks that split the hot set
+            mp.setattr(grid_module, "_HOT_CHUNK", data.draw(st.integers(1, 13), label="chunk"))
+            new, parents = refine_with_parents(grid, hot)
         assert np.array_equal(new, expect_new)
         assert np.array_equal(parents, expect_parents)
         after = before.copy()

@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import sample_mesh
-from curvrec.errors import EmptyMesh, NoCurvatureSamples, ReconstructionError
+from curvrec.errors import EmptyMesh, FarOutlier, NoCurvatureSamples, ReconstructionError
 from curvrec.estimator import make_estimator
 from curvrec.grid import LatticeSpec, far_field
 from curvrec.model import PointCloud
@@ -84,6 +84,21 @@ def test_stage_times_cover_the_run_in_order(sphere_cloud, tmp_path, baseline):
     assert keys[:len(timing.stage_s) + 2] == [f"{name}_s" for name in timing.stage_s] + [
         "nn_s", "ball_s"]
     assert "patch_time" not in keys and "udf_time" not in keys
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_stage_peaks_rise_in_run_order(sphere_cloud, baseline):
+    # the peak RSS at each stage's end is the peak so far, so it never falls
+    # from one stage to the next and ends at most at the run's peak
+    timing = run_pipeline(small_config(coarse_cells=24, baseline_mode=baseline),
+                          sphere_cloud).timing
+    assert list(timing.stage_peak_mb) == list(timing.stage_s)
+    peaks = list(timing.stage_peak_mb.values())
+    assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= timing.peak_rss_mb
+    lines = timing.lines()
+    at = lines.index(f"peak_rss_mb={timing.peak_rss_mb:.1f}")
+    assert lines[at + 1:] == [f"{name}_peak_mb={mb:.1f}"
+                              for name, mb in timing.stage_peak_mb.items()]
 
 
 def test_peak_rss_falls_back_to_ru_maxrss(monkeypatch):
@@ -301,6 +316,58 @@ def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
     assert meshes[0] == meshes[1]
     assert all(np.array_equal(a, b) for a, b in zip(*fields))
     assert blocks[0] < blocks[1]
+
+
+_COUNTS = ("evaluated_queries", "filled_queries", "total_fine_vertices", "nn_queries",
+           "near_queries", "stored_sites", "ball_pairs")
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_evaluate_results_do_not_depend_on_its_chunk(sphere_cloud, tmp_path, monkeypatch,
+                                                     baseline):
+    # each row's value depends on that row alone, so 7-row chunks, which
+    # cut every ball block and the coarse/refined streams at odd places,
+    # give the default's mesh, dumped field and counts; only the ball
+    # query's block count grows
+    cfg = small_config(coarse_cells=16, baseline_mode=baseline)
+    runs = []
+    for chunk in (pipeline.EVAL_CHUNK, 7):
+        monkeypatch.setattr(pipeline, "EVAL_CHUNK", chunk)
+        path = tmp_path / f"field{chunk}.bin"
+        result = run_pipeline(replace(cfg, dump_field=str(path)), sphere_cloud)
+        runs.append((result.mesh.vertices.tobytes() + result.mesh.faces.tobytes(),
+                     path.read_bytes(), [getattr(result.timing, c) for c in _COUNTS],
+                     result.timing.ball_blocks))
+    (mesh, field, counts, blocks), (mesh7, field7, counts7, blocks7) = runs
+    assert mesh == mesh7 and field == field7 and counts == counts7
+    assert result.timing.nn_queries > 50 * 7 and blocks < blocks7
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_evaluate_allocates_its_values_and_one_chunk(monkeypatch, baseline):
+    # each stream of rows holds its values (8 bytes a row) for the whole
+    # run, and everything else for one chunk at a time: measured at most 300
+    # bytes per chunk row here; whole streams at once took 103-231 bytes
+    # per row, 1.99 and 11.6 MB against bounds of 0.55 and 0.96 MB
+    cloud = fixtures.make_fixture("sphere", count=12000, seed=0)
+    chunk = 1 << 10
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", chunk)
+    peaks, evaluate_rows = [], pipeline._evaluate_rows
+
+    def traced(config, index, spec, ids, *args):
+        tracemalloc.start()
+        try:
+            return evaluate_rows(config, index, spec, ids, *args)
+        finally:
+            peaks.append((ids.size, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pipeline, "_evaluate_rows", traced)
+    run_pipeline(small_config(coarse_cells=32, baseline_mode=baseline), cloud)
+    assert len(peaks) == (1 if baseline else 2)
+    for rows, peak in peaks:
+        assert rows >= 4 * chunk
+        assert peak < 8 * rows + 400 * chunk
 
 
 @functools.cache
@@ -566,6 +633,21 @@ def test_dump_field(sphere_cloud, tmp_path):
     values, spec = load_field(path)
     assert spec == result.spec
     assert np.isfinite(values).all()
+
+
+def test_one_far_outlier_is_refused_at_normalize():
+    # normalization fits the bounding box, so one point at (50, 50, 50)
+    # squashed this sphere under one coarse cell: the run returned a 16-face
+    # fragment, against 3852 faces without the outlier
+    cloud = fixtures.sphere_cloud(5000, seed=0)
+    config = PipelineConfig(coarse_cells=24, workers=1)
+    assert run_pipeline(config, cloud).mesh.num_faces == 3852
+    squashed = PointCloud(np.vstack([cloud.points, [[50.0, 50.0, 50.0]]]))
+    with pytest.raises(FarOutlier, match=r"extent is \(0\.0117, 0\.0117, 0\.0117\), under "
+                                         r"the coarse spacing 0\.0556 on every axis: its farthest "
+                                         r"point lies 86\.6049 from the median") as info:
+        run_pipeline(config, squashed)
+    assert info.value.stage == "normalize"
 
 
 def test_stage_tagged_errors(tmp_path):
