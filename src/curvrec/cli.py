@@ -97,7 +97,7 @@ def _cmd_curvature(args, config):
     pos = spec.fine_position(ijk)
     for qid, (i, j, k), p, s in zip(cf.ids, ijk, pos, cf.sigma):
         print(f"{qid} {i} {j} {k} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {s:.9g}")
-    print(f"# p10={cf.p10:.9g} p40={cf.p40:.9g} p60={cf.p60:.9g} p90={cf.p90:.9g}")
+    print("# " + " ".join(f"{name}={value:.9g}" for name, value in cf.percentiles.items()))
     return 0
 
 

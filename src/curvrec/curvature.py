@@ -7,11 +7,12 @@ by its 10/40/60/90 percentiles, which later drive radius scheduling.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import patch, spatial
-from .errors import EmptyInput, NoCurvatureSamples
+from .errors import EmptyInput
 
 # Regions whose covariance trace falls below this are treated as flat
 # (coincident/collinear samples): the variation ratio would be 0/0.
@@ -25,9 +26,12 @@ PERCENTILES = ("p10", "p40", "p60", "p90")
 
 def check_threshold(selector):
     """The selector unchanged if it names one of PERCENTILES or is not a
-    string (a numeric threshold); ValueError otherwise."""
+    string (a numeric threshold) other than NaN; ValueError otherwise."""
     if isinstance(selector, str) and selector not in PERCENTILES:
         raise ValueError(f"unknown percentile selector {selector!r} "
+                         f"(expected one of {', '.join(PERCENTILES)} or a number)")
+    if selector != selector:  # every comparison with NaN is false: no site would be hot
+        raise ValueError(f"threshold {selector!r} is not a number "
                          f"(expected one of {', '.join(PERCENTILES)} or a number)")
     return selector
 
@@ -53,15 +57,12 @@ class CurvatureField:
     """Per-query surface variation plus its global percentile summary.
 
     ids/sigma are parallel arrays (ids ascending); queries whose region
-    had fewer than 3 points carry no entry and do not affect percentiles.
+    had fewer than 3 points carry no entry and do not affect percentiles,
+    which derive from sigma on first use.
     """
 
     ids: np.ndarray
     sigma: np.ndarray
-    p10: float
-    p40: float
-    p60: float
-    p90: float
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -70,59 +71,41 @@ class CurvatureField:
             raise ValueError("ids and sigma must be parallel arrays")
         if self.sigma.size and (self.sigma.min() < 0 or self.sigma.max() > MAX_VARIATION + 1e-12):
             raise ValueError("surface variation outside [0, 1/3]")
-        if not (self.p10 <= self.p40 <= self.p60 <= self.p90):
-            raise ValueError("percentiles must be non-decreasing")
 
     def __len__(self):
         return self.ids.size
 
+    @cached_property
+    def percentiles(self):
+        """{selector: value} for each of PERCENTILES, in their order."""
+        return {name: percentile(self.sigma, int(name[1:])) for name in PERCENTILES}
+
     def percentile_value(self, selector):
         """Resolve one of PERCENTILES or a numeric threshold."""
         if isinstance(selector, str):
-            return getattr(self, check_threshold(selector))
+            return self.percentiles[check_threshold(selector)]
         return float(selector)
 
 
-def curvature_field(cloud, index, query_positions, r0, query_ids=None,
-                    workers=1, nn=None) -> CurvatureField:
-    """Surface variation of the r0-ball around each query position.
-
-    query_ids, when given, labels the sigma entries (defaults to the
-    positional index). nn, when given, is each position's nearest-point
-    distance. Regions with fewer than 3 points are skipped; raises
-    NoCurvatureSamples when that leaves nothing.
+def curvature_field(cloud, index, query_positions, r0, query_ids, nn) -> CurvatureField:
+    """Surface variation of the r0-ball around each query position, as
+    entries labelled by query_ids in query order. nn is each position's
+    nearest-point distance: only positions with nn <= r0 get a ball query.
+    Regions with fewer than 3 points carry no entry.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
-    if query_ids is None:
-        query_ids = np.arange(len(positions))
-    query_ids = np.asarray(query_ids, dtype=np.int64)
-
-    # Cheap prefilter: only positions with any point inside r0 need a ball query.
-    if nn is None:
-        nn = index.nearest_distance_many(positions, workers=workers)
     candidates = np.flatnonzero(nn <= r0)
-
     # Ball query and moments per block of candidates, which bounds memory.
     ids, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start, stop, flat, offsets in spatial.ball_blocks(index, positions[candidates], r0):
+    for start, stop, flat, offsets in spatial.ball_blocks(index, query_positions[candidates], r0):
         rows = candidates[start:stop]
         counts = np.diff(offsets)
         keep = counts >= 3
         ids.append(query_ids[rows[keep]])
         sigma.append(_segmented_variation(cloud.points[flat[np.repeat(keep, counts)]],
                                           counts[keep]))
-    ids, sigma = np.concatenate(ids), np.concatenate(sigma)
-    if ids.size == 0:
-        raise NoCurvatureSamples(f"no query position has 3 or more points within r0={r0:g}")
-
-    order = np.argsort(ids, kind="stable")
-    ids, sigma = ids[order], sigma[order]
-    return CurvatureField(
-        ids=ids, sigma=sigma,
-        p10=percentile(sigma, 10), p40=percentile(sigma, 40),
-        p60=percentile(sigma, 60), p90=percentile(sigma, 90))
+    return CurvatureField(ids=np.concatenate(ids), sigma=np.concatenate(sigma))
 
 
 def _segmented_variation(points, counts):

@@ -10,7 +10,8 @@ class EmptyCloud(ReconstructionError):
 
 
 class DegenerateExtent(ReconstructionError):
-    """Bounding box has zero diagonal (all points coincident)."""
+    """Bounding box has zero diagonal (all points coincident), or its extent,
+    reciprocal extent or center overflows float64."""
 
 
 class FarOutlier(ReconstructionError):

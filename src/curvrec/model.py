@@ -109,16 +109,24 @@ def normalize_cloud(cloud: PointCloud):
 
     Returns the normalized cloud and the transform that produced it. The
     aspect ratio is preserved and the bounding-box center maps to the origin.
+    DegenerateExtent when the box's extent, its reciprocal or its center
+    overflows float64.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot normalize an empty cloud")
     lo = cloud.points.min(axis=0)
     hi = cloud.points.max(axis=0)
-    extent = hi - lo
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        extent = hi - lo
+        translation = -(lo + hi) / 2.0
     longest = float(extent.max())
     if longest <= 0.0:
         raise DegenerateExtent("all points coincide; bounding box has zero diagonal")
-    transform = NormalizationTransform(scale=1.0 / longest, translation=-(lo + hi) / 2.0)
+    scale = 1.0 / longest  # a Python float: inf past float64, without a warning
+    if not (np.isfinite(extent).all() and np.isfinite(scale) and np.isfinite(translation).all()):
+        raise DegenerateExtent(f"the bounding box from {lo.tolist()} to {hi.tolist()} overflows "
+                               f"float64: its extent, reciprocal extent or center is not finite")
+    transform = NormalizationTransform(scale=scale, translation=translation)
     return PointCloud(transform.apply(cloud.points), cloud.normals), transform
 
 

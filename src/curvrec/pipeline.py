@@ -37,10 +37,10 @@ from .spatial import build_index
 
 # Queries farther than this from every point read this UDF value.
 FAR_CAP_DEFAULT = 0.10
-# Rows per evaluate chunk. Results never depend on it: a row's value
-# depends on that row alone. The chunk bounds evaluate's per-row
-# temporaries (positions, nn, radii, sigmas, the boundary test) and its
-# ball blocks, which restart at spatial.FIRST_BLOCK centers each chunk.
+# Rows per curvature and evaluate chunk. Results never depend on it: a
+# row's entry and value depend on that row alone. The chunk bounds the per-row
+# temporaries (positions, nn, radii, sigmas, the boundary test) and the ball
+# blocks, which restart at spatial.FIRST_BLOCK centers each chunk.
 # In-process runs (seed 0, 2-core x86-64) peaked at 116.8-117.7 MB on
 # sphere-c64 and 132.7-132.8 MB on dense-sheets-c64 at 2**15, about the
 # same at 2**13, and at 118.7 and 135.1 MB at 2**17; all rows at once took
@@ -237,22 +237,22 @@ def _check_spread(cloud, norm_cloud, spec):
         if high - low >= h:
             return
         extent.append(high - low)
-    farthest = np.linalg.norm(cloud.points - np.median(cloud.points, axis=0), axis=1).max()
+    offset = cloud.points - np.median(cloud.points, axis=0)
+    unit = np.abs(offset).max()  # so that no square overflows near float64's limit
+    farthest = unit * np.linalg.norm(offset / unit, axis=1).max()
     raise FarOutlier(
         f"the normalized cloud's 1st-99th percentile extent is "
         f"({', '.join(f'{e:.3g}' for e in extent)}), under the coarse spacing {h:.3g} "
         f"on every axis: its farthest point lies {farthest:.6g} from the median point")
 
 
-def _sigma_lookup(cf: CurvatureField, query_ids, default=0.0):
-    """(sigma, found) per query id; queries without an entry get the default."""
+def _sigma_lookup(cf: CurvatureField, query_ids):
+    """(sigma, found) per query id; queries without an entry get 0."""
     ids = np.asarray(query_ids, dtype=np.int64)
     pos = np.searchsorted(cf.ids, ids)
     pos = np.minimum(pos, cf.ids.size - 1)
     hit = cf.ids[pos] == ids
-    out = np.full(ids.shape, default)
-    out[hit] = cf.sigma[pos[hit]]
-    return out, hit
+    return np.where(hit, cf.sigma[pos], 0.0), hit
 
 
 def _evaluate_queries(index, positions, radii, sigmas, query_ids,
@@ -319,22 +319,37 @@ def _band_sites(spec, points, stride, near_bound):
     return spec.flat_id(stride * np.argwhere(band))
 
 
-def _band(config, index, spec, stride, near_bound):
-    """_band_sites' ids, and the grid over their blocks (band_grid), where
-    every other stride site reads far_cap."""
-    ids = _band_sites(spec, index.points, stride, near_bound)
-    return band_grid(spec, stride, ids, config.far_cap), ids
+def _rows(config, index, spec, ids, nn=None):
+    """(rows, positions, nn) per EVAL_CHUNK rows of ids, the nearest distances
+    taken from nn or else queried; each chunk's arrays exist while it runs."""
+    for start in range(0, ids.size, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        positions = spec.position_of_id(ids[rows])
+        yield rows, positions, (nn[rows] if nn is not None else
+                                index.nearest_distance_many(positions, workers=config.workers))
 
 
-def _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn=None):
-    """curvature_field over the coarse lattice, naming an r0 that finds samples if it fails."""
-    try:
-        return curvature_field(norm_cloud, index, positions, config.r0, query_ids=ids,
-                               workers=config.workers, nn=nn)
-    except NoCurvatureSamples as exc:
+def _coarse_band(config, index, spec):
+    """The coarse band at the run's bound: it serves the curvature candidates
+    (nn <= r0) and the coarse rows of evaluate (radius <= r0 * s_max)."""
+    return _band_sites(spec, index.points, 2, max(config.r0 * config.s_max, config.iso(spec).eps))
+
+
+def _curvature(config, norm_cloud, index, spec, ids):
+    """(nn, field) over the band sites ids, a chunk of rows at a time. Only
+    sites with nn <= r0, which any band at r0 or more holds, carry entries."""
+    nn, fields = np.empty(ids.size), []
+    for rows, positions, row_nn in _rows(config, index, spec, ids):
+        nn[rows] = row_nn
+        fields.append(curvature_field(norm_cloud, index, positions, config.r0, ids[rows], row_nn))
+    cf = CurvatureField(ids=np.concatenate([f.ids for f in fields]),
+                        sigma=np.concatenate([f.sigma for f in fields]))
+    if not len(cf):
         h = spec.coarse_spacing  # every point is within half a cell diagonal of a site
-        raise NoCurvatureSamples(f"{exc}; the coarse spacing is {h:g}, and r0 >= "
-                                 f"{h * 3 ** 0.5 / 2:.4g} reaches every point") from None
+        raise NoCurvatureSamples(f"no query position has 3 or more points within "
+                                 f"r0={config.r0:g}; the coarse spacing is {h:g}, and r0 >= "
+                                 f"{h * 3 ** 0.5 / 2:.4g} reaches every point")
+    return nn, cf
 
 
 def _near_boundary_rows(spec, ids, nn, radii):
@@ -352,11 +367,7 @@ def _evaluate_rows(config, index, spec, ids, keys, nn, radius_of, policy, estima
     every row's nearest distance, or is None to query it per chunk."""
     values = np.empty(ids.size)
     near_queries = 0
-    for start in range(0, ids.size, EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
-        positions = spec.position_of_id(ids[rows])
-        row_nn = nn[rows] if nn is not None else index.nearest_distance_many(
-            positions, workers=config.workers)
+    for rows, positions, row_nn in _rows(config, index, spec, ids, nn):
         radii, sigmas = radius_of(keys[rows])
         # A site on the lattice's outer faces lies at least the margin from
         # every point, and reads min(nn, far_cap): a ball past the margin
@@ -382,7 +393,8 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
         with stage("evaluate", times):
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
-            grid, ids = _band(config, index, spec, 1, max(config.r0, iso.eps))
+            ids = _band_sites(spec, index.points, 1, max(config.r0, iso.eps))
+            grid = band_grid(spec, 1, ids, config.far_cap)
         streams = [(ids, ids, None)]
         threshold = np.inf
 
@@ -390,13 +402,10 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
             return np.full(keys.size, config.r0), np.zeros(keys.size)
     else:
         with stage("curvature", times):
-            # One prefilter serves the curvature candidates (nn <= r0) and
-            # the coarse rows of evaluate (radius <= r0 * s_max).
-            grid, ids = _band(config, index, spec, 2, max(config.r0 * config.s_max, iso.eps))
-            positions = spec.position_of_id(ids)
-            nn = index.nearest_distance_many(positions, workers=config.workers)
-            cf = _coarse_curvature(config, norm_cloud, index, spec, ids, positions, nn)
-            del positions
+            ids = _coarse_band(config, index, spec)
+            # before the chunks, whose freed temporaries would else lie below it
+            grid = band_grid(spec, 2, ids, config.far_cap)
+            nn, cf = _curvature(config, norm_cloud, index, spec, ids)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
@@ -414,7 +423,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
             # evidence; extracting wider than r0 there can only reach
             # geometry the curvature stage never saw (and can straddle
             # close layers), so they keep the nominal radius.
-            radii[~has_sigma] = np.minimum(radii[~has_sigma], config.r0)
+            radii[~has_sigma] = config.r0
             return radii, sigmas
 
     with stage("evaluate", times):
@@ -485,8 +494,16 @@ class BenchResult:
                                     ("baseline", self.baseline_timing, self.baseline_metrics)):
             out += [f"{tag}.{line}" for line in timing.lines()]
             out += [f"{tag}.{line}" for line in report.lines()]
-        out.append(f"query_ratio={self.query_ratio:.6f}")
-        return out
+        return out + [f"{name}={ratio:.6f}" for name, ratio in self.ratios().items()]
+
+    def ratios(self):
+        """Adaptive over baseline: lattice sites evaluated (query_ratio), rows
+        given the nn query, ball pairs kept and wall time (stage_s summed)."""
+        a, b = self.adaptive_timing, self.baseline_timing
+        return {"query_ratio": self.query_ratio,
+                "nn_ratio": a.nn_queries / b.nn_queries,
+                "ball_pair_ratio": a.ball_pairs / b.ball_pairs,
+                "wall_ratio": sum(a.stage_s.values()) / sum(b.stage_s.values())}
 
 
 def bench(config: PipelineConfig, cloud: PointCloud | None = None,
@@ -517,10 +534,9 @@ def bench(config: PipelineConfig, cloud: PointCloud | None = None,
 
 
 def curvature_summary(config: PipelineConfig, cloud: PointCloud | None = None):
-    """Curvature field over the coarse lattice, for the text dump."""
+    """The run's curvature field over the coarse band, for the text dump."""
     norm_cloud, _, index, spec = _prepare(config, cloud)
     with stage("curvature"):
-        ids = _band_sites(spec, index.points, 2, config.r0)
-        cf = _coarse_curvature(config, norm_cloud, index, spec, ids, spec.position_of_id(ids))
+        cf = _curvature(config, norm_cloud, index, spec, _coarse_band(config, index, spec))[1]
     return cf, spec
 

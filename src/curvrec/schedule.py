@@ -45,8 +45,7 @@ class RadiusSchedule:
     @classmethod
     def from_field(cls, field, **overrides):
         """Breakpoints from a CurvatureField's percentile summary."""
-        return cls(p10=field.p10, p40=field.p40, p60=field.p60, p90=field.p90,
-                   **overrides)
+        return cls(**field.percentiles, **overrides)
 
 
 def scale_factor(sched: RadiusSchedule, sigma):

@@ -228,10 +228,10 @@ def test_criterion_8_layer_separation():
     index = build_index(norm)
     spec = LatticeSpec(coarse_cells=64, margin_cells=3)
     ids, pos = coarse_queries(spec)
-    cf = curvature_field(norm, index, pos, r0, query_ids=ids, workers=2)
+    cf = curvature_field(norm, index, pos, r0, ids, index.nearest_distance_many(pos, workers=2))
     sched = RadiusSchedule.from_field(cf)
 
-    hot_mask = cf.sigma >= cf.p90
+    hot_mask = cf.sigma >= cf.percentile_value("p90")
     hot_ids = cf.ids[hot_mask]
     radii = sched_radius(sched, cf.sigma[hot_mask])
     half = len(cloud) // 2
@@ -242,7 +242,7 @@ def test_criterion_8_layer_separation():
         if members.size and members.min() < half <= members.max():
             mixed += 1
     checks = [
-        ("nondegenerate-percentiles", cf.p90 > cf.p60),
+        ("nondegenerate-percentiles", cf.percentile_value("p90") > cf.percentile_value("p60")),
         (f"hot-queries-exist-{hot_ids.size}", hot_ids.size > 0),
         ("shrunken-radius-0.012", bool(np.allclose(radii, r0 * 2 / 3, atol=1e-12))),
         (f"premise-0.012<gap/2-{gap_norm / 2:.4f}", r0 * 2 / 3 < gap_norm / 2),

@@ -5,7 +5,7 @@ import pytest
 
 from curvrec.curvature import (CurvatureField, _segmented_variation, curvature_field,
                                percentile)
-from curvrec.errors import EmptyInput, NoCurvatureSamples
+from curvrec.errors import EmptyInput
 from curvrec.model import PointCloud
 from curvrec.spatial import build_index
 from oracles import covariance3, surface_variation as variation_oracle
@@ -140,12 +140,22 @@ def _grid_queries(n, span=0.6):
     return g
 
 
-def test_curvature_field_far_queries_raise():
+def _field(cloud, index, queries, r0, ids=None):
+    """curvature_field over every query, labelled by ids or by row."""
+    ids = np.arange(len(queries)) if ids is None else ids
+    return curvature_field(cloud, index, queries, r0, ids,
+                           index.nearest_distance_many(queries))
+
+
+def test_curvature_field_far_queries_carry_no_entry():
+    # the stage that calls it raises NoCurvatureSamples on an empty band
     cloud = PointCloud(np.array([[0.0, 0, 0], [0.01, 0, 0], [0, 0.01, 0]]))
     index = build_index(cloud)
     far = np.array([[5.0, 5, 5], [6.0, 6, 6]])
-    with pytest.raises(NoCurvatureSamples, match="within r0=0.018"):
-        curvature_field(cloud, index, far, r0=0.018)
+    cf = _field(cloud, index, far, r0=0.018)
+    assert len(cf) == 0 and cf.sigma.size == 0
+    with pytest.raises(EmptyInput):
+        cf.percentiles
 
 
 def test_curvature_field_planar_cloud():
@@ -155,10 +165,10 @@ def test_curvature_field_planar_cloud():
     cloud = PointCloud(pts)
     index = build_index(cloud)
     queries = np.column_stack([np.linspace(-0.4, 0.4, 30), np.zeros(30), np.zeros(30)])
-    cf = curvature_field(cloud, index, queries, r0=0.05)
+    cf = _field(cloud, index, queries, r0=0.05)
     assert len(cf) == 30
     assert np.abs(cf.sigma).max() < 1e-12
-    assert cf.p10 == cf.p40 == cf.p60 == cf.p90 == pytest.approx(0.0, abs=1e-12)
+    assert list(cf.percentiles.values()) == pytest.approx([0.0] * 4, abs=1e-12)
 
 
 def test_curvature_field_matches_standalone():
@@ -169,7 +179,7 @@ def test_curvature_field_matches_standalone():
     index = build_index(cloud)
     queries = _grid_queries(9)
     for r0 in (0.03, 0.06):
-        cf = curvature_field(cloud, index, queries, r0=r0)
+        cf = _field(cloud, index, queries, r0=r0)
         assert len(cf) > 0
         def members(qid):
             return np.flatnonzero(np.linalg.norm(cloud.points - queries[qid], axis=1) <= r0)
@@ -189,15 +199,18 @@ def test_curvature_field_custom_ids():
     index = build_index(cloud)
     queries = _grid_queries(5, span=0.4)
     ids = np.arange(len(queries)) * 10 + 3
-    cf = curvature_field(cloud, index, queries, r0=0.1, query_ids=ids)
+    cf = _field(cloud, index, queries, r0=0.1, ids=ids)
     assert set(cf.ids.tolist()) <= set(ids.tolist())
     assert np.all(np.diff(cf.ids) > 0)
+    # entries come in query order: reversed queries give reversed entries
+    back = _field(cloud, index, queries[::-1], r0=0.1, ids=ids[::-1])
+    assert np.array_equal(back.ids, cf.ids[::-1])
+    assert np.array_equal(back.sigma, cf.sigma[::-1])
 
 
 def test_percentile_summary_ordering():
-    cf = CurvatureField(ids=[0, 1, 2], sigma=[0.0, 0.1, 0.3],
-                        p10=0.0, p40=0.05, p60=0.1, p90=0.3)
-    assert cf.percentile_value("p60") == 0.1
+    cf = CurvatureField(ids=[0, 1, 2], sigma=[0.0, 0.1, 0.3])
+    assert list(cf.percentiles) == ["p10", "p40", "p60", "p90"]
+    assert list(cf.percentiles.values()) == pytest.approx([0.02, 0.08, 0.14, 0.26])
+    assert cf.percentile_value("p60") == cf.percentiles["p60"] == percentile(cf.sigma, 60)
     assert cf.percentile_value(0.25) == 0.25
-    with pytest.raises(ValueError):
-        CurvatureField(ids=[0], sigma=[0.1], p10=0.2, p40=0.1, p60=0.3, p90=0.4)

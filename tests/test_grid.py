@@ -155,8 +155,7 @@ def test_refine_matches_enumeration_on_faces_and_corners(coarse, data):
 
 
 def test_select_hot():
-    cf = CurvatureField(ids=[3, 7, 9], sigma=[0.05, 0.2, 0.34 - 0.01],
-                        p10=0.05, p40=0.1, p60=0.2, p90=0.3)
+    cf = CurvatureField(ids=[3, 7, 9], sigma=[0.05, 0.2, 0.34 - 0.01])
     assert select_hot(cf, 0.4).size == 0
     assert np.array_equal(select_hot(cf, 0.0), [3, 7, 9])
     assert np.array_equal(select_hot(cf, 0.2), [7, 9])

@@ -14,7 +14,8 @@ from scipy.sparse.csgraph import connected_components
 
 from curvrec import cli, fixtures, io, pipeline, spatial
 from curvrec.metrics import sample_mesh
-from curvrec.errors import EmptyMesh, FarOutlier, NoCurvatureSamples, ReconstructionError
+from curvrec.errors import (DegenerateExtent, EmptyMesh, FarOutlier, NoCurvatureSamples,
+                            ReconstructionError)
 from curvrec.estimator import make_estimator
 from curvrec.grid import LatticeSpec, far_field
 from curvrec.model import PointCloud
@@ -312,7 +313,7 @@ def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
         blocks.append(result.timing.ball_blocks)
         meshes.append(result.mesh.vertices.tobytes() + result.mesh.faces.tobytes())
         cf = result.curvature
-        fields.append((cf.ids, cf.sigma, np.array([cf.p10, cf.p40, cf.p60, cf.p90])))
+        fields.append((cf.ids, cf.sigma, np.array(list(cf.percentiles.values()))))
     assert meshes[0] == meshes[1]
     assert all(np.array_equal(a, b) for a, b in zip(*fields))
     assert blocks[0] < blocks[1]
@@ -325,22 +326,26 @@ _COUNTS = ("evaluated_queries", "filled_queries", "total_fine_vertices", "nn_que
 @pytest.mark.parametrize("baseline", [False, True])
 def test_evaluate_results_do_not_depend_on_its_chunk(sphere_cloud, tmp_path, monkeypatch,
                                                      baseline):
-    # each row's value depends on that row alone, so 7-row chunks, which
-    # cut every ball block and the coarse/refined streams at odd places,
-    # give the default's mesh, dumped field and counts; only the ball
-    # query's block count grows
+    # each row's value and curvature entry depend on that row alone, so
+    # 7-row chunks, which cut every ball block and the coarse/refined
+    # streams at odd places, give the default's mesh, dumped field, counts
+    # and curvature field; only the ball query's block count grows
     cfg = small_config(coarse_cells=16, baseline_mode=baseline)
     runs = []
     for chunk in (pipeline.EVAL_CHUNK, 7):
         monkeypatch.setattr(pipeline, "EVAL_CHUNK", chunk)
         path = tmp_path / f"field{chunk}.bin"
         result = run_pipeline(replace(cfg, dump_field=str(path)), sphere_cloud)
+        cf = result.curvature
         runs.append((result.mesh.vertices.tobytes() + result.mesh.faces.tobytes(),
                      path.read_bytes(), [getattr(result.timing, c) for c in _COUNTS],
-                     result.timing.ball_blocks))
-    (mesh, field, counts, blocks), (mesh7, field7, counts7, blocks7) = runs
+                     result.timing.ball_blocks,
+                     None if cf is None else (cf.ids.tobytes(), cf.sigma.tobytes(),
+                                              cf.percentiles)))
+    (mesh, field, counts, blocks, cf), (mesh7, field7, counts7, blocks7, cf7) = runs
     assert mesh == mesh7 and field == field7 and counts == counts7
     assert result.timing.nn_queries > 50 * 7 and blocks < blocks7
+    assert cf == cf7 and (cf is None) == baseline
 
 
 @pytest.mark.parametrize("baseline", [False, True])
@@ -368,6 +373,40 @@ def test_evaluate_allocates_its_values_and_one_chunk(monkeypatch, baseline):
     for rows, peak in peaks:
         assert rows >= 4 * chunk
         assert peak < 8 * rows + 400 * chunk
+
+
+def test_curvature_allocates_its_nn_entries_and_one_chunk(monkeypatch):
+    # after the band's ids, the curvature stage holds every row's nn (8
+    # bytes a row) and the field's entries (16 bytes each, twice while the
+    # chunks' entries are joined), and everything else for one chunk at a
+    # time; the whole band's positions (24 bytes a row, 48 while built)
+    # would not fit
+    cloud = fixtures.make_fixture("sphere", count=12000, seed=0)
+    chunk = 1 << 10
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", chunk)
+    config = small_config(coarse_cells=32)
+    norm_cloud, _, index, spec = pipeline._prepare(config, cloud)
+    ids = pipeline._coarse_band(config, index, spec)
+    tracemalloc.start()
+    try:
+        nn, cf = pipeline._curvature(config, norm_cloud, index, spec, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, entries = ids.size, len(cf)
+    assert nn.size == rows >= 8 * chunk and entries > chunk
+    assert peak < 8 * rows + 32 * entries + 400 * chunk
+
+
+def test_curvature_summary_is_the_runs_field(sphere_cloud):
+    # the curvature command runs the run's own curvature stage
+    config = small_config(coarse_cells=20)
+    cf, spec = curvature_summary(config, sphere_cloud)
+    result = run_pipeline(config, sphere_cloud)
+    assert spec == result.spec and len(cf) > 0
+    assert np.array_equal(cf.ids, result.curvature.ids)
+    assert np.array_equal(cf.sigma, result.curvature.sigma)
+    assert cf.percentiles == result.curvature.percentiles
 
 
 @functools.cache
@@ -555,7 +594,7 @@ def test_close_layers_stay_separated():
 def test_curvature_summary(sphere_cloud):
     cf, spec = curvature_summary(small_config(coarse_cells=16), sphere_cloud)
     assert len(cf) > 0
-    assert 0.0 <= cf.p10 <= cf.p90 <= 1.0 / 3.0
+    assert 0.0 <= cf.percentiles["p10"] <= cf.percentiles["p90"] <= 1.0 / 3.0
     # entries sit near the sphere surface
     pos = spec.position_of_id(cf.ids)
     r = np.linalg.norm(pos, axis=1)
@@ -570,6 +609,14 @@ def test_bench_reports(sphere_cloud):
     assert result.adaptive_metrics.cd > 0
     text = "\n".join(result.lines())
     assert "adaptive.evaluate_s=" in text and "query_ratio=" in text
+    a, b = result.adaptive_timing, result.baseline_timing
+    expected = {"query_ratio": result.query_ratio,
+                "nn_ratio": a.nn_queries / b.nn_queries,
+                "ball_pair_ratio": a.ball_pairs / b.ball_pairs,
+                "wall_ratio": sum(a.stage_s.values()) / sum(b.stage_s.values())}
+    assert result.ratios() == expected
+    assert result.lines()[-4:] == [f"{name}={ratio:.6f}" for name, ratio in expected.items()]
+    assert 0 < expected["nn_ratio"] < 1 and 0 < expected["ball_pair_ratio"] < 1
 
 
 def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
@@ -648,6 +695,32 @@ def test_one_far_outlier_is_refused_at_normalize():
                                          r"point lies 86\.6049 from the median") as info:
         run_pipeline(config, squashed)
     assert info.value.stage == "normalize"
+
+
+# Each bounding box overflowed float64 in the normalization: its extent
+# (+-1e308), its reciprocal extent (coordinates near 1e-320) or its center
+# (1e308 to 1.7e308). They escaped as "scale must be positive" and "point
+# coordinates must be finite" ValueErrors after an overflow RuntimeWarning.
+@pytest.mark.parametrize("case", ["extent", "reciprocal", "center"])
+def test_bounding_box_past_float64_is_refused_at_normalize(case):
+    points = fixtures.sphere_cloud(2000, seed=0).points
+    if case == "extent":
+        points = np.vstack([points, [[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]])
+    elif case == "reciprocal":
+        points = points * 1e-320
+    else:
+        points = points.copy()
+        points[:, 0] = np.linspace(1e308, 1.7e308, len(points))
+    with pytest.raises(DegenerateExtent, match="overflows float64") as info:
+        run_pipeline(PipelineConfig(coarse_cells=16), PointCloud(points))
+    assert info.value.stage == "normalize"
+
+
+def test_far_outlier_at_float64s_limit_is_named():
+    # the farthest point's distance squared would overflow float64
+    points = np.vstack([fixtures.sphere_cloud(2000, seed=0).points, [[1e308, 1e308, 1e308]]])
+    with pytest.raises(FarOutlier, match=r"farthest point lies 1\.73205e\+308 from the median"):
+        run_pipeline(PipelineConfig(coarse_cells=16), PointCloud(points))
 
 
 def test_stage_tagged_errors(tmp_path):
@@ -732,6 +805,9 @@ def test_unknown_percentile_selector_raises(setting):
         PipelineConfig(**{setting: "p50"})
     PipelineConfig(**{setting: "p90"})
     PipelineConfig(**{setting: 0.3})
+    PipelineConfig(**{setting: -np.inf})  # the ablations turn a stage off with +-inf
+    with pytest.raises(ValueError, match="threshold nan is not a number"):
+        PipelineConfig(**{setting: np.nan})
 
 
 @pytest.mark.parametrize("setting", ["refine_threshold", "resample_threshold"])
@@ -912,6 +988,9 @@ _BAD_SETTINGS = [
     (["--alpha", "0"], "alpha, beta, r0 must be positive"),
     (["--r0", "-1"], "alpha, beta, r0 must be positive"),
     (["--sample-count", "0"], "sample_count must be positive"),
+    # a NaN threshold compares false with every sigma: it turned refinement off
+    (["--refine-threshold", "nan"], "threshold nan is not a number"),
+    (["--resample-threshold", "NaN"], "threshold nan is not a number"),
     (["--dump-field", "{nodir}/f.bin"], "dump_field directory '{nodir}' does not exist"),
 ]
 
