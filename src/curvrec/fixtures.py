@@ -46,19 +46,22 @@ def sheets_cloud(count=50000, gap=0.045, side=1.0, noise=0.0, seed=0) -> PointCl
     """
     rng = np.random.default_rng(seed)
     half = count // 2
-    counts = (half, count - half)
-    offsets = (gap / 2.0, -gap / 2.0)
-    pieces, normals = [], []
-    for m, z in zip(counts, offsets):
-        xy = (rng.random(size=(m, 2)) - 0.5) * side
-        pts = np.column_stack([xy, np.full(m, z)])
+    pts, nrm = np.empty((count, 3)), np.zeros((count, 3))
+    buf = np.empty((count - half, 3))  # each sheet's jitter, drawn in place
+    for rows, z in ((slice(0, half), gap / 2.0), (slice(half, count), -gap / 2.0)):
+        sheet, m = pts[rows], rows.stop - rows.start
+        xy = rng.random(size=(m, 2))
+        xy -= 0.5
+        xy *= side
+        sheet[:, :2] = xy
+        sheet[:, 2] = z
         if noise > 0:
-            pts = pts + rng.normal(scale=noise, size=pts.shape)
-        pieces.append(pts)
-        nrm = np.zeros((m, 3))
-        nrm[:, 2] = np.sign(z) if z != 0 else 1.0
-        normals.append(nrm)
-    return PointCloud(np.vstack(pieces), np.vstack(normals))
+            jitter = buf[:m]
+            rng.standard_normal(out=jitter)
+            jitter *= noise
+            sheet += jitter
+        nrm[rows, 2] = np.sign(z) if z != 0 else 1.0
+    return PointCloud(pts, nrm)
 
 
 def make_fixture(shape, count=50000, seed=0, radius=0.3, side=1.0,

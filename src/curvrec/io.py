@@ -58,6 +58,8 @@ def read_point_cloud(path) -> PointCloud:
 
 
 def _finish_cloud(points, normals, path):
+    """The cloud of the records' points and normals; it owns the arrays it is
+    given (the normals are divided in place), so callers pass their own."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     nrm = None
     if normals is not None:
@@ -69,12 +71,12 @@ def _finish_cloud(points, normals, path):
             # are first divided by their largest component (the others by 1, exactly)
             odd = np.isinf(lengths) | ((lengths == 0) & (nrm != 0).any(axis=1))
             if odd.any():
-                nrm = nrm / np.where(odd, np.abs(nrm).max(axis=1), 1.0)[:, None]
+                nrm /= np.where(odd, np.abs(nrm).max(axis=1), 1.0)[:, None]
                 lengths = np.linalg.norm(nrm, axis=1)
             if np.any(lengths <= 0):
                 raise ParseError(f"{path}: zero-length normal in record "
                                  f"{int(np.flatnonzero(lengths <= 0)[0])}")
-            nrm = nrm / lengths[:, None]
+            nrm /= lengths[:, None]
     try:
         return PointCloud(pts, nrm)
     except ValueError as exc:
@@ -87,14 +89,21 @@ def _finish_cloud(points, normals, path):
 _BULK_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r\x0b\x0c"
 
 
+# The bulk parse checks a file's bytes this many at a time: the whole file
+# as one bytes object would cost more than its size, since freeing it
+# raises glibc's dynamic mmap threshold and keeps later arrays on the heap.
+_CHECK_BLOCK = 1 << 20
+
+
 def _bulk_xyz(path):
     """The (n >= 1, 3 | 6) table of an XYZ file that np.loadtxt reads as the
     records reader would, or None: then the records reader decides."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    del data
+        while block := fh.read(_CHECK_BLOCK):
+            if block.endswith(b"\r"):  # so a CR LF pair lies within one block
+                block += fh.read(1)
+            if block.translate(None, _BULK_BYTES) or block.count(b"\r") != block.count(b"\r\n"):
+                return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file only warns
@@ -108,7 +117,11 @@ def _read_xyz(path) -> PointCloud:
     table = _bulk_xyz(path)
     if table is None:
         return _read_xyz_records(path)
-    return _finish_cloud(table[:, :3], table[:, 3:] if table.shape[1] == 6 else None, path)
+    # contiguous copies, so the table can go before the normals are divided
+    points = np.ascontiguousarray(table[:, :3])
+    normals = np.ascontiguousarray(table[:, 3:]) if table.shape[1] == 6 else None
+    del table
+    return _finish_cloud(points, normals, path)
 
 
 def _read_xyz_records(path) -> PointCloud:
@@ -248,11 +261,13 @@ def _lines(line, block):
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
-    """Write an XYZ text file (6 columns when the cloud carries normals)."""
-    rows = cloud.points if not cloud.has_normals else np.hstack([cloud.points, cloud.normals])
-    line = " ".join(["%r"] * rows.shape[1]) + "\n"
+    """Write an XYZ text file (6 columns when the cloud carries normals).
+    Points and normals are joined a block of rows at a time."""
+    columns = (cloud.points, cloud.normals) if cloud.has_normals else (cloud.points,)
+    line = " ".join(["%r"] * 3 * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.writelines(_lines(line, block) for block in _blocks(rows))
+        fh.writelines(_lines(line, np.hstack([c[start:start + _WRITE_BLOCK] for c in columns]))
+                      for start in range(0, len(cloud), _WRITE_BLOCK))
 
 
 def _vertex_lines(block):

@@ -24,6 +24,11 @@ def as_points(a):
     return pts
 
 
+# Normal lengths are checked this many rows at a time, so that validating a
+# cloud takes no temporary the size of its normals.
+_CHECK_ROWS = 1 << 16
+
+
 @dataclass
 class PointCloud:
     """Ordered 3D samples with optional unit normals."""
@@ -37,9 +42,10 @@ class PointCloud:
             self.normals = as_points(self.normals)
             if self.normals.shape != self.points.shape:
                 raise ValueError("normals must match points in shape")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if norms.size and np.abs(norms - 1.0).max() > 1e-6:
-                raise ValueError("normals must be unit length (within 1e-6)")
+            for start in range(0, len(self.normals), _CHECK_ROWS):
+                norms = np.linalg.norm(self.normals[start:start + _CHECK_ROWS], axis=1)
+                if np.abs(norms - 1.0).max() > 1e-6:
+                    raise ValueError("normals must be unit length (within 1e-6)")
 
     def __len__(self):
         return self.points.shape[0]
@@ -127,7 +133,9 @@ def normalize_cloud(cloud: PointCloud):
         raise DegenerateExtent(f"the bounding box from {lo.tolist()} to {hi.tolist()} overflows "
                                f"float64: its extent, reciprocal extent or center is not finite")
     transform = NormalizationTransform(scale=scale, translation=translation)
-    return PointCloud(transform.apply(cloud.points), cloud.normals), transform
+    points = cloud.points + transform.translation  # transform.apply's bits, one temporary
+    points *= transform.scale
+    return PointCloud(points, cloud.normals), transform
 
 
 def denormalize_mesh(mesh: TriangleMesh, transform: NormalizationTransform) -> TriangleMesh:

@@ -215,12 +215,15 @@ def _load_cloud(config, cloud, times=None):
 
 
 def _prepare(config, cloud, times=None):
-    """The run prefix every command shares: read, normalize, index, lattice."""
+    """The run prefix every command shares: read, normalize, index, lattice.
+    No stage reads the input's normals, so the normalized cloud has none,
+    and a cloud read from a file is gone before the index is built."""
     cloud = _load_cloud(config, cloud, times)
     spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     with stage("normalize", times):
-        norm_cloud, transform = normalize_cloud(cloud)
+        norm_cloud, transform = normalize_cloud(PointCloud(cloud.points))
         _check_spread(cloud, norm_cloud, spec)
+    del cloud
     with stage("index", times):
         index = build_index(norm_cloud)
     return norm_cloud, transform, index, spec
@@ -308,9 +311,11 @@ def _band_sites(spec, points, stride, near_bound):
     """
     m = (spec.fine_n - 1) // stride + 1
     step = stride * spec.fine_spacing
-    site = np.clip(np.rint((points - spec.domain_min) / step), 0, m - 1).astype(np.intp)
     band = np.zeros((m, m, m), dtype=bool)
-    band[site[:, 0], site[:, 1], site[:, 2]] = True
+    for start in range(0, len(points), EVAL_CHUNK):  # a chunk's temporaries at a time
+        site = np.clip(np.rint((points[start:start + EVAL_CHUNK] - spec.domain_min) / step),
+                       0, m - 1).astype(np.intp)
+        band[site[:, 0], site[:, 1], site[:, 2]] = True
     for _ in range(int(min(near_bound / step + 0.5 + 1e-9, m)) + 1):
         for axis in range(3):  # a cube dilation is an interval dilation per axis
             view = np.moveaxis(band, axis, 0)

@@ -46,9 +46,10 @@ _MIN_SEARCH = 1e-150
 # On dense-sheets-c64 (400k points, seed 0, 2-core x86-64), blocks of 2048
 # centers found ~676k pairs each and the run peaked at 173.8 MB in
 # curvature and evaluate, against ~130 MB for reading its file. With this
-# budget the peak is 133.5-135.6 MB, set at the write, and 2**16 pushes
-# evaluate to 144 MB. Its 272 blocks cost ~0.17 s more than 2048-center
-# blocks in curvature and evaluate (median of 10 in-process pairs, ~5%).
+# budget evaluate ends at 110.8-111.0 MB and the run peaks at 111.7-113.6,
+# set at the write; 2**16 pushes evaluate to 116.6-116.9 MB. Its 272 blocks
+# cost ~0.17 s more than 2048-center blocks in curvature and evaluate
+# (median of 10 in-process pairs, ~5%).
 # sphere-c64 (~15 pairs a center) peaks at ~127 MB either way. Without the
 # cap at twice the last block, a block after a sparse one (the band's edge)
 # can find many budgets' worth of pairs: dense-sheets-c64 peaked at 150 MB.

@@ -120,6 +120,14 @@ def obj_text(vertices, faces):
                    + ["f %d %d %d\n" % tuple(f) for f in (np.asarray(faces) + 1).tolist()])
 
 
+def xyz_text(points, normals=None):
+    """XYZ text of a cloud, one `%r` line per row of points and normals
+    joined side by side (3 or 6 values a line)."""
+    rows = points if normals is None else np.hstack([points, normals])
+    line = " ".join(["%r"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
 def marching_cubes(field, spec, level):
     """(vertices, faces) of field == level, one cube at a time.
 
@@ -295,6 +303,24 @@ def coarse_queries(spec):
     i, j, k = np.meshgrid(axis, axis, axis, indexing="ij")
     ijk = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
     return spec.flat_id(ijk), spec.fine_position(ijk)
+
+
+def sheets_cloud(count, gap=0.045, side=1.0, noise=0.0, seed=0):
+    """(points, normals) of fixtures.sheets_cloud, each sheet built whole
+    and jittered by rng.normal, then the sheets stacked."""
+    rng = np.random.default_rng(seed)
+    half = count // 2
+    pieces, normals = [], []
+    for m, z in zip((half, count - half), (gap / 2.0, -gap / 2.0)):
+        xy = (rng.random(size=(m, 2)) - 0.5) * side
+        pts = np.column_stack([xy, np.full(m, z)])
+        if noise > 0:
+            pts = pts + rng.normal(scale=noise, size=pts.shape)
+        pieces.append(pts)
+        nrm = np.zeros((m, 3))
+        nrm[:, 2] = np.sign(z) if z != 0 else 1.0
+        normals.append(nrm)
+    return np.vstack(pieces), np.vstack(normals)
 
 
 def sheet_membership(cloud_size):

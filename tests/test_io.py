@@ -1,10 +1,11 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curvrec import cli
+from curvrec import cli, io
 from curvrec.errors import ParseError, ReconstructionError, UnsupportedFormat
 from curvrec.io import (_WRITE_BLOCK, _bulk_xyz, _read_xyz_records, _vertex_lines, read_mesh,
                         read_point_cloud, write_mesh, write_point_cloud)
@@ -176,17 +177,22 @@ def test_writers_emit_shortest_round_trip_text(tmp_path):
 
 
 def test_writers_match_per_row_text_across_blocks(tmp_path):
-    # the writers format a block of rows per call; rows on either side of
-    # a block boundary print as they would one at a time
-    n = _WRITE_BLOCK + 3
+    # the writers format a block of rows per call, and the cloud writer
+    # joins points and normals a block at a time; rows on either side of a
+    # block boundary print as the whole (n, 6) table would one row at a time
+    n = 2 * _WRITE_BLOCK + 3
     rng = np.random.default_rng(2)
     verts = rng.normal(size=(n, 3))
     faces = rng.integers(0, n, size=(n, 3))
+    normals = verts / np.linalg.norm(verts, axis=1)[:, None]
+    normals[_WRITE_BLOCK - 1:_WRITE_BLOCK + 1] = [[0.0, -0.0, 1.0], [0.6, 0.8, -0.0]]
     mesh_path, cloud_path = tmp_path / "m.obj", tmp_path / "c.xyz"
     write_mesh(TriangleMesh(verts, faces), mesh_path)
     assert mesh_path.read_text() == oracles.obj_text(verts, faces)
     write_point_cloud(PointCloud(verts), cloud_path)
-    assert cloud_path.read_text() == "".join("%r %r %r\n" % tuple(v) for v in verts.tolist())
+    assert cloud_path.read_text() == oracles.xyz_text(verts)
+    write_point_cloud(PointCloud(verts, normals), cloud_path)
+    assert cloud_path.read_text() == oracles.xyz_text(verts, normals)
 
 
 def test_write_mesh_formats_repeated_coordinates_as_each_one_alone(tmp_path):
@@ -400,11 +406,11 @@ _MUTATIONS = [b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"_", b"#", b"\r", b"\x00", b"
               b"nan", b"inf", b"0x1"]
 
 
-@settings(max_examples=400, deadline=None)
-@given(raw=xyz_files(), data=st.data())
-def test_bulk_xyz_accepts_only_what_records_reader_accepts(tmp_path_factory, raw, data):
+def _mutated(raw, data, edits):
+    """raw with `edits` pieces of _MUTATIONS or random bytes put in or over
+    it, often at a line break."""
     raw = bytearray(raw)
-    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+    for _ in range(edits):
         breaks = [i for i, byte in enumerate(raw) if byte == ord("\n")]
         if breaks and data.draw(st.booleans(), label="at a line break"):
             at = data.draw(st.sampled_from(breaks), label="at")
@@ -414,8 +420,15 @@ def test_bulk_xyz_accepts_only_what_records_reader_accepts(tmp_path_factory, raw
                           label="piece")
         cut = data.draw(st.integers(0, 1), label="replace")
         raw[at:at + cut] = piece
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=xyz_files(), data=st.data())
+def test_bulk_xyz_accepts_only_what_records_reader_accepts(tmp_path_factory, raw, data):
+    raw = _mutated(raw, data, data.draw(st.integers(1, 3), label="edits"))
     p = tmp_path_factory.getbasetemp() / "mutated.xyz"
-    p.write_bytes(bytes(raw))
+    p.write_bytes(raw)
     records = _outcome(_read_xyz_records, p)
     # what the bulk parse accepts the records reader accepts as the same
     # table, and every ParseError message is the records reader's
@@ -432,3 +445,26 @@ def test_bulk_xyz_leaves_split_disagreements_to_records_reader(tmp_path, raw):
     p.write_bytes(raw)
     assert _bulk_xyz(p) is None
     assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=xyz_files(), block=st.integers(1, 16), data=st.data())
+@example(raw=b"1 2 3\r\n4 5 6\r\n", block=6, data=None)  # CR LF across a block edge
+@example(raw=b"1 2 3\r4 5 6\n", block=6, data=None)  # a lone CR ends a block
+@example(raw=b"1 2 3\r\r\n4 5 6\n", block=6, data=None)  # a lone CR, then CR LF
+@example(raw=b"1 2 3\n4 5 6\r", block=11, data=None)  # a lone CR ends the file
+@example(raw=b"1 2 3\n4 5 \xe96\n", block=8, data=None)  # non-ASCII in the last block
+def test_xyz_byte_check_does_not_depend_on_its_block(tmp_path_factory, raw, block, data):
+    # the bulk parse checks the file's bytes a block at a time; with blocks
+    # of 1-16 bytes it takes the files it takes in one block, and files
+    # valid or mutated read as the records reader reads them, or raise its
+    # ParseError
+    if data is not None and data.draw(st.booleans(), label="mutate"):
+        raw = _mutated(raw, data, data.draw(st.integers(1, 3), label="edits"))
+    p = tmp_path_factory.getbasetemp() / "blocks.xyz"
+    p.write_bytes(raw)
+    assert len(raw) <= io._CHECK_BLOCK
+    taken = _bulk_xyz(p) is not None
+    with mock.patch.object(io, "_CHECK_BLOCK", block):
+        assert (_bulk_xyz(p) is not None) == taken
+        assert _outcome(io._read_xyz, p) == _outcome(_read_xyz_records, p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curvrec import model
 from curvrec.errors import DegenerateExtent, EmptyCloud
 from curvrec.model import (NormalizationTransform, PointCloud, TriangleMesh,
                            denormalize_mesh, normalize_cloud)
@@ -87,7 +88,7 @@ def test_transform_roundtrip_property():
         assert rel.max() < 1e-9
 
 
-def test_pointcloud_normal_validation():
+def test_pointcloud_normal_validation(monkeypatch):
     pts = np.zeros((2, 3))
     good = np.array([[0, 0, 1.0], [1.0, 0, 0]])
     PointCloud(pts, good)
@@ -95,6 +96,23 @@ def test_pointcloud_normal_validation():
         PointCloud(pts, good * 2.0)
     with pytest.raises(ValueError):
         PointCloud(pts, good[:1])
+    # lengths are checked a block of rows at a time, up to the last row
+    monkeypatch.setattr(model, "_CHECK_ROWS", 3)
+    normals = np.tile([0.0, 0.6, 0.8], (7, 1))
+    PointCloud(np.zeros((7, 3)), normals)
+    for row in (0, 2, 3, 6):
+        bad = normals.copy()
+        bad[row] *= 1.00001
+        with pytest.raises(ValueError, match="unit length"):
+            PointCloud(np.zeros((7, 3)), bad)
+
+
+def test_normalize_cloud_gives_the_transforms_bits():
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(rng.normal(size=(1000, 3)) * 1e3 + 7.0)
+    norm, t = normalize_cloud(cloud)
+    assert norm.points.tobytes() == t.apply(cloud.points).tobytes()
+    assert norm.normals is None
 
 
 def test_mesh_validation():

@@ -326,10 +326,11 @@ _COUNTS = ("evaluated_queries", "filled_queries", "total_fine_vertices", "nn_que
 @pytest.mark.parametrize("baseline", [False, True])
 def test_evaluate_results_do_not_depend_on_its_chunk(sphere_cloud, tmp_path, monkeypatch,
                                                      baseline):
-    # each row's value and curvature entry depend on that row alone, so
-    # 7-row chunks, which cut every ball block and the coarse/refined
-    # streams at odd places, give the default's mesh, dumped field, counts
-    # and curvature field; only the ball query's block count grows
+    # each row's value and curvature entry depend on that row alone, and a
+    # band mark on its point alone, so 7-row chunks, which cut every ball
+    # block, the band's binning and the coarse/refined streams at odd
+    # places, give the default's mesh, dumped field, counts and curvature
+    # field; only the ball query's block count grows
     cfg = small_config(coarse_cells=16, baseline_mode=baseline)
     runs = []
     for chunk in (pipeline.EVAL_CHUNK, 7):
@@ -396,6 +397,26 @@ def test_curvature_allocates_its_nn_entries_and_one_chunk(monkeypatch):
     rows, entries = ids.size, len(cf)
     assert nn.size == rows >= 8 * chunk and entries > chunk
     assert peak < 8 * rows + 32 * entries + 400 * chunk
+
+
+def test_prepare_holds_the_cloud_once(tmp_path):
+    # from a file with normals, the run prefix peaks below 120 bytes a point
+    # (the bulk parse's table, then its points and normals; the read kept
+    # the file's bytes, the table and its copies at once, 148 bytes a point)
+    # and afterwards holds the normalized points and the kd-tree's indices
+    # (32 bytes a point): the read cloud and its normals are gone
+    n = 100_000
+    path = tmp_path / "sheets.xyz"
+    io.write_point_cloud(fixtures.sheets_cloud(count=n, noise=0.002, seed=0), path)
+    config = small_config(coarse_cells=64, input_path=str(path))
+    tracemalloc.start()
+    try:
+        norm_cloud, _, index, _ = pipeline._prepare(config, None)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == n and norm_cloud.normals is None
+    assert peak < 120 * n and live < 40 * n
 
 
 def test_curvature_summary_is_the_runs_field(sphere_cloud):
