@@ -8,7 +8,8 @@ agree exactly along shared faces, also across blocks; vertices are sorted
 by that key, the (axis, i, j, k) order, so output is reproducible.
 
 Blocks are extracted one x slab (blocks sharing their x block index) at a
-time, so temporaries stay bounded by a slab. Faces run in the lattice's
+time, as AdaptiveGrid.slabs builds and fills them, so the blocks and the
+temporaries stay bounded by a slab. Faces run in the lattice's
 cube order (cube flat id, then table order): a slab's blocks interleave in
 that order, so its crossed cubes are sorted by flat id, and every cube of
 one slab precedes every cube of the next.
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyField
-from .grid import (BLOCK, SIDE, SITE_STRIDES, LatticeSpec, block_slabs, clear_past,
-                   site_index)
+from .grid import BLOCK, SIDE, SITE_STRIDES, LatticeSpec, clear_past, site_index
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .model import TriangleMesh
 
@@ -49,24 +49,20 @@ class IsoSpec:
         return cls(eps=spec.fine_spacing / 2.0)
 
 
-def marching_cubes(field, blocks, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
+def marching_cubes(slabs, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
     """Contour field == iso.eps over the lattice with the 256-case tables.
 
-    field is a stack of lattice blocks as AdaptiveGrid stores them,
-    (A, BLOCK + 1, BLOCK + 1, BLOCK + 1), fully populated inside the
-    lattice, and blocks (A, 3) their block coordinates in ascending flat id.
-    A cube is extracted by the block that holds it at its lowest corner;
-    the cubes of blocks not given must not cross the level. Returns an
-    empty mesh when the level set is not crossed.
+    slabs gives (values, coords) per x slab of lattice blocks, in ascending
+    x, as AdaptiveGrid.slabs builds them: values (A_s, BLOCK + 1, BLOCK + 1,
+    BLOCK + 1), fully populated inside the lattice, and coords (A_s, 3) the
+    blocks' coordinates in ascending flat id. Each slab is dropped once its
+    vertices are found. A cube is extracted by the block that holds it at
+    its lowest corner; the cubes of blocks not given must not cross the
+    level. Returns an empty mesh when the level set is not crossed.
     """
-    values = np.asarray(field, dtype=np.float64)
-    coords = np.asarray(blocks, dtype=np.int64).reshape(-1, 3)
-    if values.size == 0:
+    slabs = [_slab_vertices(values, coords, spec, iso.eps) for values, coords in slabs]
+    if not slabs:
         raise EmptyField("empty field")
-    if values.shape != (len(coords),) + (SIDE,) * 3:
-        raise ValueError(f"field shape {values.shape} is not {len(coords)} blocks of {SIDE}^3")
-    slabs = [_slab_vertices(values[start:stop], coords[start:stop], spec, iso.eps)
-             for start, stop in block_slabs(coords)]
 
     # merge the slabs' vertices, which share the edges on the planes between
     # slabs, into one list ordered by key; both slabs give a shared edge the
@@ -110,6 +106,10 @@ def _slab_vertices(slab, at, spec, level):
     its crossed cubes' triangles use, each edge's crossing as a fraction of
     the edge from its lower end, and per triangle corner, in face order,
     its edge's index in those keys."""
+    slab = np.asarray(slab, dtype=np.float64)
+    at = np.asarray(at, dtype=np.int64).reshape(-1, 3)
+    if slab.shape != (len(at),) + (SIDE,) * 3:
+        raise ValueError(f"slab shape {slab.shape} is not {len(at)} blocks of {SIDE}^3")
     n = spec.fine_n
     # a triangle corner's edge: its global key from the cube's flat id, and
     # its lower end's index in the slab from the cube's lowest corner

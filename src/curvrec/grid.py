@@ -11,15 +11,18 @@ fields.
 Fine vertices are addressed by a flat id in lexicographic order with z
 fastest; all public operations speak flat ids.
 
-The lattice is stored only in active blocks, cubes of BLOCK fine cells
+The lattice lives only in active blocks, cubes of BLOCK fine cells
 aligned to coarse cells, as OpenVDB stores a sparse volume (Museth, ACM
-TOG 2013): the blocks that hold a band site (band_grid). A block keeps its
-(BLOCK + 1)^3 sites, sharing its face sites with its neighbors: a site is
-written in the block it lies in, then copied to the others. No halo is
-needed: a filled site reads only its own coarse cell, and a marching cube
-its 8 corners, so each block fills and extracts on its own, the same in
-every copy. Sites outside the active blocks read the far field, the same
-in every such block; only --dump-field builds the dense (n, n, n) array.
+TOG 2013): the blocks that hold a band site (band_grid). A block has
+(BLOCK + 1)^3 sites, sharing its face sites with its neighbors. Until the
+fill, the grid holds only what was written to it, the evaluated sites'
+ids and values; the blocks exist one x slab at a time, built when fill,
+extract or the dump asks for them (AdaptiveGrid.slabs) and dropped once
+used. No halo is needed: a filled site reads only its own coarse cell,
+and a marching cube its 8 corners, so each block fills and extracts on
+its own, the same in every copy. Sites outside the active blocks read
+the far field, the same in every such block; only --dump-field builds
+the dense (n, n, n) array.
 """
 
 import itertools
@@ -102,13 +105,15 @@ class LatticeSpec:
 
 
 # Fine cells per block edge, even so that blocks hold whole coarse cells.
-# On sphere-c64 and dense-sheets-c64 (seed 0, 2-core x86-64) peak RSS was
-# 125 and 174 MB at 8, the same at 16, and 134 and 178 MB at 32, where more
-# of each block lies off the band; fill and extract times did not differ
-# beyond noise. 16 keeps an eighth as many blocks as 8, and its blocks
-# store (17/16)^3 = 1.2 sites per site they cover, against (9/8)^3 = 1.4.
+# File-to-file runs on sphere-c64 and dense-sheets-c64 (seed 0, 2-core
+# x86-64, blocks built a slab at a time) peaked at 102.5-103.9 and 110.5 MB
+# at 8, 102.2-102.7 and 110.5-110.6 MB at 16, and 108.4-111.4 and 110.5 MB
+# at 32, where a slab is larger and more of each block lies off the band;
+# extract took 0.15, 0.14-0.17 and 0.14 s on the sphere. 16 keeps an
+# eighth as many blocks as 8, and its blocks hold (17/16)^3 = 1.2 sites
+# per site they cover, against (9/8)^3 = 1.4.
 BLOCK = 16
-# a block's sites per axis; a grid stacks them as one (A, SIDE, SIDE, SIDE)
+# a block's sites per axis; a slab of blocks is one (A, SIDE, SIDE, SIDE)
 # array, which site_index and SITE_STRIDES address flat
 SIDE = BLOCK + 1
 SITE_STRIDES = np.array([SIDE * SIDE, SIDE, 1])
@@ -122,22 +127,27 @@ _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 class AdaptiveGrid:
     """Field values over the fine lattice, and which sites were evaluated
     directly (stride sites from the start, refined later) rather than
-    filled, held in blocks of BLOCK fine cells per axis.
+    filled, over the stored blocks of BLOCK fine cells per axis.
 
     Block (bx, by, bz) holds the (BLOCK + 1)^3 sites from fine index
     BLOCK * (bx, by, bz) on, so neighbors both hold the sites of the face
-    they share; values[a] and evaluated[a] belong to block coords[a], in
-    ascending block flat id. When BLOCK does not divide the fine cells, the
-    last block on an axis overhangs the lattice; its sites past the last
-    plane are never evaluated, and no count, dump or mesh reads them. Sites
-    outside the stored blocks read the far field (far_field): far at the
-    stride sites, their fill elsewhere.
+    they share; coords lists the stored blocks in ascending block flat id.
+    When BLOCK does not divide the fine cells, the last block on an axis
+    overhangs the lattice; its sites past the last plane are never
+    evaluated, and no count, dump or mesh reads them. Sites outside the
+    stored blocks read the far field (far_field): far at the stride sites,
+    their fill elsewhere.
+
+    The grid keeps what was written, not the blocks: the ascending ids
+    marked evaluated beyond the stride sites, and each set_values call's
+    (ids, values) as one run, sorted by id, a later run winning for a
+    repeated id. It keeps the arrays it is given when their ids ascend, so
+    they must not change afterwards. slabs() builds the blocks of one x
+    slab at a time from them, filled.
 
     A site's owner is the block it lies in, min(i // BLOCK, nb - 1) per
-    axis. A write goes to the owner, and _share_faces brings it to every
-    other stored copy when every block holding the site is stored, as
-    band_grid stores them. Writing or reading the flag of a site whose
-    owner is not stored raises ValueError.
+    axis. Writing, marking or reading the flag of a site whose owner is not
+    stored raises ValueError.
 
     evaluated_count counts the evaluated lattice sites as they are marked:
     every stride site, stored or not, plus each site mark_evaluated flags.
@@ -150,60 +160,52 @@ class AdaptiveGrid:
         self.coords = np.stack(np.unravel_index(blocks, (nb, nb, nb)), axis=-1)
         self._slot = np.full((nb, nb, nb), -1, dtype=np.int64)  # row per block, -1: not stored
         self._slot[tuple(self.coords.T)] = np.arange(blocks.size)
-        shape = (blocks.size,) + (SIDE,) * 3
-        on_stride = (slice(None),) + (slice(None, None, stride),) * 3
-        self.values = np.full(shape, np.nan)
-        self.values[on_stride] = far
-        self.evaluated = np.zeros(shape, dtype=bool)
-        self.evaluated[on_stride] = True
-        clear_past(self.evaluated, self.coords, spec, False)
+        self._marked = np.empty(0, dtype=np.int64)
+        self._runs = []
         self.evaluated_count = ((spec.fine_n - 1) // stride + 1) ** 3
 
-    def _site_index(self, ids):
-        """Each site's index in the flat block stack, in its owner, or -1 where
-        that block is not stored; _SITE_CHUNK sites at a time."""
+    def _flags(self, ids):
+        """Evaluated flag per site of ids, _SITE_CHUNK sites at a time;
+        ValueError for a site whose owner is not stored."""
         n, nb = self.spec.fine_n, self.spec.blocks_per_axis
-        at = np.empty(ids.size, dtype=np.int64)
+        flags = np.empty(ids.size, dtype=bool)
         for start in range(0, ids.size, _SITE_CHUNK):
-            ijk = np.unravel_index(ids[start:start + _SITE_CHUNK], (n, n, n))
-            block = [np.minimum(x // BLOCK, nb - 1) for x in ijk]
-            slot = self._slot[tuple(block)]
-            at[start:start + _SITE_CHUNK] = np.where(
-                slot >= 0, site_index(slot, *(x - BLOCK * b for x, b in zip(ijk, block))), -1)
-        return at
-
-    def _share_faces(self, arr):
-        """Copy each stored block's lower face planes of arr (values or flags)
-        into the upper faces of its stored lower neighbours, one axis after
-        another, so that a site on an edge or a corner reaches every copy."""
-        for axis in range(3):
-            slot, view = np.moveaxis(self._slot, axis, 0), np.moveaxis(arr, axis + 1, 1)
-            pair = (slot[1:] >= 0) & (slot[:-1] >= 0)
-            view[slot[:-1][pair], BLOCK] = view[slot[1:][pair], 0]
-
-    def _stored_index(self, ids):
-        """_site_index, raising ValueError for a site whose owner is not stored."""
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        at = self._site_index(ids)
-        if (at < 0).any():
-            raise ValueError(f"site {ids[at < 0][0]} lies outside the stored blocks")
-        return at
+            chunk = ids[start:start + _SITE_CHUNK]
+            ijk = np.unravel_index(chunk, (n, n, n))
+            unstored = self._slot[tuple(np.minimum(x // BLOCK, nb - 1) for x in ijk)] < 0
+            if unstored.any():
+                raise ValueError(f"site {chunk[unstored][0]} lies outside the stored blocks")
+            flag = flags[start:start + _SITE_CHUNK]
+            np.equal(ijk[0] % self.stride, 0, out=flag)
+            for x in ijk[1:]:
+                flag &= x % self.stride == 0
+            if self._marked.size:
+                at = np.minimum(np.searchsorted(self._marked, chunk), self._marked.size - 1)
+                flag |= self._marked[at] == chunk
+        return flags
 
     def set_values(self, ids, values):
-        self.values.reshape(-1)[self._stored_index(ids)] = values
-        self._share_faces(self.values)
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), ids.shape)
+        self._flags(ids)  # ValueError for a site whose owner is not stored
+        if (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")  # keeps a repeated id's write order
+            ids, values = ids[order], values[order]
+        self._runs.append((ids, values))
 
     def mark_evaluated(self, ids):
-        at, flags = self._stored_index(ids), self.evaluated.reshape(-1)
-        fresh = at[~flags[at]]
-        fresh.sort()  # counted by sorting: a bare np.unique hashes
-        self.evaluated_count += int(np.count_nonzero(fresh[1:] != fresh[:-1])) + (fresh.size > 0)
-        flags[at] = True
-        self._share_faces(self.evaluated)
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        flags = self._flags(ids)
+        fresh = ids[~flags] if flags.any() else ids
+        if (fresh[1:] <= fresh[:-1]).any():
+            fresh = np.sort(fresh)  # deduplicated by sorting: a bare np.unique hashes
+            fresh = fresh[np.r_[True, fresh[1:] != fresh[:-1]]]
+        self.evaluated_count += fresh.size
+        self._marked = np.union1d(self._marked, fresh) if self._marked.size else fresh
 
     def evaluated_at(self, ids):
         """Evaluated flag per site."""
-        return self.evaluated.reshape(-1)[self._stored_index(ids)]
+        return self._flags(np.asarray(ids, dtype=np.int64).ravel())
 
     @property
     def stored_sites(self):
@@ -215,9 +217,101 @@ class AdaptiveGrid:
 
     @property
     def filled_count(self):
-        """Sites that are not evaluated: hierarchical_fill gives them their
-        value, or the far field does outside the stored blocks."""
+        """Sites that are not evaluated: the fill gives them their value, or
+        the far field does outside the stored blocks."""
         return self.spec.total_fine_vertices - self.evaluated_count
+
+    def unset_sites(self):
+        """Ascending evaluated sites whose value is NaN: the marked sites and
+        (when far is NaN) the stored blocks' stride sites that no run sets,
+        and the evaluated sites a run sets last to NaN."""
+        n = self.spec.fine_n
+        extra = [np.empty(0, dtype=np.int64)] + [ids[np.isnan(v)] for ids, v in self._runs]
+        if np.isnan(self.far):
+            extra.append(self._stride_sites())
+        extra = np.unique(np.concatenate(extra))
+        # the evaluated ones: a marked site is in _marked already
+        extra = extra[np.all(np.stack(np.unravel_index(extra, (n, n, n))) % self.stride == 0,
+                             axis=0)]
+        sites = np.union1d(self._marked, extra) if extra.size else self._marked
+        # every other candidate reads NaN unless a run sets it: a marked site,
+        # a stride site when far is NaN, or else a site some run sets NaN
+        unset = [np.empty(0, dtype=np.int64)]
+        for start in range(0, sites.size, _SITE_CHUNK):
+            chunk = sites[start:start + _SITE_CHUNK]
+            value = np.full(chunk.size, np.nan)
+            for ids, v in self._runs:
+                at = np.searchsorted(ids, chunk, side="right") - 1  # a repeated id's last write
+                hit = np.flatnonzero(ids[at] == chunk) if ids.size else at[:0]
+                value[hit] = v[at[hit]]
+            unset.append(chunk[np.isnan(value)])
+        return np.concatenate(unset)
+
+    def _stride_sites(self):
+        """Ascending ids of the lattice's stride sites the stored blocks hold."""
+        step = np.arange(0, SIDE, self.stride)
+        local = np.stack(np.meshgrid(step, step, step, indexing="ij"), axis=-1).reshape(-1, 3)
+        ijk = (BLOCK * self.coords[:, None] + local).reshape(-1, 3)
+        return np.unique(self.spec.flat_id(ijk[(ijk < self.spec.fine_n).all(axis=1)]))
+
+    def slabs(self):
+        """(values, coords) per x slab of stored blocks, in ascending x: the
+        slab's blocks, (A_s, SIDE, SIDE, SIDE), with every written value in
+        place and the other sites filled by hierarchical_fill's rule, and
+        their block coordinates. A slab is built when asked for, and is
+        gone once its consumer drops it."""
+        for start, stop in block_slabs(self.coords):
+            yield self._slab(start, stop), self.coords[start:stop]
+
+    def _slab(self, start, stop):
+        """The filled blocks of stored rows start through stop - 1, one x slab.
+        Flat ids are x-major, so the slab's sites, planes BLOCK * bx through
+        BLOCK * bx + BLOCK, are one id range of every run and of the marks."""
+        n = self.spec.fine_n
+        coords = self.coords[start:stop]
+        x0 = BLOCK * int(coords[0, 0])
+        span = np.array([x0, min(x0 + SIDE, n)]) * n * n
+        shape = (stop - start,) + (SIDE,) * 3
+        on_stride = (slice(None),) + (slice(None, None, self.stride),) * 3
+        values = np.full(shape, np.nan)
+        values[on_stride] = self.far
+        flags = np.zeros(shape, dtype=bool)
+        flags[on_stride] = True
+        clear_past(flags, coords, self.spec, False)
+        rows = self._slot[coords[0, 0]] - start  # (by, bz) -> row in the slab, < 0: not stored
+        lo, hi = np.searchsorted(self._marked, span)
+        for _, at in self._holders(self._marked[lo:hi], x0, rows):
+            flags.reshape(-1)[at] = True
+        for ids, v in self._runs:
+            lo, hi = np.searchsorted(ids, span)
+            v = v[lo:hi]
+            for entry, at in self._holders(ids[lo:hi], x0, rows):
+                values.reshape(-1)[at] = v[entry]
+        _fill(values, flags)
+        return values
+
+    def _holders(self, ids, x0, rows):
+        """(entries, indices) per holding block in the slab from plane x0:
+        the entries of ids that block holds and their sites' indices in the
+        slab's flat block stack, _SITE_CHUNK ids at a time. Within the slab
+        a site is held by up to four blocks: the one it lies in and, on a
+        block face in y or in z, the one below."""
+        n, nb = self.spec.fine_n, self.spec.blocks_per_axis
+        for start in range(0, ids.size, _SITE_CHUNK):
+            i, j, k = np.unravel_index(ids[start:start + _SITE_CHUNK], (n, n, n))
+            i -= x0
+            by, bz = np.minimum(j // BLOCK, nb - 1), np.minimum(k // BLOCK, nb - 1)
+            j -= BLOCK * by
+            k -= BLOCK * bz
+            y_face, z_face = (j == 0) & (by > 0), (k == 0) & (bz > 0)
+            for dy, dz, pick in ((0, 0, None), (1, 0, y_face), (0, 1, z_face),
+                                 (1, 1, y_face & z_face)):
+                entry = np.arange(i.size) if pick is None else np.flatnonzero(pick)
+                row = rows[by[entry] - dy, bz[entry] - dz]
+                stored = row >= 0
+                entry, row = entry[stored], row[stored]
+                yield start + entry, site_index(row, i[entry], j[entry] + BLOCK * dy,
+                                                k[entry] + BLOCK * dz)
 
     def dense_values(self):
         """Field as an (n, n, n) array; EmptyField if any site lacks a value.
@@ -228,10 +322,11 @@ class AdaptiveGrid:
         for parity in _CORNERS:
             dense[tuple(slice(p, None, 2) for p in parity)] = far[tuple(parity)]
         windows = sliding_window_view(dense, (SIDE,) * 3, writeable=True)
-        windows[::BLOCK, ::BLOCK, ::BLOCK][tuple(self.coords.T)] = self.values
+        for values, coords in self.slabs():
+            windows[::BLOCK, ::BLOCK, ::BLOCK][tuple(coords.T)] = values
         dense = dense[:n, :n, :n]
         if np.isnan(dense).any():
-            raise EmptyField("field has unpopulated sites; run hierarchical_fill first")
+            raise EmptyField("field has unpopulated sites: an evaluated site has no value")
         return dense
 
 
@@ -357,21 +452,21 @@ def select_hot(field, threshold):
 
 
 def hierarchical_fill(grid: AdaptiveGrid):
-    """Fill every unevaluated fine site with the mean of its neighbors.
+    """Check that every evaluated site has a value, for the fill of every
+    other fine site with the mean of its neighbors; MissingCoarseValue if
+    one has none.
 
     A site with k odd indices gets the mean of its 2k neighbors along its
     odd axes, for k = 1, 2, 3 in turn: edge midpoints from coarse vertices,
     then face centers from edge midpoints, then cell centers from face
     centers. Evaluated sites are never overwritten. Those neighbors lie in
-    the site's coarse cell, so each block fills on its own, one x slab of
-    blocks at a time, and a site two blocks share reads the same values in
-    both.
+    the site's coarse cell, so each block fills on its own, and a site two
+    blocks share reads the same values in both: grid.slabs() runs the rule
+    (_fill) on each x slab of blocks as it builds it.
     """
-    for start, stop in block_slabs(grid.coords):
-        values, evaluated = grid.values[start:stop], grid.evaluated[start:stop]
-        if (np.isnan(values) & evaluated).any():  # coarse vertices included
-            raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
-        _fill(values, evaluated)
+    unset = grid.unset_sites()
+    if unset.size:
+        raise MissingCoarseValue(f"evaluated site {unset[0]} has no value")
 
 
 def _fill(values, evaluated):

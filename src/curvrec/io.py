@@ -11,6 +11,7 @@ write/read cycle is lossless.
 """
 
 import os
+import re
 import warnings
 from array import array
 from itertools import islice
@@ -95,19 +96,48 @@ _BULK_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r\x0b\x0c"
 _CHECK_BLOCK = 1 << 20
 
 
+# a line's leading ASCII whitespace other than LF, then '#' on a comment line
+_LINE_START = re.compile(rb"[ \t\r\x0b\x0c]*(#?)")
+
+
+def _header_lines(block, comment):
+    """Scan a block of a file's leading lines that are blank or whose first
+    token starts with '#': (lines that end in it, whether it ends inside a
+    comment line, whether such lines may go on into the next block)."""
+    lines, at = 0, 0
+    while True:
+        if not comment:
+            start = _LINE_START.match(block, at)
+            at, comment = start.end(), bool(start.group(1))
+            if at == len(block):
+                return lines, comment, True
+            if not comment and block[at] != ord("\n"):
+                return lines, False, False  # the first record
+        end = block.find(b"\n", at)
+        if end < 0:
+            return lines, comment, True
+        lines, at, comment = lines + 1, end + 1, False
+
+
 def _bulk_xyz(path):
     """The (n >= 1, 3 | 6) table of an XYZ file that np.loadtxt reads as the
-    records reader would, or None: then the records reader decides."""
+    records reader would, or None: then the records reader decides. The
+    file's leading blank and '#' lines are skipped; a later '#' leaves the
+    file to the records reader."""
+    header, comment, more = 0, False, True
     with open(path, "rb") as fh:
         while block := fh.read(_CHECK_BLOCK):
             if block.endswith(b"\r"):  # so a CR LF pair lies within one block
                 block += fh.read(1)
             if block.translate(None, _BULK_BYTES) or block.count(b"\r") != block.count(b"\r\n"):
                 return None
+            if more:
+                lines, comment, more = _header_lines(block, comment)
+                header += lines
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file only warns
-            table = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+            table = np.loadtxt(path, dtype=np.float64, comments=None, skiprows=header, ndmin=2)
     except Exception:
         return None
     return table if table.shape[0] >= 1 and table.shape[1] in (3, 6) else None

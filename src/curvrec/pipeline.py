@@ -41,10 +41,11 @@ FAR_CAP_DEFAULT = 0.10
 # row's entry and value depend on that row alone. The chunk bounds the per-row
 # temporaries (positions, nn, radii, sigmas, the boundary test) and the ball
 # blocks, which restart at spatial.FIRST_BLOCK centers each chunk.
-# In-process runs (seed 0, 2-core x86-64) peaked at 116.8-117.7 MB on
-# sphere-c64 and 132.7-132.8 MB on dense-sheets-c64 at 2**15, about the
-# same at 2**13, and at 118.7 and 135.1 MB at 2**17; all rows at once took
-# 127.7 and 140.6 MB. Wall time did not differ beyond noise.
+# File-to-file runs (seed 0, 2-core x86-64) peaked at 101.8-102.0 MB on
+# sphere-c64 and 110.3-110.9 MB on dense-sheets-c64 at 2**15, set in
+# extract and in the read; evaluate ended at 91.6-91.8 MB on the sphere,
+# at 86.8-87.0 at 2**13 and 99.4-99.7 at 2**17. All rows at once took
+# 102.3-104.0 and 116.1 MB. Wall time did not differ beyond noise.
 EVAL_CHUNK = 1 << 15
 
 
@@ -111,7 +112,8 @@ class TimingReport:
     without one.
     nn_queries counts the rows the run's index gave the nearest-point
     query, near_queries those of them sent on to the ball query, and
-    stored_sites the lattice sites the grid's blocks hold. ball_pairs
+    stored_sites the lattice sites of the blocks that fill and extract
+    build, a slab at a time. ball_pairs
     counts the (center, point) pairs the index's ball queries kept, over
     ball_blocks calls. peak_rss_mb is the process's peak resident memory
     so far, and stage_peak_mb that peak at each stage's end, in run order."""
@@ -408,7 +410,6 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
     else:
         with stage("curvature", times):
             ids = _coarse_band(config, index, spec)
-            # before the chunks, whose freed temporaries would else lie below it
             grid = band_grid(spec, 2, ids, config.far_cap)
             nn, cf = _curvature(config, norm_cloud, index, spec, ids)
             sched = RadiusSchedule.from_field(
@@ -458,7 +459,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             save_field(grid.dense_values(), spec, config.dump_field)
 
     with stage("extract", times):
-        norm_mesh = marching_cubes(grid.values, grid.coords, spec, iso)
+        norm_mesh = marching_cubes(grid.slabs(), spec, iso)
         if not norm_mesh.num_faces:
             raise EmptyMesh(f"marching cubes crossed no cell: no site reads below the "
                             f"level {iso.eps:g} at fine spacing {spec.fine_spacing:g}")

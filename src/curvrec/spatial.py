@@ -21,6 +21,17 @@ those lists into CSR arrays cost as much as the search; on sphere-c64's
 evaluate blocks the lists took 0.69 s and the dual tree 0.44 s for the
 same indices (2-core x86-64).
 
+A block is searched at its largest radius and each pair then checked
+against its center's own, so some found pairs are dropped: replaying
+dense-sheets-c64's 275 ball calls (seed 0, 2-core x86-64), the blocks
+found 13,240,761 pairs and kept 8,836,890, in 0.98-1.06 s. Fewer found
+pairs did not make the search cheaper: splitting each block at its
+median radius found 10.8M in 1.06-1.13 s, at its radius quartiles 9.9M
+in 1.36-2.01 s, and blocks cut from every center sorted by radius found
+8.9M in 6.0 s. count_neighbors over the same blocks, which emits no
+pairs, took 0.93-1.42 s. The traversal's cost follows how far a block's
+centers spread, not the pairs it emits.
+
 Each block is one search on the calling thread: splitting its centers
 over two threads made no difference to a whole run at workers=2 (2.94 s
 with the split, 2.91 s without, median of 10 alternating pairs on
@@ -45,12 +56,12 @@ _MIN_SEARCH = 1e-150
 # (24 bytes each) and the patch moments' (10, E) terms (80 bytes an entry).
 # On dense-sheets-c64 (400k points, seed 0, 2-core x86-64), blocks of 2048
 # centers found ~676k pairs each and the run peaked at 173.8 MB in
-# curvature and evaluate, against ~130 MB for reading its file. With this
-# budget evaluate ends at 110.8-111.0 MB and the run peaks at 111.7-113.6,
-# set at the write; 2**16 pushes evaluate to 116.6-116.9 MB. Its 272 blocks
-# cost ~0.17 s more than 2048-center blocks in curvature and evaluate
-# (median of 10 in-process pairs, ~5%).
-# sphere-c64 (~15 pairs a center) peaks at ~127 MB either way. Without the
+# curvature and evaluate, when this budget replaced them; its 272 blocks
+# cost ~0.17 s more there (median of 10 in-process pairs, ~5%). File to
+# file, with the lattice's blocks built a slab at a time, the run peaks at
+# 110.4 MB in the read, and evaluate stays below it; 2**16 takes evaluate
+# to 113.0-113.5 MB and the run to 114.0-114.5. sphere-c64 (~15 pairs a
+# center) peaks at 99.8-102.3 MB, and at 104.1-104.4 at 2**16. Without the
 # cap at twice the last block, a block after a sparse one (the band's edge)
 # can find many budgets' worth of pairs: dense-sheets-c64 peaked at 150 MB.
 PAIR_BUDGET = 1 << 15

@@ -206,31 +206,25 @@ def dense_hierarchical_fill(values, evaluated):
     return values
 
 
-def _padded_windows(dense, spec):
-    """The lattice padded with NaN to whole blocks, and its (nb, nb, nb,
-    BLOCK + 1, BLOCK + 1, BLOCK + 1) block windows."""
-    n, size = spec.fine_n, BLOCK * spec.blocks_per_axis + 1
-    padded = np.full((size,) * 3, np.nan if dense.dtype.kind == "f" else 0, dtype=dense.dtype)
-    padded[:n, :n, :n] = dense
-    step = (slice(None, None, BLOCK),) * 3
-    return padded, sliding_window_view(padded, (BLOCK + 1,) * 3, writeable=True)[step]
-
-
 def blocks_of(field, spec):
     """(stack, coords): every block of a dense (n, n, n) field as
-    AdaptiveGrid stores it, past-the-lattice sites NaN."""
-    windows = _padded_windows(np.asarray(field), spec)[1]
-    nb = spec.blocks_per_axis
+    AdaptiveGrid builds it, past-the-lattice sites NaN (False for flags)."""
+    field = np.asarray(field)
+    n, nb = spec.fine_n, spec.blocks_per_axis
+    padded = np.full((BLOCK * nb + 1,) * 3, np.nan if field.dtype.kind == "f" else 0,
+                     dtype=field.dtype)
+    padded[:n, :n, :n] = field
+    windows = sliding_window_view(padded, (BLOCK + 1,) * 3)[::BLOCK, ::BLOCK, ::BLOCK]
     coords = np.stack(np.unravel_index(np.arange(nb ** 3), (nb,) * 3), axis=-1)
     return windows.reshape((-1,) + windows.shape[3:]).copy(), coords
 
 
-def unblock(stack, coords, spec, dense):
-    """dense (n, n, n) with the blocks of stack, at coords, written over it."""
-    padded, windows = _padded_windows(np.asarray(dense), spec)
-    windows[tuple(np.asarray(coords).T)] = stack
-    n = spec.fine_n
-    return padded[:n, :n, :n].copy()
+def slabs_of(stack, coords):
+    """A block stack as marching_cubes takes it: (values, coords) per x
+    slab, in ascending x."""
+    coords = np.asarray(coords)
+    return [(stack[coords[:, 0] == x], coords[coords[:, 0] == x])
+            for x in np.unique(coords[:, 0])]
 
 
 def refine_with_parents(spec, evaluated, hot_ids):

@@ -11,7 +11,7 @@ import oracles
 
 def extract(field, spec, iso):
     """marching_cubes over every block of a dense field."""
-    return marching_cubes(*oracles.blocks_of(field, spec), spec, iso)
+    return marching_cubes(oracles.slabs_of(*oracles.blocks_of(field, spec)), spec, iso)
 
 
 def lattice_positions(spec):
@@ -67,7 +67,7 @@ def test_nan_field_rejected():
     with pytest.raises(EmptyField):
         extract(bad, spec, IsoSpec(eps=0.5))
     with pytest.raises(ValueError):
-        marching_cubes(np.ones((3, 3, 3)), np.zeros((1, 3)), spec, IsoSpec(eps=0.5))
+        marching_cubes([(np.ones((3, 3, 3)), np.zeros((1, 3)))], spec, IsoSpec(eps=0.5))
 
 
 def test_single_interior_vertex_octahedron():

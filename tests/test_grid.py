@@ -257,25 +257,32 @@ def test_fill_matches_oracle_bitwise(coarse, data):
     assert np.array_equal(grid.dense_values().ravel(), [expect[i] for i in range(len(expect))])
 
 
+def _slab_stack(grid):
+    """The grid's filled blocks, every slab stacked, in the order of grid.coords."""
+    return np.concatenate([values for values, _ in grid.slabs()])
+
+
 @settings(max_examples=200, deadline=None)
 @given(coarse=st.integers(1, 4), data=st.data())
 def test_filled_sites_never_read_refined_sites(coarse, data):
     # a refined block is closed under the fill stencil, so a per-block fill
     # needs a halo of one coarse cell and no more
     grid, new, rng, _, _ = _refined_grid(coarse, data)
-    hierarchical_fill(grid)
-    before = grid.values.copy()
-    grid.values[~grid.evaluated] = np.nan
-    grid.set_values(new, _signed_magnitudes(rng, new.size))
-    hierarchical_fill(grid)
-    # sites past the lattice's last plane stay NaN
-    assert np.array_equal(grid.values[~grid.evaluated], before[~grid.evaluated], equal_nan=True)
+    spec = grid.spec
+    evaluated = oracles.blocks_of(grid.evaluated_at(every_site(grid)).reshape((spec.fine_n,) * 3),
+                                  spec)[0]
+    before = _slab_stack(grid)
+    latest = _signed_magnitudes(rng, new.size)
+    grid.set_values(new, latest)  # the later write wins
+    after = _slab_stack(grid)
+    # sites past the lattice's last plane fill from NaN, and stay NaN
+    assert np.array_equal(after[~evaluated], before[~evaluated], equal_nan=True)
+    assert np.array_equal(grid.dense_values().ravel()[new], latest)
     # with every site evaluated the fill writes nothing
-    grid.evaluated[:] = True
-    full = _signed_magnitudes(rng, grid.values.size).reshape(grid.values.shape)
-    grid.values[:] = full
-    hierarchical_fill(grid)
-    assert np.array_equal(grid.values, full)
+    full = _signed_magnitudes(rng, after.size).reshape(after.shape)
+    filled = full.copy()
+    grid_module._fill(filled, np.ones(full.shape, dtype=bool))
+    assert np.array_equal(filled, full)
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,7 +339,7 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
     assert grid.evaluated_count == seeded.size
     assert grid.filled_count == n ** 3 - seeded.size
 
-    mesh = marching_cubes(grid.values, grid.coords, spec, IsoSpec(level))
+    mesh = marching_cubes(grid.slabs(), spec, IsoSpec(level))
     expect = [oracles.dense_marching_cubes(values.reshape(n, n, n), spec, level)]
     if n <= 25:  # the per-site oracles, where they finish quickly
         fill = oracles.hierarchical_fill(spec, zip(seeded.tolist(), seed_values.tolist()))
@@ -341,6 +348,59 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
     for vertices, faces in expect:
         assert np.array_equal(mesh.vertices, vertices)
         assert np.array_equal(mesh.faces, faces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse=st.integers(1, 20), margin=st.integers(0, 2), baseline=st.booleans(),
+       far=st.sampled_from([np.nan, 0.3]), share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+       hot=st.lists(st.tuples(*[st.integers(0, 20)] * 3), max_size=6),
+       repeats=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+# 24 fine cells, which BLOCK does not divide: the last blocks overhang the
+# lattice; refined sites on block faces, edges and corners
+@example(coarse=12, margin=0, baseline=False, far=np.nan, share=0.01,
+         hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (0, 0, 0), (12, 12, 12)], repeats=10, seed=0)
+@example(coarse=16, margin=1, baseline=True, far=0.3, share=0.2, hot=[(8, 8, 8)], repeats=5,
+         seed=1)
+def test_each_built_slab_is_the_dense_oracles_blocks(coarse, margin, baseline, far, share, hot,
+                                                      repeats, seed):
+    # every slab slabs() builds holds, inside the lattice, the stored blocks
+    # of the whole-lattice fill over the written values, far at the other
+    # stride sites; a site written twice keeps its later value
+    spec = LatticeSpec(coarse_cells=coarse, margin_cells=min(margin, (coarse - 1) // 2))
+    n, nb = spec.fine_n, spec.blocks_per_axis
+    stride = 1 if baseline else 2
+    rng = np.random.default_rng(seed)
+    on_stride = np.zeros((n, n, n), dtype=bool)
+    on_stride[::stride, ::stride, ::stride] = True
+    hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64).reshape(-1, 3)
+                                          % (coarse + 1))))
+    band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
+    band = band if band.size else np.array([0])
+    grid = band_grid(spec, stride, band, far)
+    values = np.where(on_stride, far, np.nan).ravel()
+    evaluated = on_stride.ravel().copy()
+
+    def evaluate(ids):
+        v = rng.random(ids.size)
+        grid.set_values(ids, v)
+        values[ids] = v
+
+    evaluate(band)
+    if not baseline:
+        new = refine_with_parents(grid, hot_ids)[0]
+        evaluated[new] = True
+        evaluate(new)
+    evaluate(rng.permutation(band)[:repeats])  # again, in no order
+    oracles.dense_hierarchical_fill(values.reshape(n, n, n), evaluated.reshape(n, n, n))
+    expect, _ = oracles.blocks_of(values.reshape(n, n, n), spec)
+    inside = ~np.isnan(oracles.blocks_of(np.zeros((n, n, n)), spec)[0])
+    built = []
+    for slab, coords in grid.slabs():
+        assert (coords[:, 0] == coords[0, 0]).all()
+        rows = np.ravel_multi_index(tuple(coords.T), (nb,) * 3)
+        assert np.array_equal(slab[inside[rows]], expect[rows][inside[rows]], equal_nan=True)
+        built.append(coords)
+    assert np.array_equal(np.concatenate(built), grid.coords)
 
 
 def test_evaluated_count_counts_each_newly_marked_site_once():
@@ -380,16 +440,17 @@ def test_sites_outside_the_stored_blocks_read_the_far_field():
 
 
 def _assert_faces_agree(grid):
-    """Each stored block's upper face equals its stored upper neighbour's
-    lower face, in values and in flags."""
-    row = {tuple(c): a for a, c in enumerate(grid.coords.tolist())}
-    for a, c in enumerate(grid.coords.tolist()):
+    """Each built block's upper face equals its stored upper neighbour's
+    lower face, its values filled, within an x slab and across slabs."""
+    slabs = list(grid.slabs())
+    assert [int(c[0, 0]) for _, c in slabs] == sorted({int(c[0, 0]) for _, c in slabs})
+    block = {tuple(c): v for values, coords in slabs for c, v in zip(coords.tolist(), values)}
+    for c, values in block.items():
         for axis in range(3):
-            b = row.get(tuple(c[:axis]) + (c[axis] + 1,) + tuple(c[axis + 1:]))
-            if b is not None:
-                for arr in (grid.values, grid.evaluated):
-                    assert np.array_equal(np.take(arr[a], BLOCK, axis), np.take(arr[b], 0, axis),
-                                          equal_nan=True)
+            upper = block.get(c[:axis] + (c[axis] + 1,) + c[axis + 1:])
+            if upper is not None:
+                assert np.array_equal(np.take(values, BLOCK, axis), np.take(upper, 0, axis),
+                                      equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,8 +465,8 @@ def _assert_faces_agree(grid):
          seed=0)
 @example(coarse=12, baseline=True, share=0.0, hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8)], seed=1)
 def test_every_stored_copy_of_a_site_agrees(coarse, baseline, share, hot, seed):
-    # at least 2 blocks per axis; writes reach a site's owner, and the face
-    # exchange brings them to its other stored copies
+    # at least 2 blocks per axis; a write reaches every built block that
+    # holds its site, and those fill it alike
     spec = LatticeSpec(coarse_cells=coarse, margin_cells=1)
     n, stride = spec.fine_n, 1 if baseline else 2
     rng = np.random.default_rng(seed)
@@ -470,10 +531,19 @@ def test_fill_requires_values():
 
 
 def test_dense_values_requires_coverage():
+    # the slabs fill as they are built: an evaluated site without a value
+    # leaves NaN in the field, which the dump and the extraction refuse
     spec, grid, ids, _ = fresh_grid(coarse_cells=4, margin_cells=0)
-    grid.set_values(ids, np.zeros(ids.size))
+    grid.set_values(ids[1:], np.zeros(ids.size - 1))
     with pytest.raises(EmptyField):
         grid.dense_values()
+    grid.set_values(ids[:1], [0.0])
+    assert np.all(grid.dense_values() == 0.0)
+    refine_with_parents(grid, [spec.flat_id(np.array([4, 4, 4]))])  # refined sites left NaN
+    with pytest.raises(EmptyField):
+        grid.dense_values()
+    with pytest.raises(EmptyField):
+        marching_cubes(grid.slabs(), spec, IsoSpec(0.5))
 
 
 def test_field_dump_roundtrip(tmp_path):

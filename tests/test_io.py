@@ -372,11 +372,13 @@ _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sample
 @st.composite
 def xyz_files(draw):
     """Valid XYZ bytes: 3 or 6 numbers a line, tabs and runs of spaces, LF or
-    CRLF, blank and whitespace-only lines, and '#' comment lines."""
+    CRLF, blank and whitespace-only lines, and '#' comment lines, also as a
+    header before the first record."""
     arity = draw(st.sampled_from([3, 6]))
     sep = st.sampled_from([" ", "\t", "  ", " \t", "\x0b", "\x0c"])
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = []
+    lines = draw(st.lists(st.sampled_from(["# x y z nx ny nz", "#", "", " ", "\t# 1 2 3",
+                                           " #comment", "## 400000 points"]), max_size=4))
     for row in draw(st.lists(st.lists(_NUMBER, min_size=arity, max_size=arity),
                              min_size=1, max_size=8)):
         lines += draw(st.lists(st.sampled_from(["", " ", "\t", "# note 1 2 3", "#"]),
@@ -389,14 +391,31 @@ def xyz_files(draw):
     return raw.encode()
 
 
+@pytest.mark.parametrize("raw, taken", [
+    (b"# x y z nx ny nz\n1 2 3 0 0 1\n", True),
+    (b"\n  # a\r\n\t#\r\n \r\n1 2 3\r\n", True),
+    (b"1 2 3\n# note\n4 5 6\n", False),  # a comment line after the first record
+    (b"# x y z\n1 2 3 # note\n", False),  # an inline comment
+    (b"# a header and no record\n", False)])
+def test_bulk_xyz_skips_only_leading_comment_lines(tmp_path, raw, taken):
+    p = tmp_path / "h.xyz"
+    p.write_bytes(raw)
+    assert (_bulk_xyz(p) is not None) == taken
+    assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw=xyz_files())
 def test_bulk_xyz_parse_equals_records_reader(tmp_path_factory, raw):
     p = tmp_path_factory.getbasetemp() / "valid.xyz"
     p.write_bytes(raw)
     assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
-    # the bulk parse takes every valid file without comment lines
-    assert (_bulk_xyz(p) is None) == (b"#" in raw)
+    # the bulk parse takes every valid file without comment lines after its
+    # first record
+    lines = raw.split(b"\n")
+    first = next(i for i, line in enumerate(lines)
+                 if line.split() and not line.split()[0].startswith(b"#"))
+    assert (_bulk_xyz(p) is None) == (b"#" in b"\n".join(lines[first:]))
 
 
 # Bytes where np.loadtxt and the records reader could disagree: separators

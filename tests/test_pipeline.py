@@ -17,7 +17,7 @@ from curvrec.metrics import sample_mesh
 from curvrec.errors import (DegenerateExtent, EmptyMesh, FarOutlier, NoCurvatureSamples,
                             ReconstructionError)
 from curvrec.estimator import make_estimator
-from curvrec.grid import LatticeSpec, far_field
+from curvrec.grid import AdaptiveGrid, LatticeSpec, far_field
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
@@ -655,16 +655,14 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
     # On sheets a minority of the blocks is stored, and fill and extract
     # together with their results allocate less than a dense float64 lattice
     # would take; only --dump-field builds that lattice, and it holds the
-    # whole-lattice kernels' field.
+    # whole-lattice kernels' field over the values the grid was given.
     cloud = fixtures.make_fixture("sheets", count=12000, seed=0, gap=0.045, noise=0.002)
     config = small_config(coarse_cells=64, margin_cells=3)
     n = LatticeSpec(coarse_cells=64, margin_cells=3).fine_n
-    peaks, grids = {}, []
+    peaks, writes, marks = {}, [], []
 
     def traced(name, fn):
         def run(*args):
-            if name == "fill":
-                grids.append(copy.deepcopy(args[0]))
             tracemalloc.start()
             try:
                 return fn(*args)
@@ -673,24 +671,59 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
                 tracemalloc.stop()
         return run
 
+    def recorded(calls, fn):
+        def run(grid, ids, *args):
+            calls.append((np.array(ids), *map(np.array, args)))
+            return fn(grid, ids, *args)
+        return run
+
     monkeypatch.setattr(pipeline, "hierarchical_fill", traced("fill", pipeline.hierarchical_fill))
     monkeypatch.setattr(pipeline, "marching_cubes", traced("extract", pipeline.marching_cubes))
     result = run_pipeline(config, cloud)
     assert 0 < result.timing.stored_sites < result.spec.total_fine_vertices / 2
-    assert grids[0].values.nbytes < n ** 3 * 8
     assert set(peaks) == {"fill", "extract"}
     assert max(peaks.values()) < n ** 3 * 8
 
+    monkeypatch.setattr(AdaptiveGrid, "set_values", recorded(writes, AdaptiveGrid.set_values))
+    monkeypatch.setattr(AdaptiveGrid, "mark_evaluated",
+                        recorded(marks, AdaptiveGrid.mark_evaluated))
     path = tmp_path / "field.bin"
     dumped = run_pipeline(replace(config, dump_field=str(path)), cloud)
     assert dumped.mesh.faces.tobytes() == result.mesh.faces.tobytes()
-    grid = grids[1]  # before its fill: the band's values, far_cap at other stride sites
-    outside = np.full((n, n, n), np.nan)
-    outside[::2, ::2, ::2] = config.far_cap
-    values = oracles.unblock(grid.values, grid.coords, grid.spec, outside)
-    evaluated = oracles.unblock(grid.evaluated, grid.coords, grid.spec, ~np.isnan(outside))
+    # the grid's writes, in order, over far_cap at the other stride sites
+    values = np.full((n, n, n), np.nan)
+    values[::2, ::2, ::2] = config.far_cap
+    evaluated = ~np.isnan(values)
+    for ids, v in writes:
+        values.reshape(-1)[ids] = v
+    for ids, in marks:
+        evaluated.reshape(-1)[ids] = True
     oracles.dense_hierarchical_fill(values, evaluated)
     assert path.read_bytes() == values.astype("<f4").tobytes()
+
+
+def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatch):
+    # from evaluate to extract the grid keeps the ids and values it was
+    # given, under 24 bytes per evaluated site; on this sphere its stored
+    # blocks alone would take more, 9 bytes (a float64 and a flag) per site
+    held = []
+
+    def fill(grid):
+        tracemalloc.start()
+        try:
+            clone = copy.deepcopy(grid)  # allocates what the grid holds
+            held.append((tracemalloc.get_traced_memory()[0], grid.evaluated_count,
+                         grid.stored_sites))
+        finally:
+            tracemalloc.stop()
+        del clone
+        return hierarchical_fill(grid)
+
+    hierarchical_fill = pipeline.hierarchical_fill
+    monkeypatch.setattr(pipeline, "hierarchical_fill", fill)
+    run_pipeline(small_config(coarse_cells=64, margin_cells=3), sphere_cloud)
+    [(nbytes, evaluated, stored)] = held
+    assert nbytes < 24 * evaluated < 9 * stored
 
 
 def test_dump_field(sphere_cloud, tmp_path):
