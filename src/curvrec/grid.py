@@ -221,47 +221,10 @@ class AdaptiveGrid:
         the far field does outside the stored blocks."""
         return self.spec.total_fine_vertices - self.evaluated_count
 
-    def unset_sites(self):
-        """Ascending evaluated sites whose value is NaN: the marked sites and
-        (when far is NaN) the stored blocks' stride sites that no run sets,
-        and the evaluated sites a run sets last to NaN."""
-        n = self.spec.fine_n
-        extra = [np.empty(0, dtype=np.int64)] + [ids[np.isnan(v)] for ids, v in self._runs]
-        if np.isnan(self.far):
-            extra.append(self._stride_sites())
-        extra = np.unique(np.concatenate(extra))
-        # the evaluated ones: a marked site is in _marked already
-        extra = extra[np.all(np.stack(np.unravel_index(extra, (n, n, n))) % self.stride == 0,
-                             axis=0)]
-        sites = np.union1d(self._marked, extra) if extra.size else self._marked
-        # every other candidate reads NaN unless a run sets it: a marked site,
-        # a stride site when far is NaN, or else a site some run sets NaN
-        unset = [np.empty(0, dtype=np.int64)]
-        for start in range(0, sites.size, _SITE_CHUNK):
-            chunk = sites[start:start + _SITE_CHUNK]
-            value = np.full(chunk.size, np.nan)
-            for ids, v in self._runs:
-                at = np.searchsorted(ids, chunk, side="right") - 1  # a repeated id's last write
-                hit = np.flatnonzero(ids[at] == chunk) if ids.size else at[:0]
-                value[hit] = v[at[hit]]
-            unset.append(chunk[np.isnan(value)])
-        return np.concatenate(unset)
-
-    def _stride_sites(self):
-        """Ascending ids of the lattice's stride sites the stored blocks hold."""
-        step = np.arange(0, SIDE, self.stride)
-        local = np.stack(np.meshgrid(step, step, step, indexing="ij"), axis=-1).reshape(-1, 3)
-        ijk = (BLOCK * self.coords[:, None] + local).reshape(-1, 3)
-        return np.unique(self.spec.flat_id(ijk[(ijk < self.spec.fine_n).all(axis=1)]))
-
     def slabs(self):
-        """(values, coords) per x slab of stored blocks, in ascending x: the
-        slab's blocks, (A_s, SIDE, SIDE, SIDE), with every written value in
-        place and the other sites filled by hierarchical_fill's rule, and
-        their block coordinates. A slab is built when asked for, and is
-        gone once its consumer drops it."""
-        for start, stop in block_slabs(self.coords):
-            yield self._slab(start, stop), self.coords[start:stop]
+        """The filled x slabs of stored blocks (FilledSlabs), each built
+        when an iteration reaches it."""
+        return FilledSlabs(self)
 
     def _slab(self, start, stop):
         """The filled blocks of stored rows start through stop - 1, one x slab.
@@ -287,6 +250,8 @@ class AdaptiveGrid:
             v = v[lo:hi]
             for entry, at in self._holders(ids[lo:hi], x0, rows):
                 values.reshape(-1)[at] = v[entry]
+        if (np.isnan(values) & flags).any():  # stride sites included
+            raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
         _fill(values, flags)
         return values
 
@@ -328,6 +293,33 @@ class AdaptiveGrid:
         if np.isnan(dense).any():
             raise EmptyField("field has unpopulated sites: an evaluated site has no value")
         return dense
+
+
+class FilledSlabs:
+    """(values, coords) per x slab of a grid's stored blocks, in ascending
+    x: the slab's blocks, (A_s, SIDE, SIDE, SIDE), with every written value
+    in place and the other sites filled by hierarchical_fill's rule, and
+    their block coordinates. Each iteration builds a slab when it reaches
+    it; the slab is gone once its consumer drops it. Building a slab raises
+    MissingCoarseValue if an evaluated site in it has no value.
+
+    As an array it is a placeholder of the whole stack's shape, (A, SIDE,
+    SIDE, SIDE), NaN with zero strides, so np.asarray(slabs).size counts
+    the block sites the slabs hold without building them.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def __iter__(self):
+        grid = self.grid
+        for start, stop in block_slabs(grid.coords):
+            yield grid._slab(start, stop), grid.coords[start:stop]
+
+    def __array__(self, dtype=None, copy=None):
+        stack = np.broadcast_to(np.array(np.nan, dtype=dtype),
+                                (len(self.grid.coords),) + (SIDE,) * 3)
+        return stack.copy() if copy else stack
 
 
 def site_index(slot, i, j, k):
@@ -452,21 +444,19 @@ def select_hot(field, threshold):
 
 
 def hierarchical_fill(grid: AdaptiveGrid):
-    """Check that every evaluated site has a value, for the fill of every
-    other fine site with the mean of its neighbors; MissingCoarseValue if
-    one has none.
+    """The grid's field with every unevaluated fine site filled with the
+    mean of its neighbors, as grid.slabs(): each x slab of blocks is filled
+    as it is built.
 
     A site with k odd indices gets the mean of its 2k neighbors along its
     odd axes, for k = 1, 2, 3 in turn: edge midpoints from coarse vertices,
     then face centers from edge midpoints, then cell centers from face
     centers. Evaluated sites are never overwritten. Those neighbors lie in
     the site's coarse cell, so each block fills on its own, and a site two
-    blocks share reads the same values in both: grid.slabs() runs the rule
-    (_fill) on each x slab of blocks as it builds it.
+    blocks share reads the same values in both. Building a slab raises
+    MissingCoarseValue if an evaluated site in it has no value.
     """
-    unset = grid.unset_sites()
-    if unset.size:
-        raise MissingCoarseValue(f"evaluated site {unset[0]} has no value")
+    return grid.slabs()
 
 
 def _fill(values, evaluated):

@@ -452,14 +452,14 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     grid, cf, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso, estimator,
                                              times)
     with stage("fill", times):
-        hierarchical_fill(grid)
+        field = hierarchical_fill(grid)
 
     if config.dump_field:
         with stage("dump", times):
             save_field(grid.dense_values(), spec, config.dump_field)
 
     with stage("extract", times):
-        norm_mesh = marching_cubes(grid.slabs(), spec, iso)
+        norm_mesh = marching_cubes(field, spec, iso)
         if not norm_mesh.num_faces:
             raise EmptyMesh(f"marching cubes crossed no cell: no site reads below the "
                             f"level {iso.eps:g} at fine spacing {spec.fine_spacing:g}")
