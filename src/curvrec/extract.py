@@ -1,18 +1,17 @@
-"""Triangle mesh extraction from the distance field's active blocks.
+"""Triangle mesh extraction from the distance field's x slabs.
 
 The unsigned field has no zero crossing to contour, so we march on the
 offset level set {x : UDF(x) = eps}, a thin two-sided shell around the
 surface. Vertices are cached per global lattice edge, keyed
 axis * n^3 + flat id of the edge's lower end, which makes adjacent cubes
-agree exactly along shared faces, also across blocks; vertices are sorted
+agree exactly along shared faces, also across slabs; vertices are sorted
 by that key, the (axis, i, j, k) order, so output is reproducible.
 
-Blocks are extracted one x slab (blocks sharing their x block index) at a
-time, as AdaptiveGrid.slabs builds and fills them, so the blocks and the
-temporaries stay bounded by a slab. Faces run in the lattice's
-cube order (cube flat id, then table order): a slab's blocks interleave in
-that order, so its crossed cubes are sorted by flat id, and every cube of
-one slab precedes every cube of the next.
+The lattice is extracted one dense x slab at a time, as AdaptiveGrid.slabs
+builds and fills them, so the temporaries stay bounded by a slab. Faces
+run in the lattice's cube order (cube flat id, then table order): flat ids
+are x-major, so a slab's crossed cubes come out of np.flatnonzero in flat
+id order, and every cube of one slab precedes every cube of the next.
 
 Each crossing is clamped to lie at least _T_CLAMP of its edge from either
 end, so crossings on edges that share a lattice site never coincide. A
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyField
-from .grid import BLOCK, SIDE, SITE_STRIDES, LatticeSpec, clear_past, site_index
+from .grid import LatticeSpec
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from .model import TriangleMesh
 
@@ -52,21 +51,19 @@ class IsoSpec:
 def marching_cubes(slabs, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
     """Contour field == iso.eps over the lattice with the 256-case tables.
 
-    slabs gives (values, coords) per x slab of lattice blocks, in ascending
-    x, as AdaptiveGrid.slabs builds them: values (A_s, BLOCK + 1, BLOCK + 1,
-    BLOCK + 1), fully populated inside the lattice, and coords (A_s, 3) the
-    blocks' coordinates in ascending flat id. Each slab is dropped once its
-    vertices are found. A cube is extracted by the block that holds it at
-    its lowest corner; the cubes of blocks not given must not cross the
-    level. Returns an empty mesh when the level set is not crossed.
+    slabs gives (values, x0) per x slab of the lattice, in ascending x, as
+    AdaptiveGrid.slabs builds them: values (planes, n, n), fully populated,
+    holds planes x0 through x0 + planes - 1, and each slab starts at the
+    last plane of the one before. Each slab is dropped once its vertices
+    are found. Returns an empty mesh when the level set is not crossed.
     """
-    slabs = [_slab_vertices(values, coords, spec, iso.eps) for values, coords in slabs]
+    slabs = [_slab_vertices(values, x0, spec, iso.eps) for values, x0 in slabs]
     if not slabs:
         raise EmptyField("empty field")
 
     # merge the slabs' vertices, which share the edges on the planes between
     # slabs, into one list ordered by key; both slabs give a shared edge the
-    # same crossing, since every stored copy of a site holds the same value
+    # same crossing, since both slabs hold the same values on that plane
     unique_keys = np.concatenate([slab_keys for slab_keys, _, _ in slabs])
     if unique_keys.size == 0:
         return TriangleMesh()
@@ -100,45 +97,40 @@ def marching_cubes(slabs, spec: LatticeSpec, iso: IsoSpec) -> TriangleMesh:
     return TriangleMesh(vertices, faces.reshape(-1, 3))
 
 
-def _slab_vertices(slab, at, spec, level):
-    """(edge keys, crossings, corners) of one slab of blocks, slab its
-    values and at its block coordinates: the ascending keys of the edges
-    its crossed cubes' triangles use, each edge's crossing as a fraction of
-    the edge from its lower end, and per triangle corner, in face order,
-    its edge's index in those keys."""
+def _slab_vertices(slab, x0, spec, level):
+    """(edge keys, crossings, corners) of one slab, slab its values from
+    plane x0 on: the ascending keys of the edges its crossed cubes'
+    triangles use, each edge's crossing as a fraction of the edge from its
+    lower end, and per triangle corner, in face order, its edge's index in
+    those keys."""
     slab = np.asarray(slab, dtype=np.float64)
-    at = np.asarray(at, dtype=np.int64).reshape(-1, 3)
-    if slab.shape != (len(at),) + (SIDE,) * 3:
-        raise ValueError(f"slab shape {slab.shape} is not {len(at)} blocks of {SIDE}^3")
     n = spec.fine_n
+    if slab.ndim != 3 or slab.shape[1:] != (n, n) or not 2 <= len(slab) <= n - x0:
+        raise ValueError(f"slab shape {slab.shape} from plane {x0} is not a slab of "
+                         f"the {n}^3 lattice")
+    if np.isnan(slab).any():
+        raise EmptyField("field has unpopulated (NaN) sites")
     # a triangle corner's edge: its global key from the cube's flat id, and
     # its lower end's index in the slab from the cube's lowest corner
+    strides = np.array([n * n, n, 1])
     edge_key = EDGE_AXIS.astype(np.int64) * n ** 3 + spec.flat_id(EDGE_BASE)
-    edge_site = EDGE_BASE @ SITE_STRIDES
-    if np.isnan(slab).any():  # allowed past the lattice's last plane
-        unset = np.isnan(slab)
-        clear_past(unset, at, spec, False)
-        if unset.any():
-            raise EmptyField("field has unpopulated (NaN) sites")
+    edge_site = EDGE_BASE @ strides
 
-    # case[s, i, j, k]: case of the cube whose lowest corner is (i, j, k)
-    # in block s, bit c set when corner c is inside
+    # case[i, j, k]: case of the cube whose lowest corner is (i, j, k) in
+    # the slab, bit c set when corner c is inside
     inside = slab < level
-    case = np.zeros((len(at),) + (BLOCK,) * 3, dtype=np.uint8)
+    p = len(slab) - 1
+    case = np.zeros((p, n - 1, n - 1), dtype=np.uint8)
     for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-        case |= inside[:, dx:dx + BLOCK, dy:dy + BLOCK, dz:dz + BLOCK].view(np.uint8) << c
-    clear_past(case, at, spec, 0)
+        case |= inside[dx:dx + p, dy:dy + n - 1, dz:dz + n - 1].view(np.uint8) << c
 
-    # a cube is crossed unless all its corners lie on one side; blocks
-    # interleave in the lattice's cube order, so sort the slab's cubes by
-    # flat id, and the slabs follow each other in that order
+    # a cube is crossed unless all its corners lie on one side; flat ids
+    # are x-major, so the crossed cubes come in the lattice's cube order
     crossed = np.flatnonzero((case != 0) & (case != 255))
-    s, i, j, k = np.unravel_index(crossed, case.shape)
-    origin = spec.flat_id(BLOCK * at[s] + np.stack([i, j, k], axis=-1))
-    order = np.argsort(origin)
-    origin, crossed = origin[order], crossed[order]
-    # the cube's lowest corner, as an index into the slab's sites
-    lowest = site_index(s, i, j, k)[order]
+    i, j, k = np.unravel_index(crossed, case.shape)
+    # the cube's lowest corner, as an index into the slab's sites, and its flat id
+    lowest = (i * n + j) * n + k
+    origin = lowest + x0 * n * n
 
     tri_rows = TRI_TABLE[case.reshape(-1)[crossed]]    # (a, 16)
     tri_valid = tri_rows >= 0
@@ -152,6 +144,6 @@ def _slab_vertices(slab, at, spec, level):
     cube = np.searchsorted(np.cumsum(per_cube), first, side="right")
     lower = lowest[cube] + edge_site[edges[first]]
     flat = slab.reshape(-1)
-    v0, v1 = flat[lower], flat[lower + SITE_STRIDES[EDGE_AXIS[edges[first]]]]
+    v0, v1 = flat[lower], flat[lower + strides[EDGE_AXIS[edges[first]]]]
     return (keys, np.clip((level - v0) / (v1 - v0), _T_CLAMP, 1.0 - _T_CLAMP),
             corner_vertex.astype(np.int32))

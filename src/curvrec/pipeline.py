@@ -26,8 +26,8 @@ from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import EmptyMesh, FarOutlier, NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .grid import (LatticeSpec, MARGIN_CELLS_DEFAULT, band_grid, far_field, hierarchical_fill,
-                   refine_with_parents, save_field, select_hot)
+from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, far_field,
+                   hierarchical_fill, refine_with_parents, save_field, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
 from .patch import Patches, ResamplePolicy, csr_subset, pad_weights, resample
@@ -83,7 +83,7 @@ class PipelineConfig:
             raise ValueError("far_cap must be positive")
         ResamplePolicy(target_count=self.target_count, rng_seed=self.seed)
         level, far = self.iso(spec).eps, float(far_field(2, self.far_cap).min())
-        if not level < far:  # the far field outside the band's blocks would cross it
+        if not level < far:  # the far field outside the band would cross it
             raise ValueError(f"offset level {level!r} must lie below far_cap's far field, "
                              f"{far!r} for far_cap {self.far_cap!r}")
         if not level < spec.margin:  # else the shell is cut open at the lattice boundary
@@ -111,12 +111,11 @@ class TimingReport:
     evaluated, not kd-tree queries: sites outside the band read far_cap
     without one.
     nn_queries counts the rows the run's index gave the nearest-point
-    query, near_queries those of them sent on to the ball query, and
-    stored_sites the lattice sites of the blocks that fill and extract
-    build, a slab at a time. ball_pairs
-    counts the (center, point) pairs the index's ball queries kept, over
-    ball_blocks calls. peak_rss_mb is the process's peak resident memory
-    so far, and stage_peak_mb that peak at each stage's end, in run order."""
+    query, and near_queries those of them sent on to the ball query.
+    ball_pairs counts the (center, point) pairs the index's ball queries
+    kept, over ball_blocks calls. peak_rss_mb is the process's peak
+    resident memory so far, and stage_peak_mb that peak at each stage's
+    end, in run order."""
 
     stage_s: dict
     stage_peak_mb: dict
@@ -127,7 +126,6 @@ class TimingReport:
     total_fine_vertices: int
     nn_queries: int
     near_queries: int
-    stored_sites: int
     ball_pairs: int
     ball_blocks: int
     peak_rss_mb: float
@@ -141,7 +139,6 @@ class TimingReport:
                 f"total_fine_vertices={self.total_fine_vertices}",
                 f"nn_queries={self.nn_queries}",
                 f"near_queries={self.near_queries}",
-                f"stored_sites={self.stored_sites}",
                 f"ball_pairs={self.ball_pairs}",
                 f"ball_blocks={self.ball_blocks}",
                 f"peak_rss_mb={self.peak_rss_mb:.1f}"] + [
@@ -303,13 +300,6 @@ def _band_sites(spec, points, stride, near_bound):
     no refined site; its corners read at least min(near_bound, far_cap),
     as do the sites filled from them, and no inside flag or crossed edge
     changes. Only field values outside the band do (--dump-field).
-
-    The grid stores only the blocks that hold a band site (band_grid). A
-    block without one holds no refined site either: a refined site lies
-    within one fine step of its hot vertex, a band site, so every block
-    that holds the refined site holds the hot vertex too. Each site of such
-    a block reads the far field, which PipelineConfig keeps above the level,
-    so its cubes carry no crossing: every crossed cube lies in a stored block.
     """
     m = (spec.fine_n - 1) // stride + 1
     step = stride * spec.fine_spacing
@@ -396,12 +386,12 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
     refined sites, keyed by their parents, whose nn it queries itself.
     """
     cf = None
+    grid = AdaptiveGrid(spec, 1 if config.baseline_mode else 2, config.far_cap)
     if config.baseline_mode:
         with stage("evaluate", times):
             # every fine vertex that can reach the mesh, at the fixed
             # radius, no curvature conditioning: always centroid-pad
             ids = _band_sites(spec, index.points, 1, max(config.r0, iso.eps))
-            grid = band_grid(spec, 1, ids, config.far_cap)
         streams = [(ids, ids, None)]
         threshold = np.inf
 
@@ -410,7 +400,6 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
     else:
         with stage("curvature", times):
             ids = _coarse_band(config, index, spec)
-            grid = band_grid(spec, 2, ids, config.far_cap)
             nn, cf = _curvature(config, norm_cloud, index, spec, ids)
             sched = RadiusSchedule.from_field(
                 cf, s_max=config.s_max, s_min=config.s_min,
@@ -473,7 +462,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         stage_s=times.s, stage_peak_mb=times.peak_mb, nn_s=index.nn_s, ball_s=index.ball_s,
         evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
         total_fine_vertices=spec.total_fine_vertices, nn_queries=index.nn_rows,
-        near_queries=near_queries, stored_sites=grid.stored_sites,
+        near_queries=near_queries,
         ball_pairs=index.ball_pairs, ball_blocks=index.ball_calls,
         peak_rss_mb=times.peak_so_far())
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,

@@ -8,13 +8,11 @@ with plain numpy, in the most direct form of the formula.
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from curvrec.curvature import DEGENERATE_TRACE
 from curvrec.errors import EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
 from curvrec.extract import _T_CLAMP
-from curvrec.grid import BLOCK
 from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
@@ -204,27 +202,6 @@ def dense_hierarchical_fill(values, evaluated):
             open_sites = ~evaluated[site]
             target[open_sites] = acc[open_sites]
     return values
-
-
-def blocks_of(field, spec):
-    """(stack, coords): every block of a dense (n, n, n) field as
-    AdaptiveGrid builds it, past-the-lattice sites NaN (False for flags)."""
-    field = np.asarray(field)
-    n, nb = spec.fine_n, spec.blocks_per_axis
-    padded = np.full((BLOCK * nb + 1,) * 3, np.nan if field.dtype.kind == "f" else 0,
-                     dtype=field.dtype)
-    padded[:n, :n, :n] = field
-    windows = sliding_window_view(padded, (BLOCK + 1,) * 3)[::BLOCK, ::BLOCK, ::BLOCK]
-    coords = np.stack(np.unravel_index(np.arange(nb ** 3), (nb,) * 3), axis=-1)
-    return windows.reshape((-1,) + windows.shape[3:]).copy(), coords
-
-
-def slabs_of(stack, coords):
-    """A block stack as marching_cubes takes it: (values, coords) per x
-    slab, in ascending x."""
-    coords = np.asarray(coords)
-    return [(stack[coords[:, 0] == x], coords[coords[:, 0] == x])
-            for x in np.unique(coords[:, 0])]
 
 
 def refine_with_parents(spec, evaluated, hot_ids):

@@ -10,8 +10,8 @@ import oracles
 
 
 def extract(field, spec, iso):
-    """marching_cubes over every block of a dense field."""
-    return marching_cubes(oracles.slabs_of(*oracles.blocks_of(field, spec)), spec, iso)
+    """marching_cubes over a dense field given as one slab."""
+    return marching_cubes([(field, 0)], spec, iso)
 
 
 def lattice_positions(spec):
@@ -67,7 +67,9 @@ def test_nan_field_rejected():
     with pytest.raises(EmptyField):
         extract(bad, spec, IsoSpec(eps=0.5))
     with pytest.raises(ValueError):
-        marching_cubes([(np.ones((3, 3, 3)), np.zeros((1, 3)))], spec, IsoSpec(eps=0.5))
+        marching_cubes([(np.ones((3, 3, 3)), 0)], spec, IsoSpec(eps=0.5))
+    with pytest.raises(ValueError):  # past the lattice's last plane
+        marching_cubes([(np.ones((3, n, n)), n - 2)], spec, IsoSpec(eps=0.5))
 
 
 def test_single_interior_vertex_octahedron():
@@ -210,3 +212,23 @@ def test_affine_field_plane():
     mesh = extract(field, spec, IsoSpec(eps))
     z = mesh.vertices[:, 2]
     assert np.allclose(np.abs(z), eps, atol=1e-9 + eps * 2e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coarse=st.integers(1, 6), data=st.data())
+def test_slabs_cut_anywhere_match_the_dense_oracle(coarse, data):
+    # the slabs of a dense field cut at any planes, each of 2 planes or
+    # more and sharing its first plane with the slab before, give the dense
+    # extraction's bits: a crossed edge on a cut is found by both slabs
+    spec = LatticeSpec(coarse_cells=coarse, margin_cells=0)
+    n = spec.fine_n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    field = rng.random((n, n, n))
+    field[rng.random((n, n, n)) < data.draw(st.sampled_from([0.0, 0.2]))] = 0.5
+    cuts = data.draw(st.lists(st.integers(1, n - 2), unique=True), label="cuts")
+    planes = [0, *sorted(cuts), n - 1]
+    slabs = [(field[a:b + 1], a) for a, b in zip(planes, planes[1:])]
+    mesh = marching_cubes(slabs, spec, IsoSpec(0.5))
+    vertices, faces = oracles.dense_marching_cubes(field, spec, 0.5)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.faces, faces)

@@ -8,8 +8,8 @@ from curvrec import grid as grid_module
 from curvrec.curvature import CurvatureField
 from curvrec.errors import MissingCoarseValue, NotCoarseVertex
 from curvrec.extract import IsoSpec, marching_cubes
-from curvrec.grid import (BLOCK, AdaptiveGrid, LatticeSpec, band_grid, hierarchical_fill,
-                          load_field, refine_with_parents, save_field, select_hot)
+from curvrec.grid import (SLAB, AdaptiveGrid, LatticeSpec, hierarchical_fill, load_field,
+                          refine_with_parents, save_field, select_hot)
 import oracles
 from oracles import coarse_queries
 
@@ -257,27 +257,20 @@ def test_fill_matches_oracle_bitwise(coarse, data):
     assert np.array_equal(grid.dense_values().ravel(), [expect[i] for i in range(len(expect))])
 
 
-def _slab_stack(grid):
-    """The grid's filled blocks, every slab stacked, in the order of grid.coords."""
-    return np.concatenate([values for values, _ in grid.slabs()])
-
-
 @settings(max_examples=200, deadline=None)
 @given(coarse=st.integers(1, 4), data=st.data())
 def test_filled_sites_never_read_refined_sites(coarse, data):
-    # a refined block is closed under the fill stencil, so a per-block fill
-    # needs a halo of one coarse cell and no more
+    # a site whose fill reads a refined site lies in the same hot vertex's
+    # 3x3x3 neighborhood, so it is refined itself: a later write to the
+    # refined sites changes no filled site
     grid, new, rng, _, _ = _refined_grid(coarse, data)
-    spec = grid.spec
-    evaluated = oracles.blocks_of(grid.evaluated_at(every_site(grid)).reshape((spec.fine_n,) * 3),
-                                  spec)[0]
-    before = _slab_stack(grid)
+    evaluated = grid.evaluated_at(every_site(grid)).reshape((grid.spec.fine_n,) * 3)
+    before = grid.dense_values()
     latest = _signed_magnitudes(rng, new.size)
     grid.set_values(new, latest)  # the later write wins
-    after = _slab_stack(grid)
-    # sites past the lattice's last plane fill from NaN, and stay NaN
-    assert np.array_equal(after[~evaluated], before[~evaluated], equal_nan=True)
-    assert np.array_equal(grid.dense_values().ravel()[new], latest)
+    after = grid.dense_values()
+    assert np.array_equal(after[~evaluated], before[~evaluated])
+    assert np.array_equal(after.ravel()[new], latest)
     # with every site evaluated the fill writes nothing
     full = _signed_magnitudes(rng, after.size).reshape(after.shape)
     filled = full.copy()
@@ -291,19 +284,19 @@ def test_filled_sites_never_read_refined_sites(coarse, data):
        share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
        hot=st.lists(st.tuples(*[st.integers(0, 20)] * 3), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
-# margin 0 and 24 fine cells, which BLOCK does not divide; hot vertices on a
-# face, an edge and a corner of a block, and on the lattice's corners
+# margin 0 and 24 fine cells, which SLAB does not divide; hot vertices on a
+# slab's shared plane, and on the lattice's corners
 @example(coarse=12, margin=0, baseline=False, far=0.7, level=0.5, share=0.01,
          hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (0, 0, 0), (12, 12, 12)], seed=0)
-# 32 fine cells, which BLOCK divides: the last plane is the last block's
-# upper face; the only band sites are hot, with refined sites on block faces
+# 32 fine cells, which SLAB divides: the last plane is the last slab's
+# upper plane; the only band sites are hot, with refined sites on slab planes
 @example(coarse=16, margin=1, baseline=False, far=0.3, level=0.1, share=0.0,
          hot=[(8, 8, 8), (16, 8, 4), (8, 16, 16)], seed=1)
 @example(coarse=17, margin=2, baseline=True, far=0.7, level=0.5, share=0.01,
          hot=[(8, 8, 8)], seed=2)
-def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share, hot, seed):
-    # the grid over the band's blocks fills, dumps and extracts the same
-    # bits as the whole-lattice kernels with the band's values and far
+def test_slabs_match_dense_oracles(coarse, margin, baseline, far, level, share, hot, seed):
+    # the grid given the band's values fills, dumps and extracts the same
+    # bits as the whole-lattice kernels with those values and far
     # everywhere else, at a level below far (PipelineConfig refuses others)
     assume(level < far)
     spec = LatticeSpec(coarse_cells=coarse, margin_cells=min(margin, (coarse - 1) // 2))
@@ -315,8 +308,7 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
     hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64).reshape(-1, 3)
                                           % (coarse + 1))))
     band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
-    band = band if band.size else np.array([0])
-    grid = band_grid(spec, stride, band, far)
+    grid = AdaptiveGrid(spec, stride, far)
     values = np.where(on_stride, far, np.nan).ravel()
     evaluated = on_stride.ravel().copy()
 
@@ -355,20 +347,20 @@ def test_blocks_match_dense_oracles(coarse, margin, baseline, far, level, share,
        far=st.sampled_from([np.nan, 0.3]), share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
        hot=st.lists(st.tuples(*[st.integers(0, 20)] * 3), max_size=6),
        repeats=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
-# 24 fine cells, which BLOCK does not divide: the last blocks overhang the
-# lattice; refined sites on block faces, edges and corners
+# 24 fine cells, which SLAB does not divide: the last slab is thinner;
+# refined sites on the plane two slabs share
 @example(coarse=12, margin=0, baseline=False, far=np.nan, share=0.01,
          hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (0, 0, 0), (12, 12, 12)], repeats=10, seed=0)
 @example(coarse=16, margin=1, baseline=True, far=0.3, share=0.2, hot=[(8, 8, 8)], repeats=5,
          seed=1)
-def test_each_built_slab_is_the_dense_oracles_blocks(coarse, margin, baseline, far, share, hot,
+def test_each_built_slab_is_the_dense_oracles_planes(coarse, margin, baseline, far, share, hot,
                                                       repeats, seed):
-    # every slab slabs() builds holds, inside the lattice, the stored blocks
-    # of the whole-lattice fill over the written values, far at the other
-    # stride sites; a site written twice keeps its later value, and building
-    # a slab refuses an evaluated site without one
+    # every slab slabs() builds holds its planes of the whole-lattice fill
+    # over the written values, far at the other stride sites; a site
+    # written twice keeps its later value, and building a slab refuses an
+    # evaluated site without one
     spec = LatticeSpec(coarse_cells=coarse, margin_cells=min(margin, (coarse - 1) // 2))
-    n, nb = spec.fine_n, spec.blocks_per_axis
+    n = spec.fine_n
     stride = 1 if baseline else 2
     rng = np.random.default_rng(seed)
     on_stride = np.zeros((n, n, n), dtype=bool)
@@ -376,8 +368,7 @@ def test_each_built_slab_is_the_dense_oracles_blocks(coarse, margin, baseline, f
     hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64).reshape(-1, 3)
                                           % (coarse + 1))))
     band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
-    band = band if band.size else np.array([0])
-    grid = band_grid(spec, stride, band, far)
+    grid = AdaptiveGrid(spec, stride, far)
     values = np.where(on_stride, far, np.nan).ravel()
     evaluated = on_stride.ravel().copy()
 
@@ -392,30 +383,19 @@ def test_each_built_slab_is_the_dense_oracles_blocks(coarse, margin, baseline, f
         evaluated[new] = True
         evaluate(new)
     evaluate(rng.permutation(band)[:repeats])  # again, in no order
-    inside = ~np.isnan(oracles.blocks_of(np.zeros((n, n, n)), spec)[0])
-    stored = np.ravel_multi_index(tuple(grid.coords.T), (nb,) * 3)
-    held = oracles.blocks_of(np.arange(n ** 3).reshape(n, n, n), spec)[0][stored]
-    held = np.unique(held[inside[stored]])
-    missing = held[evaluated[held] & np.isnan(values[held])]
+    missing = np.flatnonzero(evaluated & np.isnan(values))
     if missing.size:  # far is NaN: stride sites off the band have no value yet
         with pytest.raises(MissingCoarseValue):
             list(grid.slabs())
-        owner = np.minimum(spec.unflatten(missing) // BLOCK, nb - 1)
-        owned = np.isin(np.ravel_multi_index(tuple(owner.T), (nb,) * 3), stored)
-        evaluate(missing[owned])
-        if not owned.all():  # a stored face site whose owner is not stored
-            with pytest.raises(MissingCoarseValue):
-                list(grid.slabs())
-            return
+        evaluate(missing)
     oracles.dense_hierarchical_fill(values.reshape(n, n, n), evaluated.reshape(n, n, n))
-    expect, _ = oracles.blocks_of(values.reshape(n, n, n), spec)
-    built = []
-    for slab, coords in grid.slabs():
-        assert (coords[:, 0] == coords[0, 0]).all()
-        rows = np.ravel_multi_index(tuple(coords.T), (nb,) * 3)
-        assert np.array_equal(slab[inside[rows]], expect[rows][inside[rows]], equal_nan=True)
-        built.append(coords)
-    assert np.array_equal(np.concatenate(built), grid.coords)
+    values = values.reshape(n, n, n)
+    starts = []
+    for slab, x0 in grid.slabs():
+        assert slab.shape == (min(SLAB, n - 1 - x0) + 1, n, n)
+        assert np.array_equal(slab, values[x0:x0 + len(slab)])
+        starts.append(x0)
+    assert starts == list(range(0, n - 1, SLAB))
 
 
 def test_evaluated_count_counts_each_newly_marked_site_once():
@@ -432,40 +412,32 @@ def test_evaluated_count_counts_each_newly_marked_site_once():
     assert grid.filled_count == n ** 3 - grid.evaluated_count
 
 
-def test_sites_outside_the_stored_blocks_read_the_far_field():
-    spec = LatticeSpec(coarse_cells=16, margin_cells=1)   # 2 blocks per axis
-    grid = AdaptiveGrid(spec, blocks=[0], far=0.3)
+def test_unwritten_sites_read_the_far_field():
+    spec = LatticeSpec(coarse_cells=16, margin_cells=1)
+    grid = AdaptiveGrid(spec, far=0.3)
     n = spec.fine_n
-    # (16, 3, 3) lies on block 0's upper face, but its owner, block (1, 0, 0),
-    # is not stored
-    outside = spec.flat_id(np.array([[20, 20, 20], [21, 20, 20], [17, 3, 3], [16, 3, 3]]))
-    for site in outside:
-        for call in (grid.evaluated_at, grid.mark_evaluated, lambda s: grid.set_values(s, 1.0)):
-            with pytest.raises(ValueError, match=f"site {site} lies outside the stored blocks"):
-                call([site])
     hierarchical_fill(grid)
     far = np.full((n, n, n), np.nan)
     far[::2, ::2, ::2] = 0.3
     on_stride = ~np.isnan(far)
     oracles.dense_hierarchical_fill(far, on_stride)
     assert np.array_equal(grid.dense_values(), far)
-    assert grid.stored_sites == 16 ** 3
     assert grid.evaluated_count == np.count_nonzero(on_stride)
     assert grid.filled_count == n ** 3 - np.count_nonzero(on_stride)
 
 
-def _assert_faces_agree(grid):
-    """Each built block's upper face equals its stored upper neighbour's
-    lower face, its values filled, within an x slab and across slabs."""
-    slabs = list(grid.slabs())
-    assert [int(c[0, 0]) for _, c in slabs] == sorted({int(c[0, 0]) for _, c in slabs})
-    block = {tuple(c): v for values, coords in slabs for c, v in zip(coords.tolist(), values)}
-    for c, values in block.items():
-        for axis in range(3):
-            upper = block.get(c[:axis] + (c[axis] + 1,) + c[axis + 1:])
-            if upper is not None:
-                assert np.array_equal(np.take(values, BLOCK, axis), np.take(upper, 0, axis),
-                                      equal_nan=True)
+def test_ids_outside_the_lattice_are_refused():
+    # a slab reads its sites by id range, so an id outside the lattice
+    # would be dropped silently: every call refuses it, naming the first
+    spec = LatticeSpec(coarse_cells=4, margin_cells=1)
+    grid = AdaptiveGrid(spec, far=0.3)
+    total = spec.total_fine_vertices
+    for ids, bad in (([-1], -1), ([total], total), ([3, total + 5, -2, 7], total + 5)):
+        for call in (grid.evaluated_at, grid.mark_evaluated, lambda s: grid.set_values(s, 1.0)):
+            with pytest.raises(ValueError, match=f"id {bad} is outside the lattice of {total} "):
+                call(ids)
+    assert grid.evaluated_count == ((spec.fine_n + 1) // 2) ** 3
+    assert np.all(grid.dense_values() == 0.3)  # nothing was written or marked
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,14 +446,14 @@ def _assert_faces_agree(grid):
        hot=st.lists(st.tuples(*[st.one_of(st.sampled_from([8, 16]), st.integers(0, 20))] * 3),
                     min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
-# hot vertices on a block face, edge and corner; the last plane at 32 fine
-# cells is the last block's upper face
+# hot vertices on the planes slabs share; the last plane at 32 fine cells
+# is the last slab's upper plane
 @example(coarse=16, baseline=False, share=0.0, hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8), (16, 16, 16)],
          seed=0)
 @example(coarse=12, baseline=True, share=0.0, hot=[(8, 3, 5), (8, 8, 3), (8, 8, 8)], seed=1)
-def test_every_stored_copy_of_a_site_agrees(coarse, baseline, share, hot, seed):
-    # at least 2 blocks per axis; a write reaches every built block that
-    # holds its site, and those fill it alike
+def test_consecutive_slabs_agree_on_their_shared_plane(coarse, baseline, share, hot, seed):
+    # at least 2 slabs; a write reaches both slabs that hold its plane, and
+    # those fill it alike
     spec = LatticeSpec(coarse_cells=coarse, margin_cells=1)
     n, stride = spec.fine_n, 1 if baseline else 2
     rng = np.random.default_rng(seed)
@@ -489,29 +461,34 @@ def test_every_stored_copy_of_a_site_agrees(coarse, baseline, share, hot, seed):
     on_stride[::stride, ::stride, ::stride] = True
     hot_ids = np.unique(spec.flat_id(2 * (np.array(hot, dtype=np.int64) % (coarse + 1))))
     band = np.union1d(np.flatnonzero(on_stride.ravel() & (rng.random(n ** 3) < share)), hot_ids)
-    grid = band_grid(spec, stride, band, 0.3)
+    grid = AdaptiveGrid(spec, stride, 0.3)
     grid.set_values(band, rng.random(band.size))
-    _assert_faces_agree(grid)
+
+    def assert_planes_agree():
+        slabs = list(grid.slabs())
+        assert len(slabs) >= 2
+        for (lower, x0), (upper, x1) in zip(slabs, slabs[1:]):
+            assert x1 == x0 + len(lower) - 1
+            assert np.array_equal(lower[-1], upper[0])
+
+    assert_planes_agree()
     if not baseline:
         new = refine_with_parents(grid, hot_ids)[0]
         if new.size:  # marked, not yet written
             with pytest.raises(MissingCoarseValue):
                 list(grid.slabs())
         grid.set_values(new, rng.random(new.size))
-        _assert_faces_agree(grid)
+        assert_planes_agree()
         assert grid.evaluated_at(new).all()
 
 
 def test_site_lookups_stay_within_a_few_bytes_per_site():
-    # every fine site of 13 fine planes of a coarse-128 lattice, 859k ids, in
-    # the blocks of a band of 7 coarse planes. Measured 11.4 (set_values) and
-    # 19.0 (evaluated_at) bytes per id; an unchunked lookup takes 97, the
-    # lookup of every holder that preceded the owner lookup 39.
+    # every fine site of 13 fine planes of a coarse-128 lattice, 859k ids.
+    # Measured 3.2 bytes per id for each: the flags and one chunk's
+    # temporaries.
     spec = LatticeSpec(coarse_cells=128, margin_cells=3)
-    n, m = spec.fine_n, spec.coarse_cells + 1
-    band = np.sort(spec.flat_id(2 * np.stack(np.meshgrid(
-        np.arange(m), np.arange(m), np.arange(60, 67), indexing="ij"), axis=-1).reshape(-1, 3)))
-    grid = band_grid(spec, 2, band, 0.1)
+    n = spec.fine_n
+    grid = AdaptiveGrid(spec, 2, 0.1)
     ids = (np.arange(n * n)[:, None] * n + np.arange(120, 133)).ravel()
     values = np.random.default_rng(0).random(ids.size)
     for call, bound in ((lambda: grid.set_values(ids, values), 16),
@@ -538,14 +515,16 @@ def test_fill_never_overwrites_evaluated():
 
 
 def test_slabs_as_an_array_count_their_sites_without_values():
-    # np.asarray(slabs).size is the block sites the slabs hold, as a tracer
-    # sizing marching_cubes' first argument reads it, and takes no memory
+    # np.asarray(slabs).size is the lattice's sites, which the slabs cover,
+    # as a tracer sizing marching_cubes' first argument reads it, and takes
+    # no memory
     spec = LatticeSpec(coarse_cells=20, margin_cells=1)
-    grid = band_grid(spec, 2, np.array([0, spec.flat_id([20, 8, 30])]), 0.3)
+    grid = AdaptiveGrid(spec, 2, 0.3)
     slabs = hierarchical_fill(grid)
     placeholder = np.asarray(slabs)
-    assert placeholder.size == sum(values.size for values, _ in slabs) == 2 * 4913
-    assert placeholder.strides == (0,) * 4 and np.isnan(placeholder).all()
+    planes = [len(values) for values, _ in slabs]
+    assert placeholder.size == spec.total_fine_vertices == (sum(planes) - len(planes) + 1) * 41 ** 2
+    assert placeholder.strides == (0,) * 3 and np.isnan(placeholder).all()
 
 
 def test_fill_requires_values():

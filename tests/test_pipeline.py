@@ -57,9 +57,8 @@ def test_reconstruct_sphere_closed_shell(sphere_cloud):
     assert list(timing.stage_s) == ["normalize", "index", "curvature", "refine", "evaluate",
                                     "fill", "extract", "denormalize"]
     assert min(timing.stage_s.values()) >= 0
-    # every query row is a band or refined site; the mesh's blocks are stored
+    # every query row is a band or refined site
     assert 0 < timing.near_queries <= timing.nn_queries < timing.evaluated_queries
-    assert 0 < timing.stored_sites <= timing.total_fine_vertices
     assert timing.ball_pairs >= timing.ball_blocks > 0 and timing.peak_rss_mb > 0
 
 
@@ -320,7 +319,7 @@ def test_mesh_bytes_independent_of_chunk_size(sphere_cloud, monkeypatch):
 
 
 _COUNTS = ("evaluated_queries", "filled_queries", "total_fine_vertices", "nn_queries",
-           "near_queries", "stored_sites", "ball_pairs")
+           "near_queries", "ball_pairs")
 
 
 @pytest.mark.parametrize("baseline", [False, True])
@@ -652,10 +651,10 @@ def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
 
 
 def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch):
-    # On sheets a minority of the blocks is stored, and fill and extract
-    # together with their results allocate less than a dense float64 lattice
-    # would take; only --dump-field builds that lattice, and it holds the
-    # whole-lattice kernels' field over the values the grid was given.
+    # Fill and extract together with their results allocate less than a
+    # dense float64 lattice would take; only --dump-field builds that
+    # lattice, and it holds the whole-lattice kernels' field over the values
+    # the grid was given.
     cloud = fixtures.make_fixture("sheets", count=12000, seed=0, gap=0.045, noise=0.002)
     config = small_config(coarse_cells=64, margin_cells=3)
     n = LatticeSpec(coarse_cells=64, margin_cells=3).fine_n
@@ -680,7 +679,6 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
     monkeypatch.setattr(pipeline, "hierarchical_fill", traced("fill", pipeline.hierarchical_fill))
     monkeypatch.setattr(pipeline, "marching_cubes", traced("extract", pipeline.marching_cubes))
     result = run_pipeline(config, cloud)
-    assert 0 < result.timing.stored_sites < result.spec.total_fine_vertices / 2
     assert set(peaks) == {"fill", "extract"}
     assert max(peaks.values()) < n ** 3 * 8
 
@@ -704,8 +702,8 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
 
 def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatch):
     # from evaluate to extract the grid keeps the ids and values it was
-    # given, under 24 bytes per evaluated site; on this sphere its stored
-    # blocks alone would take more, 9 bytes (a float64 and a flag) per site
+    # given, under 24 bytes per evaluated site; on this sphere the dense
+    # lattice would take more, 9 bytes (a float64 and a flag) per site
     held = []
 
     def fill(grid):
@@ -713,7 +711,7 @@ def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatc
         try:
             clone = copy.deepcopy(grid)  # allocates what the grid holds
             held.append((tracemalloc.get_traced_memory()[0], grid.evaluated_count,
-                         grid.stored_sites))
+                         grid.spec.total_fine_vertices))
         finally:
             tracemalloc.stop()
         del clone
@@ -722,8 +720,8 @@ def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatc
     hierarchical_fill = pipeline.hierarchical_fill
     monkeypatch.setattr(pipeline, "hierarchical_fill", fill)
     run_pipeline(small_config(coarse_cells=64, margin_cells=3), sphere_cloud)
-    [(nbytes, evaluated, stored)] = held
-    assert nbytes < 24 * evaluated < 9 * stored
+    [(nbytes, evaluated, sites)] = held
+    assert nbytes < 24 * evaluated < 9 * sites
 
 
 def test_dump_field(sphere_cloud, tmp_path):
@@ -892,7 +890,7 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--margin-cells", "2"]) == 0
     out = capsys.readouterr().out
     assert "evaluate_s=" in out and "evaluated_queries=" in out
-    assert "nn_queries=" in out and "near_queries=" in out and "stored_sites=" in out
+    assert "nn_queries=" in out and "near_queries=" in out
     assert "ball_pairs=" in out and "ball_blocks=" in out and "peak_rss_mb=" in out
     assert mesh_path.exists()
 
