@@ -133,6 +133,13 @@ class AdaptiveGrid:
         self._runs = []
         self.evaluated_count = ((spec.fine_n - 1) // stride + 1) ** 3
 
+    def _check_range(self, ids):
+        """ValueError naming the first id outside the lattice."""
+        n3 = self.spec.fine_n ** 3
+        if ids.size and (ids.min() < 0 or ids.max() >= n3):
+            raise ValueError(f"id {ids[(ids < 0) | (ids >= n3)][0]} is outside the lattice "
+                             f"of {n3} fine vertices")
+
     def _flags(self, ids):
         """Evaluated flag per site of ids, _SITE_CHUNK sites at a time;
         ValueError naming the first id outside the lattice."""
@@ -140,10 +147,7 @@ class AdaptiveGrid:
         flags = np.empty(ids.size, dtype=bool)
         for start in range(0, ids.size, _SITE_CHUNK):
             chunk = ids[start:start + _SITE_CHUNK]
-            outside = (chunk < 0) | (chunk >= n ** 3)
-            if outside.any():
-                raise ValueError(f"id {chunk[outside][0]} is outside the lattice of {n ** 3} "
-                                 f"fine vertices")
+            self._check_range(chunk)
             ijk = np.unravel_index(chunk, (n, n, n))
             flag = flags[start:start + _SITE_CHUNK]
             np.equal(ijk[0] % self.stride, 0, out=flag)
@@ -157,7 +161,7 @@ class AdaptiveGrid:
     def set_values(self, ids, values):
         ids = np.asarray(ids, dtype=np.int64).ravel()
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), ids.shape)
-        self._flags(ids)  # ValueError for an id outside the lattice
+        self._check_range(ids)
         if (ids[1:] < ids[:-1]).any():
             order = np.argsort(ids, kind="stable")  # keeps a repeated id's write order
             ids, values = ids[order], values[order]
