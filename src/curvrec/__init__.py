@@ -11,15 +11,15 @@ _MODULES = {
     "curvature": ("CurvatureField", "curvature_field", "percentile"),
     "estimator": ("NearestPointEstimator", "PlaneFitEstimator", "make_estimator"),
     "extract": ("IsoSpec", "marching_cubes"),
-    "grid": ("AdaptiveGrid", "LatticeSpec", "hierarchical_fill", "load_field",
-             "refine_with_parents", "save_field", "select_hot"),
+    "grid": ("AdaptiveGrid", "LatticeSpec", "hierarchical_fill", "refine_with_parents",
+             "save_field", "select_hot"),
     "io": ("read_mesh", "read_point_cloud", "write_mesh", "write_point_cloud"),
     "metrics": ("MetricReport", "evaluate", "sample_mesh"),
     "model": ("NormalizationTransform", "PointCloud", "TriangleMesh", "denormalize_mesh",
               "normalize_cloud"),
     "patch": ("Patches", "ResamplePolicy", "pad_weights", "resample", "segmented_moments"),
     "pipeline": ("BenchResult", "PipelineConfig", "PipelineResult", "TimingReport", "bench",
-                 "reconstruct", "run_pipeline"),
+                 "run_pipeline"),
     "schedule": ("RadiusSchedule", "radius", "scale_factor"),
     "spatial": ("SpatialIndex", "build_index"),
 }

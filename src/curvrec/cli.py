@@ -81,11 +81,11 @@ def build_config(args) -> PipelineConfig:
 
 
 def _cmd_reconstruct(args, config):
-    mesh, timing = pipeline.reconstruct(config)
-    for line in timing.lines():
+    result = pipeline.run_pipeline(config)
+    for line in result.timing.lines():
         print(line)
-    print(f"vertices={mesh.num_vertices}")
-    print(f"faces={mesh.num_faces}")
+    print(f"vertices={result.mesh.num_vertices}")
+    print(f"faces={result.mesh.num_faces}")
     print(f"output={config.output_path}")
     return 0
 

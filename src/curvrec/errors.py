@@ -35,11 +35,11 @@ class NoCurvatureSamples(ReconstructionError):
 
 
 class NotCoarseVertex(ReconstructionError):
-    """Refinement seed is not an evaluated coarse vertex."""
+    """Refinement seed is not a coarse vertex of the lattice."""
 
 
 class MissingCoarseValue(ReconstructionError):
-    """Fill started before every coarse/refined site had a value."""
+    """An evaluated site, a stride site or a written one, has no value."""
 
 
 class EmptyMesh(ReconstructionError):

@@ -11,15 +11,16 @@ fields.
 Fine vertices are addressed by a flat id in lexicographic order with z
 fastest; all public operations speak flat ids.
 
-Until the fill, the grid holds only what was written to it, the
-evaluated sites' ids and values. The lattice exists one dense x slab at a
-time, SLAB fine cells thick over the whole y-z plane, built when fill,
-extract or the dump asks for it (AdaptiveGrid.slabs) and dropped once
-used. No halo is needed: a filled site reads only its own coarse cell,
-and a marching cube its 8 corners, so each slab fills and extracts on its
-own, and two slabs fill the plane they share alike. A stride site never
-written reads far, so a coarse cell outside the band reads the far field
-(far_field); only --dump-field builds the dense (n, n, n) array.
+The grid holds only what was written to it: a site is evaluated when it
+is a stride site or was given a value. The lattice exists one dense x
+slab at a time, SLAB fine cells thick over the whole y-z plane, built
+when fill, extract or the dump asks for it (AdaptiveGrid.slabs) and
+dropped once used. No halo is needed: a filled site reads only its own
+coarse cell, and a marching cube its 8 corners, so each slab fills and
+extracts on its own, and two slabs fill the plane they share alike. A
+stride site never written reads far, so a coarse cell outside the band
+reads the far field (far_field). No stage builds the dense (n, n, n)
+array: the dump, too, writes one slab at a time.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyField, MissingCoarseValue, NotCoarseVertex
+from .errors import MissingCoarseValue, NotCoarseVertex
 
 MARGIN_CELLS_DEFAULT = 3
 
@@ -102,84 +103,65 @@ class LatticeSpec:
 # at 101.6-102.6 and 197.1-201.8 MB at 16, with wall times alike; glibc's
 # heap layout moves the coarse-128 peak by up to 10 MB from run to run.
 SLAB = 16
-# Sites per pass when flagging sites; bounds the pass's temporaries (65
-# bytes a site, measured with marks present) to a few MB.
+# Sites per pass when counting a write's new sites; bounds the pass's
+# temporaries to a few MB.
 _SITE_CHUNK = 1 << 15
 
 
 class AdaptiveGrid:
     """Field values over the fine lattice, and which sites were evaluated
-    directly (stride sites from the start, refined later) rather than
-    filled.
+    directly rather than filled: the stride sites, and every site given a
+    value.
 
-    The grid keeps what was written, not the lattice: the ascending ids
-    marked evaluated beyond the stride sites, and each set_values call's
-    (ids, values) as one run, sorted by id, a later run winning for a
-    repeated id. It keeps the arrays it is given when their ids ascend, so
-    they must not change afterwards. slabs() builds the lattice from them
-    one dense x slab at a time, filled. A stride site never written reads
-    far, and the fill gives every other site its value.
+    The grid keeps what was written, not the lattice: each set_values
+    call's (ids, values) as one run, sorted by id, a later run winning for
+    a repeated id. It keeps the arrays it is given when their ids ascend,
+    so they must not change afterwards. slabs() builds the lattice from
+    them one dense x slab at a time, filled. A stride site never written
+    reads far, and the fill gives every other site its value.
 
-    Writing, marking or reading the flag of an id outside the lattice
-    raises ValueError.
+    Writing an id outside the lattice raises ValueError.
 
-    evaluated_count counts the evaluated lattice sites as they are marked:
-    every stride site plus each site mark_evaluated flags.
+    evaluated_count counts the evaluated lattice sites as they are
+    written: every stride site plus each off-stride site that no earlier
+    write gave a value.
     """
 
     def __init__(self, spec: LatticeSpec, stride=2, far=np.nan):
         self.spec, self.stride, self.far = spec, stride, far
-        self._marked = np.empty(0, dtype=np.int64)
         self._runs = []
         self.evaluated_count = ((spec.fine_n - 1) // stride + 1) ** 3
-
-    def _check_range(self, ids):
-        """ValueError naming the first id outside the lattice."""
-        n3 = self.spec.fine_n ** 3
-        if ids.size and (ids.min() < 0 or ids.max() >= n3):
-            raise ValueError(f"id {ids[(ids < 0) | (ids >= n3)][0]} is outside the lattice "
-                             f"of {n3} fine vertices")
-
-    def _flags(self, ids):
-        """Evaluated flag per site of ids, _SITE_CHUNK sites at a time;
-        ValueError naming the first id outside the lattice."""
-        n = self.spec.fine_n
-        flags = np.empty(ids.size, dtype=bool)
-        for start in range(0, ids.size, _SITE_CHUNK):
-            chunk = ids[start:start + _SITE_CHUNK]
-            self._check_range(chunk)
-            ijk = np.unravel_index(chunk, (n, n, n))
-            flag = flags[start:start + _SITE_CHUNK]
-            np.equal(ijk[0] % self.stride, 0, out=flag)
-            for x in ijk[1:]:
-                flag &= x % self.stride == 0
-            if self._marked.size:
-                at = np.minimum(np.searchsorted(self._marked, chunk), self._marked.size - 1)
-                flag |= self._marked[at] == chunk
-        return flags
 
     def set_values(self, ids, values):
         ids = np.asarray(ids, dtype=np.int64).ravel()
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), ids.shape)
-        self._check_range(ids)
+        n3 = self.spec.fine_n ** 3
+        if ids.size and (ids.min() < 0 or ids.max() >= n3):
+            raise ValueError(f"id {ids[(ids < 0) | (ids >= n3)][0]} is outside the lattice "
+                             f"of {n3} fine vertices")
         if (ids[1:] < ids[:-1]).any():
             order = np.argsort(ids, kind="stable")  # keeps a repeated id's write order
             ids, values = ids[order], values[order]
+        self.evaluated_count += self._new_sites(ids)
         self._runs.append((ids, values))
 
-    def mark_evaluated(self, ids):
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        flags = self._flags(ids)
-        fresh = ids[~flags] if flags.any() else ids
-        if (fresh[1:] <= fresh[:-1]).any():
-            fresh = np.sort(fresh)  # deduplicated by sorting: a bare np.unique hashes
-            fresh = fresh[np.r_[True, fresh[1:] != fresh[:-1]]]
-        self.evaluated_count += fresh.size
-        self._marked = np.union1d(self._marked, fresh) if self._marked.size else fresh
-
-    def evaluated_at(self, ids):
-        """Evaluated flag per site."""
-        return self._flags(np.asarray(ids, dtype=np.int64).ravel())
+    def _new_sites(self, ids):
+        """Off-stride sites of the ascending ids that no earlier run wrote,
+        each counted once, _SITE_CHUNK ids at a time."""
+        n = self.spec.fine_n
+        count = 0
+        for start in range(0, ids.size, _SITE_CHUNK):
+            chunk = ids[start:start + _SITE_CHUNK]
+            new = np.diff(chunk, prepend=ids[start - 1] if start else -1) != 0
+            off = np.zeros(chunk.size, dtype=bool)
+            for index in np.unravel_index(chunk, (n, n, n)):
+                off |= index % self.stride != 0
+            new &= off
+            for run, _ in self._runs:
+                if run.size:
+                    new &= run[np.minimum(np.searchsorted(run, chunk), run.size - 1)] != chunk
+            count += int(np.count_nonzero(new))
+        return count
 
     @property
     def filled_count(self):
@@ -194,7 +176,7 @@ class AdaptiveGrid:
     def _slab(self, x0):
         """The filled slab of planes x0 through x0 + SLAB (or the last plane),
         (planes, n, n). Flat ids are x-major, so the slab's sites are one id
-        range of every run and of the marks, at id - x0 n^2 in the slab."""
+        range of every run, at id - x0 n^2 in the slab."""
         n, s = self.spec.fine_n, self.stride
         planes = min(SLAB, n - 1 - x0) + 1
         base, span = x0 * n * n, np.array([x0, x0 + planes]) * n * n
@@ -202,26 +184,15 @@ class AdaptiveGrid:
         values[::s, ::s, ::s] = self.far  # x0 is even, so on the stride
         flags = np.zeros((planes, n, n), dtype=bool)
         flags[::s, ::s, ::s] = True
-        lo, hi = np.searchsorted(self._marked, span)
-        flags.reshape(-1)[self._marked[lo:hi] - base] = True
         for ids, v in self._runs:
             lo, hi = np.searchsorted(ids, span)
-            values.reshape(-1)[ids[lo:hi] - base] = v[lo:hi]
-        if (np.isnan(values) & flags).any():  # stride sites included
-            raise MissingCoarseValue("an evaluated (coarse or refined) vertex has no value")
+            at = ids[lo:hi] - base
+            values.reshape(-1)[at] = v[lo:hi]
+            flags.reshape(-1)[at] = True
+        if (np.isnan(values) & flags).any():
+            raise MissingCoarseValue("an evaluated (stride or written) site has no value")
         _fill(values, flags)
         return values
-
-    def dense_values(self):
-        """Field as an (n, n, n) array; EmptyField if any site lacks a value.
-        --dump-field is its one caller: the pipeline never builds it otherwise."""
-        n = self.spec.fine_n
-        dense = np.empty((n, n, n))
-        for values, x0 in self.slabs():
-            dense[x0:x0 + len(values)] = values
-        if np.isnan(dense).any():
-            raise EmptyField("field has unpopulated sites: an evaluated site has no value")
-        return dense
 
 
 class FilledSlabs:
@@ -262,47 +233,49 @@ def far_field(stride, far):
     return cell[:2, :2, :2]
 
 
-# the 3x3x3 stencil around a site: (di, dj, dk) columns, lexicographic
-_STENCIL = np.indices((3, 3, 3)).reshape(3, 27) - 1
-# Hot vertices per refine pass, which bounds the pass's (chunk, 27)
+# the 3x3x3 stencil around a site but its centre: (di, dj, dk) columns,
+# lexicographic
+_STENCIL = np.delete(np.indices((3, 3, 3)).reshape(3, 27) - 1, 13, axis=1)
+# Hot vertices per refine pass, which bounds the pass's (chunk, 26)
 # candidates and their sort to a few MB. On sphere-c128 (73,900 hot ids,
 # 906k new sites, seed 0, 2-core x86-64) refine took 0.27-0.44 s at 2**10,
 # 2**12 and 2**14 alike, and its traced peak was 41.8, 38.5 and 41.5 MB,
-# 14.5 MB of it the result; all hot ids in one pass, with mark_evaluated
-# counting by a hashed np.unique, took 1.24-1.35 s and 117 MB.
+# 14.5 MB of it the result; all hot ids in one pass, with the new sites
+# counted by a hashed np.unique, took 1.24-1.35 s and 117 MB.
 _HOT_CHUNK = 1 << 12
 
 
-def refine_with_parents(grid: AdaptiveGrid, hot_ids):
-    """Mark the 3x3x3 fine neighborhoods of hot coarse vertices for evaluation.
+def refine_with_parents(spec: LatticeSpec, hot_ids):
+    """The fine sites to evaluate around hot coarse vertices: their 3x3x3
+    fine neighborhoods but the centres.
 
-    Every hot id must be an evaluated coarse vertex (evaluated, all fine
-    indices even). Returns the newly added fine ids (ascending,
-    deduplicated across overlapping neighborhoods) and, for each, the first hot
-    vertex that claimed it. Sites already evaluated are left untouched, so
-    a repeat call with the same hot set adds nothing.
+    Every hot id must be a coarse vertex (all fine indices even). Every
+    other site of its neighborhood has an odd index, so it is neither a
+    coarse vertex nor a stride site of the adaptive grid. Returns those
+    sites' ids (ascending, deduplicated across overlapping neighborhoods)
+    and, for each, the first hot vertex that claimed it. The result
+    depends on the lattice and the hot ids alone.
 
     The hot ids are taken _HOT_CHUNK at a time, in order; a site that
     several chunks claim keeps the earliest chunk's claim.
     """
-    spec = grid.spec
     n = spec.fine_n
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
     outside = (hot_ids < 0) | (hot_ids >= spec.total_fine_vertices)
     if outside.any():
         raise NotCoarseVertex(f"id {hot_ids[outside][0]} is outside the lattice of "
                               f"{spec.total_fine_vertices} fine vertices")
-    coarse = grid.evaluated_at(hot_ids)
+    odd = np.zeros(hot_ids.size, dtype=bool)
     for index in np.unravel_index(hot_ids, (n, n, n)):
-        coarse &= index % 2 == 0
-    if not coarse.all():
-        raise NotCoarseVertex(f"id {hot_ids[~coarse][0]} is not an evaluated coarse vertex")
+        odd |= index % 2 == 1
+    if odd.any():
+        raise NotCoarseVertex(f"id {hot_ids[odd][0]} is not a coarse vertex")
     cands, claims = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start in range(0, hot_ids.size, _HOT_CHUNK):
         hot = hot_ids[start:start + _HOT_CHUNK]
-        # candidates: each hot id plus the stencil's 27 flat offsets, (C, 27),
+        # candidates: each hot id plus the stencil's 26 flat offsets, (C, 26),
         # clipped where the stencil leaves the lattice on some axis
-        inside = np.ones((hot.size, 27), dtype=bool)
+        inside = np.ones((hot.size, 26), dtype=bool)
         for axis, index in enumerate(np.unravel_index(hot, (n, n, n))):
             index = index[:, None] + _STENCIL[axis]
             inside &= (index >= 0) & (index < n)
@@ -311,9 +284,8 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
         # first claiming hot vertex in the chunk
         cand, first = np.unique((hot[:, None] + spec.flat_id(_STENCIL.T)).ravel()[kept],
                                 return_index=True)
-        fresh = ~grid.evaluated_at(cand)
-        cands.append(cand[fresh])
-        claims.append(hot[kept[first[fresh]] // 27])
+        cands.append(cand)
+        claims.append(hot[kept[first] // 26])
     # chunks run in hot_ids order too, so a stable sort puts each site's
     # first claim first; this merge sets refine's peak, so each temporary
     # goes once used
@@ -327,7 +299,6 @@ def refine_with_parents(grid: AdaptiveGrid, hot_ids):
     del cand, first
     parents = np.concatenate(claims)[order]
     del claims, order
-    grid.mark_evaluated(new)
     return new, parents
 
 
@@ -372,28 +343,14 @@ def _fill(values, evaluated):
             target[open_sites] = acc[open_sites]
 
 
-def save_field(values, spec: LatticeSpec, path):
-    """Dump the dense (n, n, n) field as little-endian float32, z fastest,
-    plus a text sidecar `<path>.hdr` of 4 integers: fine vertices per axis,
-    coarse cells, fine cells, margin cells."""
-    values = np.asarray(values)
-    n = spec.fine_n
-    if values.shape != (n, n, n):
-        raise ValueError(f"field shape {values.shape} does not match lattice {n}^3")
-    values.astype("<f4").tofile(path)
+def save_field(slabs, spec: LatticeSpec, path):
+    """Dump the field, given as its x slabs (values, x0) in ascending x, as
+    little-endian float32, z fastest, one slab at a time, each without the
+    plane it shares with the slab before; plus a text sidecar
+    `<path>.hdr` of 4 integers: fine vertices per axis, coarse cells, fine
+    cells, margin cells."""
+    with open(path, "wb") as fh:
+        for values, x0 in slabs:
+            values[min(x0, 1):].astype("<f4").tofile(fh)
     with open(f"{path}.hdr", "w") as fh:
-        fh.write(f"{n} {spec.coarse_cells} {spec.fine_cells} {spec.margin_cells}\n")
-
-
-def load_field(path):
-    """Inverse of save_field: returns (values (n,n,n) float64, LatticeSpec)."""
-    with open(f"{path}.hdr") as fh:
-        n, coarse_cells, fine_cells, margin_cells = map(int, fh.read().split())
-    spec = LatticeSpec(coarse_cells=coarse_cells, margin_cells=margin_cells)
-    if spec.fine_n != n or spec.fine_cells != fine_cells:
-        raise EmptyField(f"{path}.hdr is inconsistent: {n} vertices vs "
-                         f"{coarse_cells} coarse cells")
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != n ** 3:
-        raise EmptyField(f"{path}: expected {n ** 3} float32 values, found {raw.size}")
-    return raw.astype(np.float64).reshape(n, n, n), spec
+        fh.write(f"{spec.fine_n} {spec.coarse_cells} {spec.fine_cells} {spec.margin_cells}\n")

@@ -107,7 +107,7 @@ class PipelineConfig:
 class TimingReport:
     """stage_s holds each stage's wall time in run order; stages never nest,
     so they sum to nearly the run's. nn_s and ball_s are the index's query
-    times, within them. evaluated_queries counts the lattice sites marked
+    times, within them. evaluated_queries counts the lattice sites
     evaluated, not kd-tree queries: sites outside the band read far_cap
     without one.
     nn_queries counts the rows the run's index gave the nearest-point
@@ -406,7 +406,7 @@ def _evaluated_grid(config, norm_cloud, index, spec, iso, estimator, times):
                 alpha=config.alpha, beta=config.beta, r0=config.r0)
         with stage("refine", times):
             hot = select_hot(cf, cf.percentile_value(config.refine_threshold))
-            new_ids, parents = refine_with_parents(grid, hot)
+            new_ids, parents = refine_with_parents(spec, hot)
         # hot parents always have entries, so only coarse rows can miss
         streams = [(ids, ids, nn), (new_ids, parents, None)]
         threshold = cf.percentile_value(config.resample_threshold)
@@ -445,7 +445,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
 
     if config.dump_field:
         with stage("dump", times):
-            save_field(grid.dense_values(), spec, config.dump_field)
+            save_field(grid.slabs(), spec, config.dump_field)
 
     with stage("extract", times):
         norm_mesh = marching_cubes(field, spec, iso)
@@ -467,12 +467,6 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         peak_rss_mb=times.peak_so_far())
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
-
-
-def reconstruct(config: PipelineConfig, cloud: PointCloud | None = None):
-    """Run the full pipeline; returns (mesh in input coordinates, timing)."""
-    result = run_pipeline(config, cloud)
-    return result.mesh, result.timing
 
 
 @dataclass

@@ -10,9 +10,10 @@ import itertools
 import numpy as np
 
 from curvrec.curvature import DEGENERATE_TRACE
-from curvrec.errors import EmptyInput
+from curvrec.errors import EmptyField, EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
 from curvrec.extract import _T_CLAMP
+from curvrec.grid import LatticeSpec
 from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
@@ -202,6 +203,26 @@ def dense_hierarchical_fill(values, evaluated):
             open_sites = ~evaluated[site]
             target[open_sites] = acc[open_sites]
     return values
+
+
+def dense_values(grid):
+    """The grid's filled field as one (n, n, n) array: its slabs stacked,
+    each but the first without the plane it shares with the slab before."""
+    return np.concatenate([values[min(x0, 1):] for values, x0 in grid.slabs()])
+
+
+def load_field(path):
+    """Read a grid.save_field dump back: (values (n, n, n) float64, LatticeSpec)."""
+    with open(f"{path}.hdr") as fh:
+        n, coarse_cells, fine_cells, margin_cells = map(int, fh.read().split())
+    spec = LatticeSpec(coarse_cells=coarse_cells, margin_cells=margin_cells)
+    if spec.fine_n != n or spec.fine_cells != fine_cells:
+        raise EmptyField(f"{path}.hdr is inconsistent: {n} vertices vs "
+                         f"{coarse_cells} coarse cells")
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size != n ** 3:
+        raise EmptyField(f"{path}: expected {n ** 3} float32 values, found {raw.size}")
+    return raw.astype(np.float64).reshape(n, n, n), spec
 
 
 def refine_with_parents(spec, evaluated, hot_ids):

@@ -11,9 +11,9 @@ _EXPORTED = """
 AdaptiveGrid BenchResult CurvatureField IsoSpec LatticeSpec MetricReport NearestPointEstimator
 NormalizationTransform Patches PipelineConfig PipelineResult PlaneFitEstimator PointCloud
 RadiusSchedule ResamplePolicy SpatialIndex TimingReport TriangleMesh bench build_index
-curvature_field denormalize_mesh evaluate hierarchical_fill load_field make_estimator
+curvature_field denormalize_mesh evaluate hierarchical_fill make_estimator
 marching_cubes normalize_cloud pad_weights percentile radius read_mesh read_point_cloud
-reconstruct refine_with_parents resample run_pipeline sample_mesh save_field scale_factor
+refine_with_parents resample run_pipeline sample_mesh save_field scale_factor
 segmented_moments select_hot write_mesh write_point_cloud
 """.split()
 

@@ -4,6 +4,7 @@ import hashlib
 import re
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,8 +21,7 @@ from curvrec.estimator import make_estimator
 from curvrec.grid import AdaptiveGrid, LatticeSpec, far_field
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
-from curvrec.pipeline import (PipelineConfig, bench, curvature_summary, reconstruct,
-                              run_pipeline)
+from curvrec.pipeline import PipelineConfig, bench, curvature_summary, run_pipeline
 from curvrec.spatial import build_index
 import oracles
 from oracles import chamfer, sheet_membership
@@ -48,7 +48,8 @@ def small_config(**kw):
 
 
 def test_reconstruct_sphere_closed_shell(sphere_cloud):
-    mesh, timing = reconstruct(small_config(coarse_cells=24), sphere_cloud)
+    result = run_pipeline(small_config(coarse_cells=24), sphere_cloud)
+    mesh, timing = result.mesh, result.timing
     assert mesh.num_faces > 0
     # input units: shells straddle the radius-0.3 sphere
     r = np.linalg.norm(mesh.vertices, axis=1)
@@ -146,7 +147,7 @@ def test_determinism_across_runs_and_workers(sphere_cloud, tmp_path):
         path = tmp_path / f"mesh{run}.obj"
         cfg = small_config(coarse_cells=16, workers=workers,
                            output_path=str(path))
-        reconstruct(cfg, sphere_cloud)
+        run_pipeline(cfg, sphere_cloud)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -156,8 +157,8 @@ def test_subsampled_mesh_bytes_independent_of_workers(sphere_cloud, tmp_path):
     blobs = []
     for workers in (1, 2):
         path = tmp_path / f"mesh{workers}.obj"
-        reconstruct(small_config(r0=0.04, target_count=16, workers=workers,
-                                 output_path=str(path)), sphere_cloud)
+        run_pipeline(small_config(r0=0.04, target_count=16, workers=workers,
+                                  output_path=str(path)), sphere_cloud)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -540,7 +541,6 @@ def test_band_sites_cap_a_huge_bound_at_the_lattice():
 
 @pytest.mark.parametrize("baseline", [False, True])
 def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypatch, baseline):
-    from curvrec.grid import load_field
     cfg = small_config(coarse_cells=16, far_cap=0.3, baseline_mode=baseline)
     banded = run_pipeline(replace(cfg, dump_field=str(tmp_path / "band.bin")), sphere_cloud)
     monkeypatch.setattr(pipeline, "_band_sites", _whole_lattice_band)
@@ -549,8 +549,8 @@ def test_dump_field_reads_far_cap_outside_band(sphere_cloud, tmp_path, monkeypat
     assert banded.mesh.faces.tobytes() == whole.mesh.faces.tobytes()
     stride = 1 if baseline else 2
     sites = (slice(None, None, stride),) * 3
-    band_sites = load_field(tmp_path / "band.bin")[0][sites]
-    whole_sites = load_field(tmp_path / "whole.bin")[0][sites]
+    band_sites = oracles.load_field(tmp_path / "band.bin")[0][sites]
+    whole_sites = oracles.load_field(tmp_path / "whole.bin")[0][sites]
     moved = band_sites != whole_sites
     assert moved.any()  # the sphere's inside is out of band
     assert np.all(band_sites[moved] == np.float32(0.3))
@@ -651,24 +651,29 @@ def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
 
 
 def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch):
-    # Fill and extract together with their results allocate less than a
-    # dense float64 lattice would take; only --dump-field builds that
-    # lattice, and it holds the whole-lattice kernels' field over the values
-    # the grid was given.
+    # The fill, extract and dump stages each allocate less than a dense
+    # float64 lattice would take (the dump stage's count includes building
+    # save_field's argument), and the dump holds the whole-lattice kernels'
+    # field over the values the grid was given: a site is evaluated when it
+    # is a stride site or was written.
     cloud = fixtures.make_fixture("sheets", count=12000, seed=0, gap=0.045, noise=0.002)
     config = small_config(coarse_cells=64, margin_cells=3)
     n = LatticeSpec(coarse_cells=64, margin_cells=3).fine_n
-    peaks, writes, marks = {}, [], []
+    peaks, writes = {}, []
+    stage = pipeline.stage
 
-    def traced(name, fn):
-        def run(*args):
+    @contextmanager
+    def traced(name, times=None):
+        with stage(name, times):
+            if name not in ("fill", "extract", "dump"):
+                yield
+                return
             tracemalloc.start()
             try:
-                return fn(*args)
+                yield
             finally:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-        return run
 
     def recorded(calls, fn):
         def run(grid, ids, *args):
@@ -676,25 +681,22 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
             return fn(grid, ids, *args)
         return run
 
-    monkeypatch.setattr(pipeline, "hierarchical_fill", traced("fill", pipeline.hierarchical_fill))
-    monkeypatch.setattr(pipeline, "marching_cubes", traced("extract", pipeline.marching_cubes))
+    monkeypatch.setattr(pipeline, "stage", traced)
     result = run_pipeline(config, cloud)
     assert set(peaks) == {"fill", "extract"}
     assert max(peaks.values()) < n ** 3 * 8
 
     monkeypatch.setattr(AdaptiveGrid, "set_values", recorded(writes, AdaptiveGrid.set_values))
-    monkeypatch.setattr(AdaptiveGrid, "mark_evaluated",
-                        recorded(marks, AdaptiveGrid.mark_evaluated))
     path = tmp_path / "field.bin"
     dumped = run_pipeline(replace(config, dump_field=str(path)), cloud)
     assert dumped.mesh.faces.tobytes() == result.mesh.faces.tobytes()
+    assert peaks["dump"] < n ** 3 * 8
     # the grid's writes, in order, over far_cap at the other stride sites
     values = np.full((n, n, n), np.nan)
     values[::2, ::2, ::2] = config.far_cap
     evaluated = ~np.isnan(values)
     for ids, v in writes:
         values.reshape(-1)[ids] = v
-    for ids, in marks:
         evaluated.reshape(-1)[ids] = True
     oracles.dense_hierarchical_fill(values, evaluated)
     assert path.read_bytes() == values.astype("<f4").tobytes()
@@ -725,11 +727,10 @@ def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatc
 
 
 def test_dump_field(sphere_cloud, tmp_path):
-    from curvrec.grid import load_field
     path = tmp_path / "field.bin"
     cfg = small_config(coarse_cells=12, dump_field=str(path))
     result = run_pipeline(cfg, sphere_cloud)
-    values, spec = load_field(path)
+    values, spec = oracles.load_field(path)
     assert spec == result.spec
     assert np.isfinite(values).all()
 
