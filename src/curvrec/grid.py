@@ -14,16 +14,18 @@ fastest; all public operations speak flat ids.
 The grid holds only what was written to it: a site is evaluated when it
 is a stride site or was given a value. The lattice exists one dense x
 slab at a time, SLAB fine cells thick over the whole y-z plane, built
-when fill, extract or the dump asks for it (AdaptiveGrid.slabs) and
-dropped once used. No halo is needed: a filled site reads only its own
-coarse cell, and a marching cube its 8 corners, so each slab fills and
-extracts on its own, and two slabs fill the plane they share alike. A
-stride site never written reads far, so a coarse cell outside the band
-reads the far field (far_field). No stage builds the dense (n, n, n)
-array: the dump, too, writes one slab at a time.
+when an iteration of AdaptiveGrid.slabs reaches it and dropped once
+used. No halo is needed: a filled site reads only its own coarse cell,
+and a marching cube its 8 corners, so each slab fills and extracts on
+its own, and two slabs fill the plane they share alike. A stride site
+never written reads far, so a coarse cell outside the band reads the far
+field (far_field). No stage builds the dense (n, n, n) array: the dump,
+too, writes one slab at a time, and a run dumps and extracts each slab
+in one pass, after which the grid can release its writes.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,15 +170,19 @@ class AdaptiveGrid:
         """Sites that are not evaluated: the fill gives them their value."""
         return self.spec.total_fine_vertices - self.evaluated_count
 
-    def slabs(self):
+    def slabs(self, each=None, release=False):
         """The filled x slabs of the lattice (FilledSlabs), each built when an
-        iteration reaches it."""
-        return FilledSlabs(self)
+        iteration reaches it. each(values, x0), when given, sees every slab
+        as it is built. With release, the iteration drops the grid's writes
+        once it has built the last slab, so no slab can be built after it."""
+        return FilledSlabs(self, each, release)
 
     def _slab(self, x0):
         """The filled slab of planes x0 through x0 + SLAB (or the last plane),
         (planes, n, n). Flat ids are x-major, so the slab's sites are one id
         range of every run, at id - x0 n^2 in the slab."""
+        if self._runs is None:
+            raise ValueError("the grid's writes were released after its last pass")
         n, s = self.spec.fine_n, self.stride
         planes = min(SLAB, n - 1 - x0) + 1
         base, span = x0 * n * n, np.array([x0, x0 + planes]) * n * n
@@ -200,21 +206,28 @@ class FilledSlabs:
     planes x0 through x0 + SLAB (or the last plane), (planes, n, n), with
     every written value in place and the other sites filled by
     hierarchical_fill's rule. Consecutive slabs share a plane. Each
-    iteration builds a slab when it reaches it; the slab is gone once its
-    consumer drops it. Building a slab raises MissingCoarseValue if an
-    evaluated site in it has no value.
+    iteration builds a slab when it reaches it and hands it to each, if
+    given, before its consumer; the slab is gone once they drop it. With
+    release, building the last slab drops the grid's writes. Building a
+    slab raises MissingCoarseValue if an evaluated site in it has no value.
 
     As an array it is a placeholder of the lattice's shape, (n, n, n), NaN
     with zero strides, so np.asarray(slabs).size counts the sites the slabs
     cover without building them.
     """
 
-    def __init__(self, grid):
-        self.grid = grid
+    def __init__(self, grid, each=None, release=False):
+        self.grid, self.each, self.release = grid, each, release
 
     def __iter__(self):
-        for x0 in range(0, self.grid.spec.fine_n - 1, SLAB):
-            yield self.grid._slab(x0), x0
+        starts = range(0, self.grid.spec.fine_n - 1, SLAB)
+        for x0 in starts:
+            values = self.grid._slab(x0)
+            if self.release and x0 == starts[-1]:
+                self.grid._runs = None
+            if self.each is not None:
+                self.each(values, x0)
+            yield values, x0
 
     def __array__(self, dtype=None, copy=None):
         lattice = np.broadcast_to(np.array(np.nan, dtype=dtype), (self.grid.spec.fine_n,) * 3)
@@ -307,10 +320,10 @@ def select_hot(field, threshold):
     return field.ids[field.sigma >= threshold]
 
 
-def hierarchical_fill(grid: AdaptiveGrid):
+def hierarchical_fill(grid: AdaptiveGrid, each=None, release=False):
     """The grid's field with every unevaluated fine site filled with the
-    mean of its neighbors, as grid.slabs(): each x slab is filled as it is
-    built.
+    mean of its neighbors, as grid.slabs(each, release): each x slab is
+    filled as it is built.
 
     A site with k odd indices gets the mean of its 2k neighbors along its
     odd axes, for k = 1, 2, 3 in turn: edge midpoints from coarse vertices,
@@ -320,7 +333,7 @@ def hierarchical_fill(grid: AdaptiveGrid):
     two slabs share reads the same values in both. Building a slab raises
     MissingCoarseValue if an evaluated site in it has no value.
     """
-    return grid.slabs()
+    return grid.slabs(each, release)
 
 
 def _fill(values, evaluated):
@@ -345,12 +358,20 @@ def _fill(values, evaluated):
 
 def save_field(slabs, spec: LatticeSpec, path):
     """Dump the field, given as its x slabs (values, x0) in ascending x, as
-    little-endian float32, z fastest, one slab at a time, each without the
-    plane it shares with the slab before; plus a text sidecar
-    `<path>.hdr` of 4 integers: fine vertices per axis, coarse cells, fine
-    cells, margin cells."""
-    with open(path, "wb") as fh:
+    field_writer writes them."""
+    with field_writer(spec, path) as write:
         for values, x0 in slabs:
-            values[min(x0, 1):].astype("<f4").tofile(fh)
+            write(values, x0)
+
+
+@contextmanager
+def field_writer(spec: LatticeSpec, path):
+    """write(values, x0), which appends an x slab of the field to the dump
+    at path, the slabs given in ascending x: little-endian float32, z
+    fastest, each slab without the plane it shares with the slab before.
+    A text sidecar `<path>.hdr` of 4 integers comes first: fine vertices
+    per axis, coarse cells, fine cells, margin cells."""
     with open(f"{path}.hdr", "w") as fh:
         fh.write(f"{spec.fine_n} {spec.coarse_cells} {spec.fine_cells} {spec.margin_cells}\n")
+    with open(path, "wb") as fh:
+        yield lambda values, x0: values[min(x0, 1):].astype("<f4").tofile(fh)

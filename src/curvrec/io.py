@@ -2,10 +2,15 @@
 
 Supported cloud inputs, chosen by file suffix: whitespace XYZ (3 or 6
 columns), PLY (ascii or binary little-endian, float vertex properties),
-and OBJ ``v`` records. XYZ is parsed in bulk by np.loadtxt; the records
-reader reruns on any file the bulk parse does not take, so it alone
-decides what is malformed. A malformed file raises ParseError or
-UnsupportedFormat naming the file and, for text records, the line.
+and OBJ ``v`` records. XYZ is parsed in bulk: a first pass checks the
+file's bytes and counts its records, and a second parses each block of
+about _CHECK_BLOCK bytes of whole lines with np.loadtxt into arrays
+allocated for those records, checking each block's normals as
+_finish_cloud does a whole file's. The records reader reruns on any file
+whose bytes, tokens or columns the bulk parse does not take, so it alone
+decides what is malformed in form; a fault in the values gives its
+error. A malformed file raises ParseError or UnsupportedFormat naming
+the file and, for text records, the line.
 Meshes are written as OBJ; floats use shortest round-trip repr so a
 write/read cycle is lossless.
 """
@@ -14,6 +19,7 @@ import os
 import re
 import warnings
 from array import array
+from io import BytesIO
 from itertools import islice
 from pathlib import Path
 
@@ -47,39 +53,54 @@ def _obj_vertex(tokens, path, lineno):
     return _numbers(tokens[1:4], path, lineno)
 
 
-def read_point_cloud(path) -> PointCloud:
-    """Read all point records in file order; normals kept when present.
+def read_point_cloud(path, normals=True) -> PointCloud:
+    """Read all point records in file order; normals kept when present,
+    unless normals is False: then they are checked as read and dropped,
+    and the XYZ bulk parse holds one block of them at most.
 
     The suffix (.xyz, .ply or .obj, any case) picks the reader.
     """
     suffix = Path(path).suffix.lower()
     if suffix not in _CLOUD_READERS:
         raise UnsupportedFormat(f"cannot infer cloud format from extension {suffix!r}")
-    return _CLOUD_READERS[suffix](path)
+    return _CLOUD_READERS[suffix](path, normals)
 
 
-def _finish_cloud(points, normals, path):
-    """The cloud of the records' points and normals; it owns the arrays it is
-    given (the normals are divided in place), so callers pass their own."""
+def _finish_cloud(points, normals, path, keep=True):
+    """The cloud of the records' points and normals, without the normals
+    unless keep; it owns the arrays it is given (the normals are divided in
+    place), so callers pass their own."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     nrm = None
     if normals is not None:
         nrm = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
         if np.isfinite(nrm).all():  # else PointCloud names the non-finite value
-            with np.errstate(over="ignore"):
-                lengths = np.linalg.norm(nrm, axis=1)
-            # the squares overflow or underflow at extreme magnitudes: such rows
-            # are first divided by their largest component (the others by 1, exactly)
-            odd = np.isinf(lengths) | ((lengths == 0) & (nrm != 0).any(axis=1))
-            if odd.any():
-                nrm /= np.where(odd, np.abs(nrm).max(axis=1), 1.0)[:, None]
-                lengths = np.linalg.norm(nrm, axis=1)
-            if np.any(lengths <= 0):
-                raise ParseError(f"{path}: zero-length normal in record "
-                                 f"{int(np.flatnonzero(lengths <= 0)[0])}")
-            nrm /= lengths[:, None]
+            _unit_normals(nrm, path)
+    cloud = _cloud(pts, nrm, path)
+    return cloud if keep or nrm is None else PointCloud(cloud.points)
+
+
+def _unit_normals(nrm, path, first=0):
+    """Divide each row of the finite normals nrm by its length, in place. A
+    zero-length row is a ParseError naming its record, first + its row."""
+    with np.errstate(over="ignore"):
+        lengths = np.linalg.norm(nrm, axis=1)
+    # the squares overflow or underflow at extreme magnitudes: such rows
+    # are first divided by their largest component (the others by 1, exactly)
+    odd = np.isinf(lengths) | ((lengths == 0) & (nrm != 0).any(axis=1))
+    if odd.any():
+        nrm /= np.where(odd, np.abs(nrm).max(axis=1), 1.0)[:, None]
+        lengths = np.linalg.norm(nrm, axis=1)
+    if np.any(lengths <= 0):
+        raise ParseError(f"{path}: zero-length normal in record "
+                         f"{first + int(np.flatnonzero(lengths <= 0)[0])}")
+    nrm /= lengths[:, None]
+
+
+def _cloud(points, normals, path):
+    """PointCloud(points, normals), its ValueError a ParseError."""
     try:
-        return PointCloud(pts, nrm)
+        return PointCloud(points, normals)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -88,11 +109,15 @@ def _finish_cloud(points, normals, path):
 # binary readline do: printable ASCII and ASCII whitespace. loadtxt also
 # splits on \x1c-\x1f and on non-ASCII spaces, and ends a line at a lone \r.
 _BULK_BYTES = bytes(range(0x20, 0x7f)) + b"\t\n\r\x0b\x0c"
+# the whitespace within a line
+_LINE_SPACE = b" \t\r\x0b\x0c"
 
 
-# The bulk parse checks a file's bytes this many at a time: the whole file
-# as one bytes object would cost more than its size, since freeing it
-# raises glibc's dynamic mmap threshold and keeps later arrays on the heap.
+# The bulk parse checks, then parses, a file's bytes this many at a time:
+# the whole file as one bytes object would cost more than its size, since
+# freeing it raises glibc's dynamic mmap threshold and keeps later arrays
+# on the heap, and np.loadtxt's table of the whole file would take twice
+# the points' bytes (the normals with them).
 _CHECK_BLOCK = 1 << 20
 
 
@@ -100,62 +125,121 @@ _CHECK_BLOCK = 1 << 20
 _LINE_START = re.compile(rb"[ \t\r\x0b\x0c]*(#?)")
 
 
-def _header_lines(block, comment):
+def _header_end(block, comment):
     """Scan a block of a file's leading lines that are blank or whose first
-    token starts with '#': (lines that end in it, whether it ends inside a
-    comment line, whether such lines may go on into the next block)."""
-    lines, at = 0, 0
+    token starts with '#': (where the last line that starts in the block
+    starts, 0 if none does, whether the block ends inside a comment line,
+    whether such lines may go on into the next block)."""
+    line = at = 0
     while True:
         if not comment:
             start = _LINE_START.match(block, at)
             at, comment = start.end(), bool(start.group(1))
             if at == len(block):
-                return lines, comment, True
+                return line, comment, True
             if not comment and block[at] != ord("\n"):
-                return lines, False, False  # the first record
+                return line, False, False  # the first record
         end = block.find(b"\n", at)
         if end < 0:
-            return lines, comment, True
-        lines, at, comment = lines + 1, end + 1, False
+            return line, comment, True
+        line = at = end + 1
+        comment = False
 
 
-def _bulk_xyz(path):
-    """The (n >= 1, 3 | 6) table of an XYZ file that np.loadtxt reads as the
-    records reader would, or None: then the records reader decides. The
-    file's leading blank and '#' lines are skipped; a later '#' leaves the
-    file to the records reader."""
+def _check_xyz(path):
+    """(bytes of the file's leading blank and '#' lines, records after them)
+    when np.loadtxt would split the records' lines and tokens as the records
+    reader does and no '#' follows, else None."""
     header, comment, more = 0, False, True
+    records, fresh, at = 0, True, 0  # fresh: no token yet on the line the next block goes on with
     with open(path, "rb") as fh:
         while block := fh.read(_CHECK_BLOCK):
             if block.endswith(b"\r"):  # so a CR LF pair lies within one block
                 block += fh.read(1)
-            if block.translate(None, _BULK_BYTES) or block.count(b"\r") != block.count(b"\r\n"):
+            tokens = block.translate(None, _LINE_SPACE)
+            if tokens.translate(None, _BULK_BYTES) or (
+                    b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
                 return None
             if more:
-                lines, comment, more = _header_lines(block, comment)
-                header += lines
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file only warns
-            table = np.loadtxt(path, dtype=np.float64, comments=None, skiprows=header, ndmin=2)
-    except Exception:
+                body, comment, more = _header_end(block, comment)
+                if body:
+                    header = at + body
+                tokens = block[body:].translate(None, _LINE_SPACE)
+            if not more and tokens:
+                if b"#" in tokens:
+                    return None
+                # tokens holds the lines' token bytes and line ends: a record
+                # starts at each token byte after a line end, and at the first
+                # byte unless it goes on with a line from the block before
+                newline = np.frombuffer(tokens, dtype=np.uint8) == ord("\n")
+                records += int(np.count_nonzero(newline[:-1] > newline[1:]))
+                records += fresh and not newline[0]
+                fresh = bool(newline[-1])
+            at += len(block)
+    return header, records
+
+
+def _bulk_xyz(path, normals=True):
+    """The cloud of an XYZ file that np.loadtxt reads as the records reader
+    would, parsed a block of lines at a time, or None: then the records
+    reader decides. The file's leading blank and '#' lines are skipped; a
+    later '#' leaves the file to the records reader. Value faults raise the
+    records reader's ParseError once every record has parsed: a non-finite
+    normal, else the first zero-length normal, else a non-finite point."""
+    checked = _check_xyz(path)
+    if checked is None or not checked[1]:
         return None
-    return table if table.shape[0] >= 1 and table.shape[1] in (3, 6) else None
+    header, rows = checked
+    points = np.empty((rows, 3))
+    kept = None  # the normals, when the read keeps them
+    zero = bad = None  # the first zero-length normal's ParseError, a non-finite normal
+    at = arity = 0
+    with open(path, "rb") as fh:
+        fh.seek(header)
+        while block := fh.read(_CHECK_BLOCK):
+            block += fh.readline()  # whole lines
+            if block.isspace():  # blank lines alone: loadtxt would warn
+                continue
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(BytesIO(block), dtype=np.float64, comments=None,
+                                       ndmin=2)
+            except (ValueError, UserWarning):  # a token or row loadtxt does not take
+                return None
+            if not arity:
+                arity = table.shape[1]
+                kept = np.empty((rows, 3)) if arity == 6 and normals else None
+            if arity not in (3, 6) or table.shape[1] != arity or at + len(table) > rows:
+                return None
+            if arity == 6:
+                nrm = table[:, 3:]
+                if not np.isfinite(nrm).all():
+                    bad = nrm
+                elif zero is None:
+                    try:
+                        _unit_normals(nrm, path, at)
+                    except ParseError as exc:
+                        zero = exc
+                if kept is not None:
+                    kept[at:at + len(table)] = nrm
+            points[at:at + len(table)] = table[:, :3]
+            at += len(table)
+    if at != rows:
+        return None
+    if bad is None and zero is not None:
+        raise zero
+    # a non-finite normal gives PointCloud's error, as in _finish_cloud
+    return _cloud(points, kept if bad is None else bad, path)
 
 
-def _read_xyz(path) -> PointCloud:
-    table = _bulk_xyz(path)
-    if table is None:
-        return _read_xyz_records(path)
-    # contiguous copies, so the table can go before the normals are divided
-    points = np.ascontiguousarray(table[:, :3])
-    normals = np.ascontiguousarray(table[:, 3:]) if table.shape[1] == 6 else None
-    del table
-    return _finish_cloud(points, normals, path)
+def _read_xyz(path, normals=True) -> PointCloud:
+    cloud = _bulk_xyz(path, normals)
+    return cloud if cloud is not None else _read_xyz_records(path, normals)
 
 
-def _read_xyz_records(path) -> PointCloud:
-    points, normals = [], []
+def _read_xyz_records(path, normals=True) -> PointCloud:
+    points, normal_rows = [], []
     arity = None
     with open(path, "rb") as fh:
         for lineno, tokens in _records(fh):
@@ -168,11 +252,11 @@ def _read_xyz_records(path) -> PointCloud:
             vals = _numbers(tokens, path, lineno)
             points.append(vals[:3])
             if arity == 6:
-                normals.append(vals[3:])
-    return _finish_cloud(points, normals if normals else None, path)
+                normal_rows.append(vals[3:])
+    return _finish_cloud(points, normal_rows or None, path, normals)
 
 
-def _read_obj_points(path) -> PointCloud:
+def _read_obj_points(path, normals=True) -> PointCloud:
     """The OBJ's `v` records, collected in a typed array as read_mesh does."""
     coords = array("d")
     with open(path, "rb") as fh:
@@ -224,7 +308,7 @@ def _parse_ply_header(records, path):
     return is_binary, elements
 
 
-def _read_ply(path) -> PointCloud:
+def _read_ply(path, normals=True) -> PointCloud:
     with open(path, "rb") as fh:
         records = _records(fh)
         is_binary, elements = _parse_ply_header(records, path)
@@ -266,8 +350,8 @@ def _read_ply(path) -> PointCloud:
             table = np.asarray(rows, dtype=np.float64).reshape(count, len(props))
             cols = {name: table[:, k] for k, name in enumerate(names)}
 
-    normals = np.column_stack([cols[n] for n in ("nx", "ny", "nz")]) if has_normals else None
-    return _finish_cloud(np.column_stack([cols[a] for a in ("x", "y", "z")]), normals, path)
+    nrm = np.column_stack([cols[n] for n in ("nx", "ny", "nz")]) if has_normals else None
+    return _finish_cloud(np.column_stack([cols[a] for a in ("x", "y", "z")]), nrm, path, normals)
 
 
 _CLOUD_READERS = {".xyz": _read_xyz, ".ply": _read_ply, ".obj": _read_obj_points}

@@ -26,8 +26,8 @@ from .curvature import CurvatureField, check_threshold, curvature_field
 from .errors import EmptyMesh, FarOutlier, NoCurvatureSamples, ReconstructionError
 from .estimator import make_estimator
 from .extract import IsoSpec, marching_cubes
-from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, far_field,
-                   hierarchical_fill, refine_with_parents, save_field, select_hot)
+from .grid import (AdaptiveGrid, LatticeSpec, MARGIN_CELLS_DEFAULT, far_field, field_writer,
+                   hierarchical_fill, refine_with_parents, select_hot)
 from .metrics import MetricReport, evaluate, sample_mesh
 from .model import PointCloud, TriangleMesh, denormalize_mesh, normalize_cloud
 from .patch import Patches, ResamplePolicy, csr_subset, pad_weights, resample
@@ -41,12 +41,14 @@ FAR_CAP_DEFAULT = 0.10
 # row's entry and value depend on that row alone. The chunk bounds the per-row
 # temporaries (positions, nn, radii, sigmas, the boundary test) and the ball
 # blocks, which restart at spatial.FIRST_BLOCK centers each chunk.
-# File-to-file runs (seed 0, 2-core x86-64) peaked at 101.8-102.0 MB on
-# sphere-c64 and 110.3-110.9 MB on dense-sheets-c64 at 2**15, set in
-# extract and in the read; evaluate ended at 91.6-91.8 MB on the sphere,
-# at 86.8-87.0 at 2**13 and 99.4-99.7 at 2**17. All rows at once took
-# 102.3-104.0 and 116.1 MB. Wall time did not differ beyond noise.
-EVAL_CHUNK = 1 << 15
+# File-to-file runs (seed 0, 2-core x86-64, two each) peaked at 95.7-97.0
+# MB on sphere-c64, set in extract, and 103.6-104.3 MB on dense-sheets-c64,
+# set in the ball blocks of curvature and evaluate, at 2**13; evaluate
+# ended at 87.4-88.0 MB on the sphere. At 2**15 they peaked at 99.0-99.4
+# and 105.4 MB, evaluate ending at 92.1 MB. Earlier, with the read
+# holding loadtxt's whole table, all rows at once took 102.3-104.0 and
+# 116.1 MB, and 2**17 ended evaluate at 99.4-99.7 MB on the sphere.
+EVAL_CHUNK = 1 << 13
 
 
 @dataclass
@@ -105,8 +107,9 @@ class PipelineConfig:
 
 @dataclass
 class TimingReport:
-    """stage_s holds each stage's wall time in run order; stages never nest,
-    so they sum to nearly the run's. nn_s and ball_s are the index's query
+    """stage_s holds each stage's own wall time in run order (the dump's,
+    inside extract's pass over the slabs, is not extract's), so they sum to
+    nearly the run's. nn_s and ball_s are the index's query
     times, within them. evaluated_queries counts the lattice sites
     evaluated, not kd-tree queries: sites outside the band read far_cap
     without one.
@@ -157,8 +160,10 @@ class PipelineResult:
 
 @dataclass
 class StageLog:
-    """Per stage, in the order stages first run: s, its wall time summed
-    over its runs, and peak_mb, the process's peak RSS at its last end.
+    """Per stage, in the order stages first end: s, its wall time summed
+    over its runs, and peak_mb, the process's peak RSS at its last end. A
+    stage run inside another adds its time to its own s, not the outer
+    one's, so the stages sum to nearly the run's wall time.
 
     The kernel's RSS counters are approximate (per-CPU batches of pages),
     so a VmHWM reading can fall a fraction of a MB below an earlier one;
@@ -166,6 +171,7 @@ class StageLog:
 
     s: dict = field(default_factory=dict)
     peak_mb: dict = field(default_factory=dict)
+    inner: list = field(default_factory=list)  # per open stage, its inner stages' time
 
     def peak_so_far(self):
         return max([_peak_rss_mb(), *self.peak_mb.values()])
@@ -174,9 +180,12 @@ class StageLog:
 @contextmanager
 def stage(name, times=None):
     """Tag a ReconstructionError raised inside with the stage name and, when
-    a StageLog is given, add the elapsed wall time to times.s[name] and
-    record the peak RSS so far in times.peak_mb[name]."""
+    a StageLog is given, add the elapsed wall time, less that of the stages
+    run inside, to times.s[name] and record the peak RSS so far in
+    times.peak_mb[name]."""
     t0 = time.perf_counter()
+    if times is not None:
+        times.inner.append(0.0)
     try:
         yield
     except ReconstructionError as exc:
@@ -185,7 +194,10 @@ def stage(name, times=None):
         raise
     finally:
         if times is not None:
-            times.s[name] = times.s.get(name, 0.0) + time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
+            times.s[name] = times.s.get(name, 0.0) + elapsed - times.inner.pop()
+            if times.inner:
+                times.inner[-1] += elapsed
             times.peak_mb[name] = times.peak_so_far()
 
 
@@ -204,20 +216,21 @@ def _peak_rss_mb():
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-def _load_cloud(config, cloud, times=None):
+def _load_cloud(config, cloud, times=None, normals=True):
     if cloud is not None:
         return cloud
     if config.input_path is None:
         raise ValueError("config.input_path is required when no cloud is passed")
     with stage("read", times):
-        return io.read_point_cloud(config.input_path)
+        return io.read_point_cloud(config.input_path, normals=normals)
 
 
 def _prepare(config, cloud, times=None):
     """The run prefix every command shares: read, normalize, index, lattice.
-    No stage reads the input's normals, so the normalized cloud has none,
-    and a cloud read from a file is gone before the index is built."""
-    cloud = _load_cloud(config, cloud, times)
+    No stage reads the input's normals, so a file's are checked and dropped
+    as it is read, the normalized cloud has none, and a cloud read from a
+    file is gone before the index is built."""
+    cloud = _load_cloud(config, cloud, times, normals=False)
     spec = LatticeSpec(coarse_cells=config.coarse_cells, margin_cells=config.margin_cells)
     with stage("normalize", times):
         norm_cloud, transform = normalize_cloud(PointCloud(cloud.points))
@@ -440,18 +453,23 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     iso = config.iso(spec)
     grid, cf, near_queries = _evaluated_grid(config, norm_cloud, index, spec, iso, estimator,
                                              times)
-    with stage("fill", times):
-        field = hierarchical_fill(grid)
+    counts = dict(nn_s=index.nn_s, ball_s=index.ball_s, evaluated_queries=grid.evaluated_count,
+                  filled_queries=grid.filled_count, nn_queries=index.nn_rows,
+                  near_queries=near_queries, ball_pairs=index.ball_pairs,
+                  ball_blocks=index.ball_calls)
+    del norm_cloud, index  # no later stage reads them
 
-    if config.dump_field:
-        with stage("dump", times):
-            save_field(grid.slabs(), spec, config.dump_field)
-
-    with stage("extract", times):
-        norm_mesh = marching_cubes(field, spec, iso)
-        if not norm_mesh.num_faces:
-            raise EmptyMesh(f"marching cubes crossed no cell: no site reads below the "
-                            f"level {iso.eps:g} at fine spacing {spec.fine_spacing:g}")
+    # One pass over the slabs: each is dumped, if asked, and marched as it
+    # is built, and the grid's writes go once the last is built, before
+    # marching cubes merges the slabs' vertices.
+    with _dumping(config.dump_field, spec, times) as each:
+        with stage("fill", times):
+            field = hierarchical_fill(grid, each, release=True)
+        with stage("extract", times):
+            norm_mesh = marching_cubes(field, spec, iso)
+            if not norm_mesh.num_faces:
+                raise EmptyMesh(f"marching cubes crossed no cell: no site reads below the "
+                                f"level {iso.eps:g} at fine spacing {spec.fine_spacing:g}")
     with stage("denormalize", times):
         mesh = denormalize_mesh(norm_mesh, transform)
     if config.output_path:
@@ -459,14 +477,24 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             io.write_mesh(mesh, config.output_path)
 
     timing = TimingReport(
-        stage_s=times.s, stage_peak_mb=times.peak_mb, nn_s=index.nn_s, ball_s=index.ball_s,
-        evaluated_queries=grid.evaluated_count, filled_queries=grid.filled_count,
-        total_fine_vertices=spec.total_fine_vertices, nn_queries=index.nn_rows,
-        near_queries=near_queries,
-        ball_pairs=index.ball_pairs, ball_blocks=index.ball_calls,
-        peak_rss_mb=times.peak_so_far())
+        stage_s=times.s, stage_peak_mb=times.peak_mb,
+        total_fine_vertices=spec.total_fine_vertices, peak_rss_mb=times.peak_so_far(), **counts)
     return PipelineResult(mesh=mesh, norm_mesh=norm_mesh, timing=timing,
                           transform=transform, spec=spec, curvature=cf)
+
+
+@contextmanager
+def _dumping(path, spec, times):
+    """each(values, x0) for the run's pass over the slabs, which writes a
+    slab to the field dump at path in the dump stage; None without a path."""
+    if not path:
+        yield None
+        return
+    with field_writer(spec, path) as write:
+        def each(values, x0):
+            with stage("dump", times):
+                write(values, x0)
+        yield each
 
 
 @dataclass

@@ -58,12 +58,13 @@ _MIN_SEARCH = 1e-150
 # centers found ~676k pairs each and the run peaked at 173.8 MB in
 # curvature and evaluate, when this budget replaced them; its 272 blocks
 # cost ~0.17 s more there (median of 10 in-process pairs, ~5%). File to
-# file, with the lattice's blocks built a slab at a time, the run peaks at
-# 110.4 MB in the read, and evaluate stays below it; 2**16 takes evaluate
-# to 113.0-113.5 MB and the run to 114.0-114.5. sphere-c64 (~15 pairs a
-# center) peaks at 99.8-102.3 MB, and at 104.1-104.4 at 2**16. Without the
-# cap at twice the last block, a block after a sparse one (the band's edge)
-# can find many budgets' worth of pairs: dense-sheets-c64 peaked at 150 MB.
+# file (seed 0, two runs each), with the read keeping only the points,
+# the run peaks at 103.6-104.3 MB in these blocks, curvature's and
+# evaluate's; 2**16 takes evaluate, and the run, to 109.9-110.6 MB.
+# sphere-c64 (~15 pairs a center) peaks at 95.7-97.0 MB in extract, and
+# at 94.8-98.7 at 2**16. Without the cap at twice the last block, a block
+# after a sparse one (the band's edge) can find many budgets' worth of
+# pairs: dense-sheets-c64 peaked at 150 MB.
 PAIR_BUDGET = 1 << 15
 FIRST_BLOCK = 256
 MIN_BLOCK = 16

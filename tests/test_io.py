@@ -1,3 +1,5 @@
+import functools
+import re
 import struct
 from unittest import mock
 
@@ -391,6 +393,15 @@ def xyz_files(draw):
     return raw.encode()
 
 
+def _bulk_takes(path):
+    """Whether the bulk parse decides the file, with a cloud or a ParseError,
+    rather than leaving it to the records reader."""
+    try:
+        return _bulk_xyz(path) is not None
+    except ParseError:
+        return True
+
+
 @pytest.mark.parametrize("raw, taken", [
     (b"# x y z nx ny nz\n1 2 3 0 0 1\n", True),
     (b"\n  # a\r\n\t#\r\n \r\n1 2 3\r\n", True),
@@ -400,7 +411,7 @@ def xyz_files(draw):
 def test_bulk_xyz_skips_only_leading_comment_lines(tmp_path, raw, taken):
     p = tmp_path / "h.xyz"
     p.write_bytes(raw)
-    assert (_bulk_xyz(p) is not None) == taken
+    assert _bulk_takes(p) == taken
     assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
 
 
@@ -415,7 +426,7 @@ def test_bulk_xyz_parse_equals_records_reader(tmp_path_factory, raw):
     lines = raw.split(b"\n")
     first = next(i for i, line in enumerate(lines)
                  if line.split() and not line.split()[0].startswith(b"#"))
-    assert (_bulk_xyz(p) is None) == (b"#" in b"\n".join(lines[first:]))
+    assert (not _bulk_takes(p)) == (b"#" in b"\n".join(lines[first:]))
 
 
 # Bytes where np.loadtxt and the records reader could disagree: separators
@@ -451,7 +462,7 @@ def test_bulk_xyz_accepts_only_what_records_reader_accepts(tmp_path_factory, raw
     records = _outcome(_read_xyz_records, p)
     # what the bulk parse accepts the records reader accepts as the same
     # table, and every ParseError message is the records reader's
-    if _bulk_xyz(p) is not None:
+    if _bulk_takes(p):
         assert not isinstance(records, str) or "finite" in records or "normal" in records
     assert _outcome(read_point_cloud, p) == records
 
@@ -462,7 +473,7 @@ def test_bulk_xyz_leaves_split_disagreements_to_records_reader(tmp_path, raw):
     # np.loadtxt would split these into other rows or values than bytes.split
     p = tmp_path / "d.xyz"
     p.write_bytes(raw)
-    assert _bulk_xyz(p) is None
+    assert not _bulk_takes(p)
     assert _outcome(read_point_cloud, p) == _outcome(_read_xyz_records, p)
 
 
@@ -474,16 +485,70 @@ def test_bulk_xyz_leaves_split_disagreements_to_records_reader(tmp_path, raw):
 @example(raw=b"1 2 3\n4 5 6\r", block=11, data=None)  # a lone CR ends the file
 @example(raw=b"1 2 3\n4 5 \xe96\n", block=8, data=None)  # non-ASCII in the last block
 def test_xyz_byte_check_does_not_depend_on_its_block(tmp_path_factory, raw, block, data):
-    # the bulk parse checks the file's bytes a block at a time; with blocks
-    # of 1-16 bytes it takes the files it takes in one block, and files
-    # valid or mutated read as the records reader reads them, or raise its
-    # ParseError
+    # the bulk parse checks and parses the file's bytes a block at a time;
+    # with blocks of 1-16 bytes it takes the files it takes in one block,
+    # and files valid or mutated read as the records reader reads them, or
+    # raise its ParseError
     if data is not None and data.draw(st.booleans(), label="mutate"):
         raw = _mutated(raw, data, data.draw(st.integers(1, 3), label="edits"))
     p = tmp_path_factory.getbasetemp() / "blocks.xyz"
     p.write_bytes(raw)
     assert len(raw) <= io._CHECK_BLOCK
-    taken = _bulk_xyz(p) is not None
+    taken = _bulk_takes(p)
     with mock.patch.object(io, "_CHECK_BLOCK", block):
-        assert (_bulk_xyz(p) is not None) == taken
+        assert _bulk_takes(p) == taken
         assert _outcome(io._read_xyz, p) == _outcome(_read_xyz_records, p)
+
+
+# name -> (XYZ bytes, whether the bulk parse decides it, what the read
+# gives: None for a cloud, else a pattern of its ParseError)
+_BLOCK_FILES = {
+    "records across blocks": (b"1 2 3\n4.5 -5 6e-3\n7 8 9\n10 11 12", True, None),
+    "crlf at block edges": (b"1 2 3\r\n4 5 6\r\n7 8 9\r\n", True, None),
+    "header across blocks": (b"\n  \t\n# x y z, a comment longer than a block\n#\r\n \n1 2 3\n"
+                             b"4 5 6\n", True, None),
+    "blank lines between records": (b"1 2 3 0 0 1\n\n \t \n4 5 6 0 2 0\n\n", True, None),
+    "malformed record later": (b"1 2 3\n4 5 6\n7 8 x\n", False, r"b\.xyz:3: "),
+    "column count changes later": (b"1 2 3\n4 5 6\n7 8 9 0 0 1\n", False,
+                                   r"b\.xyz:3: expected 3 values, got 6"),
+    "zero normal later": (b"0 0 0 0 0 1\n1 1 1 0 1 0\n2 2 2 0 0 0\n", True,
+                          r"zero-length normal in record 2$"),
+    "non-finite normal later": (b"0 0 0 0 0 1\n1 1 1 0 1 0\n2 2 2 nan 0 1\n", True,
+                                r"b\.xyz: point coordinates must be finite"),
+    "non-finite point later": (b"0 0 0 0 0 1\n1 1 1 0 1 0\n2 inf 2 1 0 0\n", True,
+                               r"b\.xyz: point coordinates must be finite"),
+    # of several faults, the records reader's precedence: the form of every
+    # record first, then a non-finite normal, then the first zero-length
+    # normal, then a non-finite point
+    "two zero normals": (b"0 0 0 0 0 1\n1 1 1 0 0 0\n2 2 2 0 1 0\n3 3 3 0 0 0\n", True,
+                         r"zero-length normal in record 1$"),
+    "zero normal, then non-finite normal": (
+        b"0 0 0 0 0 0\n1 1 1 0 1 0\n2 2 2 0 -inf 0\n", True, r"coordinates must be finite"),
+    "non-finite point, then zero normal": (
+        b"nan 0 0 0 0 1\n1 1 1 0 1 0\n2 2 2 0 0 0\n", True, r"zero-length normal in record 2$"),
+    "zero normal, then malformed record": (
+        b"0 0 0 0 0 0\n1 1 1 0 1 0\n2 2 2 0 1\n", False, r"b\.xyz:3: expected 6 values, got 5"),
+    "non-finite normal, then malformed record": (
+        b"0 0 0 nan 0 1\n1 1 1 0 1 0\n2 2 2 0 1 0 1\n", False, r"b\.xyz:3: expected 6 values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_FILES))
+@pytest.mark.parametrize("normals", [True, False])
+def test_block_parse_equals_records_reader(tmp_path, case, normals):
+    # blocks of 1-16 bytes put record, line and header edges at every place
+    # in these files: the bulk parse reads them as the records reader does,
+    # with the same ParseError, line, whole-file record index and
+    # precedence of faults, also when the read drops the normals
+    raw, taken, error = _BLOCK_FILES[case]
+    p = tmp_path / "b.xyz"
+    p.write_bytes(raw)
+    records = _outcome(functools.partial(_read_xyz_records, normals=normals), p)
+    if error is None:
+        assert not isinstance(records, str) and (normals or records[1] is None)
+    else:
+        assert re.search(error, records)
+    for block in range(1, 17):
+        with mock.patch.object(io, "_CHECK_BLOCK", block):
+            assert _bulk_takes(p) == taken
+            assert _outcome(functools.partial(read_point_cloud, normals=normals), p) == records

@@ -4,6 +4,7 @@ import hashlib
 import re
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -18,7 +19,7 @@ from curvrec.metrics import sample_mesh
 from curvrec.errors import (DegenerateExtent, EmptyMesh, FarOutlier, NoCurvatureSamples,
                             ReconstructionError)
 from curvrec.estimator import make_estimator
-from curvrec.grid import AdaptiveGrid, LatticeSpec, far_field
+from curvrec.grid import SLAB, AdaptiveGrid, LatticeSpec, far_field
 from curvrec.model import PointCloud
 from curvrec.patch import ResamplePolicy
 from curvrec.pipeline import PipelineConfig, bench, curvature_summary, run_pipeline
@@ -63,21 +64,23 @@ def test_reconstruct_sphere_closed_shell(sphere_cloud):
     assert timing.ball_pairs >= timing.ball_blocks > 0 and timing.peak_rss_mb > 0
 
 
-@pytest.mark.parametrize("baseline", [False, True])
-def test_stage_times_cover_the_run_in_order(sphere_cloud, tmp_path, baseline):
-    # stages do not nest, so their times sum to nearly the measured wall
-    # time; the index's query time is spent inside them
+@pytest.mark.parametrize("baseline, dump", [(False, False), (True, False), (False, True)])
+def test_stage_times_cover_the_run_in_order(sphere_cloud, tmp_path, baseline, dump):
+    # a stage's time is its own: the dump's, inside extract's pass over the
+    # slabs, is not extract's, so the stages' times sum to nearly the
+    # measured wall time; the index's query time is spent inside them
     path = tmp_path / "cloud.xyz"
     io.write_point_cloud(sphere_cloud, path)
     config = small_config(coarse_cells=40, input_path=str(path),
-                          output_path=str(tmp_path / "mesh.obj"), baseline_mode=baseline)
+                          output_path=str(tmp_path / "mesh.obj"), baseline_mode=baseline,
+                          dump_field=str(tmp_path / "field.bin") if dump else None)
     t0 = time.perf_counter()
     timing = run_pipeline(config).timing
     wall = time.perf_counter() - t0
     assert wall >= 0.1
     middle = ["evaluate"] if baseline else ["curvature", "refine", "evaluate"]
     assert list(timing.stage_s) == ["read", "normalize", "index", *middle, "fill",
-                                    "extract", "denormalize", "write"]
+                                    *["dump"] * dump, "extract", "denormalize", "write"]
     total = sum(timing.stage_s.values())
     assert 0.95 * wall <= total <= wall
     assert 0 < timing.nn_s <= total and 0 < timing.ball_s <= total
@@ -85,6 +88,16 @@ def test_stage_times_cover_the_run_in_order(sphere_cloud, tmp_path, baseline):
     assert keys[:len(timing.stage_s) + 2] == [f"{name}_s" for name in timing.stage_s] + [
         "nn_s", "ball_s"]
     assert "patch_time" not in keys and "udf_time" not in keys
+
+
+def test_a_stage_run_inside_another_counts_its_time_as_its_own():
+    times = pipeline.StageLog()
+    for _ in range(2):
+        with pipeline.stage("extract", times):
+            with pipeline.stage("dump", times):
+                time.sleep(0.05)
+    assert list(times.s) == list(times.peak_mb) == ["dump", "extract"]
+    assert times.s["dump"] >= 0.1 > 0.05 > times.s["extract"] >= 0 and not times.inner
 
 
 @pytest.mark.parametrize("baseline", [False, True])
@@ -400,11 +413,13 @@ def test_curvature_allocates_its_nn_entries_and_one_chunk(monkeypatch):
 
 
 def test_prepare_holds_the_cloud_once(tmp_path):
-    # from a file with normals, the run prefix peaks below 120 bytes a point
-    # (the bulk parse's table, then its points and normals; the read kept
-    # the file's bytes, the table and its copies at once, 148 bytes a point)
-    # and afterwards holds the normalized points and the kd-tree's indices
-    # (32 bytes a point): the read cloud and its normals are gone
+    # from a file with normals, the run prefix peaks below the points' 24
+    # bytes a point and four of the bulk parse's blocks (56 bytes a point
+    # here; the read parsed the whole (n, 6) table and copied out its
+    # points and normals, 96 bytes a point, and before that kept the
+    # file's bytes as well, 148) and afterwards holds the normalized points
+    # and the kd-tree's indices (32 bytes a point): the read cloud is gone,
+    # and its normals were never held whole
     n = 100_000
     path = tmp_path / "sheets.xyz"
     io.write_point_cloud(fixtures.sheets_cloud(count=n, noise=0.002, seed=0), path)
@@ -416,7 +431,7 @@ def test_prepare_holds_the_cloud_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(index) == n and norm_cloud.normals is None
-    assert peak < 120 * n and live < 40 * n
+    assert peak < 24 * n + 4 * io._CHECK_BLOCK and live < 40 * n
 
 
 def test_curvature_summary_is_the_runs_field(sphere_cloud):
@@ -651,11 +666,11 @@ def test_bench_dumps_the_adaptive_field(sphere_cloud, tmp_path):
 
 
 def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch):
-    # The fill, extract and dump stages each allocate less than a dense
-    # float64 lattice would take (the dump stage's count includes building
-    # save_field's argument), and the dump holds the whole-lattice kernels'
-    # field over the values the grid was given: a site is evaluated when it
-    # is a stride site or was written.
+    # The fill and extract stages each allocate less than a dense float64
+    # lattice would take, also when the extract stage's one pass over the
+    # slabs dumps each slab as it is built, and the dump holds the
+    # whole-lattice kernels' field over the values the grid was given: a
+    # site is evaluated when it is a stride site or was written.
     cloud = fixtures.make_fixture("sheets", count=12000, seed=0, gap=0.045, noise=0.002)
     config = small_config(coarse_cells=64, margin_cells=3)
     n = LatticeSpec(coarse_cells=64, margin_cells=3).fine_n
@@ -665,7 +680,7 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
     @contextmanager
     def traced(name, times=None):
         with stage(name, times):
-            if name not in ("fill", "extract", "dump"):
+            if name not in ("fill", "extract"):
                 yield
                 return
             tracemalloc.start()
@@ -686,11 +701,14 @@ def test_fill_and_extract_allocate_less_than_a_dense_field(tmp_path, monkeypatch
     assert set(peaks) == {"fill", "extract"}
     assert max(peaks.values()) < n ** 3 * 8
 
+    peaks.clear()
     monkeypatch.setattr(AdaptiveGrid, "set_values", recorded(writes, AdaptiveGrid.set_values))
     path = tmp_path / "field.bin"
     dumped = run_pipeline(replace(config, dump_field=str(path)), cloud)
     assert dumped.mesh.faces.tobytes() == result.mesh.faces.tobytes()
-    assert peaks["dump"] < n ** 3 * 8
+    assert set(peaks) == {"fill", "extract"}
+    assert max(peaks.values()) < n ** 3 * 8
+    assert set(dumped.timing.stage_s) >= {"fill", "dump", "extract"}
     # the grid's writes, in order, over far_cap at the other stride sites
     values = np.full((n, n, n), np.nan)
     values[::2, ::2, ::2] = config.far_cap
@@ -708,7 +726,7 @@ def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatc
     # lattice would take more, 9 bytes (a float64 and a flag) per site
     held = []
 
-    def fill(grid):
+    def fill(grid, *args, **kwargs):
         tracemalloc.start()
         try:
             clone = copy.deepcopy(grid)  # allocates what the grid holds
@@ -717,13 +735,52 @@ def test_grid_holds_its_evaluated_values_not_its_blocks(sphere_cloud, monkeypatc
         finally:
             tracemalloc.stop()
         del clone
-        return hierarchical_fill(grid)
+        return hierarchical_fill(grid, *args, **kwargs)
 
     hierarchical_fill = pipeline.hierarchical_fill
     monkeypatch.setattr(pipeline, "hierarchical_fill", fill)
     run_pipeline(small_config(coarse_cells=64, margin_cells=3), sphere_cloud)
     [(nbytes, evaluated, sites)] = held
     assert nbytes < 24 * evaluated < 9 * sites
+
+
+def test_marching_cubes_merges_after_the_grid_and_index_are_freed(sphere_cloud, monkeypatch):
+    # once the last slab is built, before marching cubes merges the slabs'
+    # vertices, nothing holds the kd-tree, the normalized cloud or the
+    # grid's writes any more
+    refs, alive = [], []
+    build_index, set_values = pipeline.build_index, AdaptiveGrid.set_values
+    marching_cubes = pipeline.marching_cubes
+
+    def built(cloud):
+        index = build_index(cloud)
+        refs.extend(map(weakref.ref, (index, cloud, cloud.points)))
+        return index
+
+    def written(grid, ids, values):
+        set_values(grid, ids, values)
+        refs.extend(map(weakref.ref, grid._runs[-1]))
+
+    def extract(slabs, spec, iso):
+        def merged_after():
+            yield from slabs
+            alive.append([ref() is not None for ref in refs])
+        return marching_cubes(merged_after(), spec, iso)
+
+    monkeypatch.setattr(pipeline, "build_index", built)
+    monkeypatch.setattr(AdaptiveGrid, "set_values", written)
+    monkeypatch.setattr(pipeline, "marching_cubes", extract)
+    result = run_pipeline(small_config(coarse_cells=24), sphere_cloud)
+    assert result.mesh.num_faces > 0 and len(refs) == 3 + 2 * 2
+    assert alive == [[False] * len(refs)]
+
+
+def test_dump_and_extract_build_each_slab_once(sphere_cloud, tmp_path, monkeypatch):
+    built, slab = [], AdaptiveGrid._slab
+    monkeypatch.setattr(AdaptiveGrid, "_slab", lambda grid, x0: built.append(x0) or slab(grid, x0))
+    config = small_config(coarse_cells=24, dump_field=str(tmp_path / "field.bin"))
+    run_pipeline(config, sphere_cloud)
+    assert built == list(range(0, LatticeSpec(24, 2).fine_n - 1, SLAB))
 
 
 def test_dump_field(sphere_cloud, tmp_path):
