@@ -12,7 +12,7 @@ _MODULES = {
     "estimator": ("NearestPointEstimator", "PlaneFitEstimator", "make_estimator"),
     "extract": ("IsoSpec", "marching_cubes"),
     "grid": ("AdaptiveGrid", "LatticeSpec", "hierarchical_fill", "refine_with_parents",
-             "save_field", "select_hot"),
+             "select_hot"),
     "io": ("read_mesh", "read_point_cloud", "write_mesh", "write_point_cloud"),
     "metrics": ("MetricReport", "evaluate", "sample_mesh"),
     "model": ("NormalizationTransform", "PointCloud", "TriangleMesh", "denormalize_mesh",

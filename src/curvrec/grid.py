@@ -21,7 +21,7 @@ its own, and two slabs fill the plane they share alike. A stride site
 never written reads far, so a coarse cell outside the band reads the far
 field (far_field). No stage builds the dense (n, n, n) array: the dump,
 too, writes one slab at a time, and a run dumps and extracts each slab
-in one pass, after which the grid can release its writes.
+in one pass, after which nothing holds the grid's writes.
 """
 
 import itertools
@@ -170,19 +170,16 @@ class AdaptiveGrid:
         """Sites that are not evaluated: the fill gives them their value."""
         return self.spec.total_fine_vertices - self.evaluated_count
 
-    def slabs(self, each=None, release=False):
+    def slabs(self, each=None):
         """The filled x slabs of the lattice (FilledSlabs), each built when an
         iteration reaches it. each(values, x0), when given, sees every slab
-        as it is built. With release, the iteration drops the grid's writes
-        once it has built the last slab, so no slab can be built after it."""
-        return FilledSlabs(self, each, release)
+        as it is built."""
+        return FilledSlabs(self, each)
 
     def _slab(self, x0):
         """The filled slab of planes x0 through x0 + SLAB (or the last plane),
         (planes, n, n). Flat ids are x-major, so the slab's sites are one id
         range of every run, at id - x0 n^2 in the slab."""
-        if self._runs is None:
-            raise ValueError("the grid's writes were released after its last pass")
         n, s = self.spec.fine_n, self.stride
         planes = min(SLAB, n - 1 - x0) + 1
         base, span = x0 * n * n, np.array([x0, x0 + planes]) * n * n
@@ -207,30 +204,32 @@ class FilledSlabs:
     every written value in place and the other sites filled by
     hierarchical_fill's rule. Consecutive slabs share a plane. Each
     iteration builds a slab when it reaches it and hands it to each, if
-    given, before its consumer; the slab is gone once they drop it. With
-    release, building the last slab drops the grid's writes. Building a
-    slab raises MissingCoarseValue if an evaluated site in it has no value.
+    given, before its consumer; the slab is gone once they drop it. It is
+    iterated once: building the last slab drops its grid, so a caller that
+    drops its own has the grid's writes freed there. Building a slab raises
+    MissingCoarseValue if an evaluated site in it has no value.
 
     As an array it is a placeholder of the lattice's shape, (n, n, n), NaN
     with zero strides, so np.asarray(slabs).size counts the sites the slabs
     cover without building them.
     """
 
-    def __init__(self, grid, each=None, release=False):
-        self.grid, self.each, self.release = grid, each, release
+    def __init__(self, grid, each=None):
+        self.grid, self.each = grid, each
+        self.shape = (grid.spec.fine_n,) * 3
 
     def __iter__(self):
-        starts = range(0, self.grid.spec.fine_n - 1, SLAB)
+        starts = range(0, self.shape[0] - 1, SLAB)
         for x0 in starts:
             values = self.grid._slab(x0)
-            if self.release and x0 == starts[-1]:
-                self.grid._runs = None
+            if x0 == starts[-1]:
+                self.grid = None
             if self.each is not None:
                 self.each(values, x0)
             yield values, x0
 
     def __array__(self, dtype=None, copy=None):
-        lattice = np.broadcast_to(np.array(np.nan, dtype=dtype), (self.grid.spec.fine_n,) * 3)
+        lattice = np.broadcast_to(np.array(np.nan, dtype=dtype), self.shape)
         return lattice.copy() if copy else lattice
 
 
@@ -320,9 +319,9 @@ def select_hot(field, threshold):
     return field.ids[field.sigma >= threshold]
 
 
-def hierarchical_fill(grid: AdaptiveGrid, each=None, release=False):
+def hierarchical_fill(grid: AdaptiveGrid, each=None):
     """The grid's field with every unevaluated fine site filled with the
-    mean of its neighbors, as grid.slabs(each, release): each x slab is
+    mean of its neighbors, as grid.slabs(each): each x slab is
     filled as it is built.
 
     A site with k odd indices gets the mean of its 2k neighbors along its
@@ -333,7 +332,7 @@ def hierarchical_fill(grid: AdaptiveGrid, each=None, release=False):
     two slabs share reads the same values in both. Building a slab raises
     MissingCoarseValue if an evaluated site in it has no value.
     """
-    return grid.slabs(each, release)
+    return grid.slabs(each)
 
 
 def _fill(values, evaluated):
@@ -354,14 +353,6 @@ def _fill(values, evaluated):
             target = values[site]   # a view: writes land in the grid
             open_sites = ~evaluated[site]
             target[open_sites] = acc[open_sites]
-
-
-def save_field(slabs, spec: LatticeSpec, path):
-    """Dump the field, given as its x slabs (values, x0) in ascending x, as
-    field_writer writes them."""
-    with field_writer(spec, path) as write:
-        for values, x0 in slabs:
-            write(values, x0)
 
 
 @contextmanager

@@ -460,11 +460,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     del norm_cloud, index  # no later stage reads them
 
     # One pass over the slabs: each is dumped, if asked, and marched as it
-    # is built, and the grid's writes go once the last is built, before
-    # marching cubes merges the slabs' vertices.
+    # is built. The slabs drop the grid once the last is built, so its
+    # writes go before marching cubes merges the slabs' vertices.
     with _dumping(config.dump_field, spec, times) as each:
         with stage("fill", times):
-            field = hierarchical_fill(grid, each, release=True)
+            field = hierarchical_fill(grid, each)
+            del grid
         with stage("extract", times):
             norm_mesh = marching_cubes(field, spec, iso)
             if not norm_mesh.num_faces:

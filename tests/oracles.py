@@ -13,7 +13,7 @@ from curvrec.curvature import DEGENERATE_TRACE
 from curvrec.errors import EmptyField, EmptyInput
 from curvrec.estimator import _PLANE_DEGENERACY
 from curvrec.extract import _T_CLAMP
-from curvrec.grid import LatticeSpec
+from curvrec.grid import LatticeSpec, field_writer
 from curvrec.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, TRI_TABLE
 from curvrec.metrics import _chamfer, _f1, _matches, _nc
 
@@ -211,8 +211,16 @@ def dense_values(grid):
     return np.concatenate([values[min(x0, 1):] for values, x0 in grid.slabs()])
 
 
+def save_field(slabs, spec, path):
+    """Dump the field, given as its x slabs (values, x0) in ascending x, as
+    grid.field_writer writes them."""
+    with field_writer(spec, path) as write:
+        for values, x0 in slabs:
+            write(values, x0)
+
+
 def load_field(path):
-    """Read a grid.save_field dump back: (values (n, n, n) float64, LatticeSpec)."""
+    """Read a grid.field_writer dump back: (values (n, n, n) float64, LatticeSpec)."""
     with open(f"{path}.hdr") as fh:
         n, coarse_cells, fine_cells, margin_cells = map(int, fh.read().split())
     spec = LatticeSpec(coarse_cells=coarse_cells, margin_cells=margin_cells)

@@ -9,9 +9,9 @@ from curvrec.curvature import CurvatureField
 from curvrec.errors import MissingCoarseValue, NotCoarseVertex
 from curvrec.extract import IsoSpec, marching_cubes
 from curvrec.grid import (SLAB, AdaptiveGrid, LatticeSpec, hierarchical_fill,
-                          refine_with_parents, save_field, select_hot)
+                          refine_with_parents, select_hot)
 import oracles
-from oracles import coarse_queries, dense_values
+from oracles import coarse_queries, dense_values, save_field
 
 
 def every_site(grid):

@@ -66,6 +66,12 @@ def test_ply_ascii_with_normals(tmp_path):
     assert len(cloud) == 1
     assert np.allclose(cloud.points[0], [0, 0, 1])
     assert np.allclose(cloud.normals[0], [0, 0, 1])
+    # a read without normals still checks them, then drops them
+    points = read_point_cloud(p, normals=False)
+    assert points.normals is None and np.array_equal(points.points, cloud.points)
+    p.write_text(p.read_text().replace("0 0 1 0 0 1", "0 0 1 0 0 0"))
+    with pytest.raises(ParseError, match="zero-length normal in record 0"):
+        read_point_cloud(p, normals=False)
 
 
 def test_ply_truncated(tmp_path):
@@ -543,9 +549,10 @@ def test_block_parse_equals_records_reader(tmp_path, case, normals):
     raw, taken, error = _BLOCK_FILES[case]
     p = tmp_path / "b.xyz"
     p.write_bytes(raw)
-    records = _outcome(functools.partial(_read_xyz_records, normals=normals), p)
+    records = _outcome(_read_xyz_records, p)
     if error is None:
-        assert not isinstance(records, str) and (normals or records[1] is None)
+        assert not isinstance(records, str)
+        records = records if normals else (records[0], None)
     else:
         assert re.search(error, records)
     for block in range(1, 17):

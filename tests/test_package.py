@@ -6,14 +6,15 @@ from pathlib import Path
 
 import curvrec
 
-# What `from curvrec import *` gave before the exports loaded lazily
+# What `from curvrec import *` gives: what it gave before the exports loaded
+# lazily, but save_field, which the tests alone call (tests/oracles.py)
 _EXPORTED = """
 AdaptiveGrid BenchResult CurvatureField IsoSpec LatticeSpec MetricReport NearestPointEstimator
 NormalizationTransform Patches PipelineConfig PipelineResult PlaneFitEstimator PointCloud
 RadiusSchedule ResamplePolicy SpatialIndex TimingReport TriangleMesh bench build_index
 curvature_field denormalize_mesh evaluate hierarchical_fill make_estimator
 marching_cubes normalize_cloud pad_weights percentile radius read_mesh read_point_cloud
-refine_with_parents resample run_pipeline sample_mesh save_field scale_factor
+refine_with_parents resample run_pipeline sample_mesh scale_factor
 segmented_moments select_hot write_mesh write_point_cloud
 """.split()
 
